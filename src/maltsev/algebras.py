@@ -20,7 +20,17 @@ from .errors import (
     SchemaError,
 )
 from .rewriting import enumerate_normal_forms, normalize
-from .terms import App, MU, Signature, Term, Var, parse_term, validate_term
+from .terms import (
+    IDENT_RE,
+    App,
+    MU,
+    Signature,
+    Term,
+    Var,
+    parse_term,
+    validate_term,
+    variables,
+)
 
 
 @dataclass(frozen=True)
@@ -157,9 +167,7 @@ class Identity:
     variables: tuple[str, ...]
 
     def __post_init__(self):
-        from .terms import variables as vars_of
-
-        used = set(vars_of(self.lhs)) | set(vars_of(self.rhs))
+        used = set(variables(self.lhs)) | set(variables(self.rhs))
         if not used <= set(self.variables):
             raise ValueError("identity quantifies fewer variables than used")
 
@@ -170,9 +178,7 @@ def parse_identity(text: str, sig: Signature) -> Identity:
     lhs_text, rhs_text = text.split("=")
     lhs = parse_term(lhs_text.strip(), sig)
     rhs = parse_term(rhs_text.strip(), sig)
-    from .terms import variables as vars_of
-
-    names = sorted(set(vars_of(lhs)) | set(vars_of(rhs)))
+    names = sorted(set(variables(lhs)) | set(variables(rhs)))
     return Identity(lhs, rhs, tuple(names))
 
 
@@ -300,11 +306,8 @@ def maltsev_from_quasigroup(
 def _rename_axioms(axioms: tuple[str, ...], mapping: dict[str, str]) -> tuple[str, ...]:
     # Single simultaneous pass over whole identifiers; naive str.replace would
     # corrupt names that occur inside other names.
-    import re
-
-    pattern = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
     return tuple(
-        pattern.sub(lambda m: mapping.get(m.group(), m.group()), text)
+        IDENT_RE.sub(lambda m: mapping.get(m.group(), m.group()), text)
         for text in axioms
     )
 

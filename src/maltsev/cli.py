@@ -1,21 +1,22 @@
 """Command-line entry point.
 
 Exit codes: 0 = true/success, 1 = false/counterexample (printed), 2 = usage
-or data error.  Text output is human-readable; --format json emits one JSON
-record per line with sorted keys, so identical configurations (including
---seed) produce byte-identical output.  The MW_BUDGET environment variable
-overrides the default enumeration (10**6) and search (10**7) budgets;
-explicit --budget flags win over it.
+or data error, including any unexpected internal error.  Text output is
+human-readable; --format json emits one JSON record per line with sorted
+keys, so identical configurations (including --seed) produce byte-identical
+output.  The MW_BUDGET environment variable overrides the default
+enumeration (10**6) and search (10**7) budgets; explicit --budget flags win
+over it.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import congruences as cong
 from . import homomorphisms as homs
@@ -40,16 +41,6 @@ ENUM_BUDGET = 10**6
 SEARCH_BUDGET = 10**7
 
 
-@dataclass
-class RunConfig:
-    command: tuple[str, ...]
-    options: dict
-    output_format: str = "text"
-    seed: int = 0
-    enum_budget: int = ENUM_BUDGET
-    search_budget: int = SEARCH_BUDGET
-
-
 class Report:
     """Collects text lines and one machine-readable record per command."""
 
@@ -68,6 +59,51 @@ class Report:
         if self.fmt == "json":
             return json.dumps(self.record, sort_keys=True, separators=(",", ":"))
         return "\n".join(self.lines)
+
+
+# ---------------------------------------------------------------------------
+# The command table.  Each leaf command is declared once, by the decorator
+# on its handler: its name ("fg mul" for a subcommand of a group), its
+# argparse options and, for a top-level command, its help line.  Commands
+# are listed in --help in the order they are declared here.  A handler gets
+# the parsed namespace and a Report, fills the report (dispatch adds the
+# command name) and returns the exit code.
+
+COMMANDS: list[tuple] = []
+
+GROUP_HELP = {
+    "fg": "free group on reduced words",
+    "heap": "free heap inside the free group",
+    "hom": "homomorphisms out of the free algebra",
+    "algebra": "finite-algebra analysis",
+}
+
+
+def option(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+def required(*flags: str, **kwargs) -> list[tuple]:
+    return [option(flag, required=True, **kwargs) for flag in flags]
+
+
+def command(name: str, *options: tuple, help: str | None = None):
+    def register(handler):
+        COMMANDS.append((name, help, options, handler))
+        return handler
+
+    return register
+
+
+FILE = option("--file", required=True)
+BUDGET = option("--budget", type=int, default=None)
+
+
+def _budget(args: argparse.Namespace, default: int) -> int:
+    """An explicit --budget wins over MW_BUDGET, which wins over the default."""
+    if args.budget is not None:
+        return args.budget
+    return int(os.environ.get("MW_BUDGET", default))
 
 
 def _read_algebra(path: str):
@@ -89,52 +125,65 @@ def _parse_map(text: str | None) -> dict[str, str] | None:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Command handlers.  Each returns an exit code and fills the report.
+def _word(text: str) -> words.ReducedWord:
+    return reduce(parse_letters(text))
 
 
-def cmd_normalize(cfg: RunConfig, rep: Report) -> int:
-    t = parse_term(cfg.options["term"], MALTSEV_SIGNATURE)
-    nf = rewriting.normalize(t)
-    rep.text(format_term(nf))
-    rep.emit(command="normalize", input=format_term(t), normal_form=format_term(nf))
+def _heap_word(text: str) -> HeapWord:
+    return HeapWord(_word(text))
+
+
+def _emit_word(rep: Report, w) -> int:
+    rep.text(format_word(w))
+    rep.emit(word=format_word(w), length=len(w))
     return 0
 
 
-def cmd_equal(cfg: RunConfig, rep: Report) -> int:
-    lhs = parse_term(cfg.options["lhs"], MALTSEV_SIGNATURE)
-    rhs = parse_term(cfg.options["rhs"], MALTSEV_SIGNATURE)
-    same = rewriting.equal_in_free(lhs, rhs)
+@command("normalize", option("--term", required=True), help="normal form of a term")
+def cmd_normalize(args, rep: Report) -> int:
+    t = parse_term(args.term, MALTSEV_SIGNATURE)
+    nf = rewriting.normalize(t)
+    rep.text(format_term(nf))
+    rep.emit(input=format_term(t), normal_form=format_term(nf))
+    return 0
+
+
+@command("equal", *required("--lhs", "--rhs"), help="word problem for two terms")
+def cmd_equal(args, rep: Report) -> int:
+    lhs = parse_term(args.lhs, MALTSEV_SIGNATURE)
+    rhs = parse_term(args.rhs, MALTSEV_SIGNATURE)
+    # Normal forms are canonical and format_term is injective, so equal
+    # texts are equal elements of the free algebra.
+    lhs_nf = format_term(rewriting.normalize(lhs))
+    rhs_nf = format_term(rewriting.normalize(rhs))
+    same = lhs_nf == rhs_nf
     rep.text("true" if same else "false")
     if not same:
-        rep.text(f"lhs normal form: {format_term(rewriting.normalize(lhs))}")
-        rep.text(f"rhs normal form: {format_term(rewriting.normalize(rhs))}")
-    rep.emit(
-        command="equal",
-        equal=same,
-        lhs_normal_form=format_term(rewriting.normalize(lhs)),
-        rhs_normal_form=format_term(rewriting.normalize(rhs)),
-    )
+        rep.text(f"lhs normal form: {lhs_nf}")
+        rep.text(f"rhs normal form: {rhs_nf}")
+    rep.emit(equal=same, lhs_normal_form=lhs_nf, rhs_normal_form=rhs_nf)
     return 0 if same else 1
 
 
-def cmd_count_m(cfg: RunConfig, rep: Report) -> int:
-    m, n = cfg.options["generators"], cfg.options["level"]
+@command(
+    "count-m",
+    *required("--generators", "--level", type=int),
+    option("--oracle", action="store_true"),
+    BUDGET,
+    help="count free-algebra elements by stratum",
+)
+def cmd_count_m(args, rep: Report) -> int:
+    m, n = args.generators, args.level
     value = rewriting.count_M(
-        m, n, oracle=cfg.options["oracle"], budget=cfg.enum_budget
+        m, n, oracle=args.oracle, budget=_budget(args, ENUM_BUDGET)
     )
     rep.text(str(value))
-    rep.emit(
-        command="count-m",
-        generators=m,
-        level=n,
-        oracle=cfg.options["oracle"],
-        count=str(value),
-    )
+    rep.emit(generators=m, level=n, oracle=args.oracle, count=str(value))
     return 0
 
 
-def cmd_confluence_report(cfg: RunConfig, rep: Report) -> int:
+@command("confluence-report", help="critical pairs and joinability")
+def cmd_confluence_report(args, rep: Report) -> int:
     report = rewriting.check_confluence()
     pairs = []
     for pair, joinable in report.entries:
@@ -155,262 +204,250 @@ def cmd_confluence_report(cfg: RunConfig, rep: Report) -> int:
     verdict = report.locally_confluent
     rep.text(f"critical pairs: {len(pairs)}")
     rep.text(f"locally confluent: {'true' if verdict else 'false'}")
-    rep.emit(command="confluence-report", pairs=pairs, locally_confluent=verdict)
+    rep.emit(pairs=pairs, locally_confluent=verdict)
     return 0 if verdict else 1
 
 
-def cmd_fg(cfg: RunConfig, rep: Report) -> int:
-    sub = cfg.command[1]
-    if sub == "reduce":
-        w = reduce(parse_letters(cfg.options["word"]))
-        rep.text(format_word(w))
-        rep.emit(command="fg reduce", word=format_word(w), length=len(w))
-        return 0
-    if sub == "mul":
-        a = reduce(parse_letters(cfg.options["a"]))
-        b = reduce(parse_letters(cfg.options["b"]))
-        w = words.fg_mul(a, b)
-        rep.text(format_word(w))
-        rep.emit(command="fg mul", word=format_word(w), length=len(w))
-        return 0
-    if sub == "inv":
-        a = reduce(parse_letters(cfg.options["a"]))
-        w = words.fg_inv(a)
-        rep.text(format_word(w))
-        rep.emit(command="fg inv", word=format_word(w), length=len(w))
-        return 0
-    raise MaltsevError(f"unknown fg subcommand {sub!r}")
+@command("fg reduce", option("--word", required=True))
+def cmd_fg_reduce(args, rep: Report) -> int:
+    return _emit_word(rep, _word(args.word))
 
 
-def cmd_heap(cfg: RunConfig, rep: Report) -> int:
-    sub = cfg.command[1]
-    if sub == "member":
-        w = reduce(parse_letters(cfg.options["word"]))
-        member = words.is_heap_word(w)
-        rep.text("true" if member else "false")
-        rep.emit(command="heap member", word=format_word(w), member=member)
-        return 0 if member else 1
-    if sub == "mu":
-        a, b, c = (
-            HeapWord(reduce(parse_letters(cfg.options[key]))) for key in ("a", "b", "c")
+@command("fg mul", *required("--a", "--b"))
+def cmd_fg_mul(args, rep: Report) -> int:
+    return _emit_word(rep, words.fg_mul(_word(args.a), _word(args.b)))
+
+
+@command("fg inv", option("--a", required=True))
+def cmd_fg_inv(args, rep: Report) -> int:
+    return _emit_word(rep, words.fg_inv(_word(args.a)))
+
+
+@command("heap mu", *required("--a", "--b", "--c"))
+def cmd_heap_mu(args, rep: Report) -> int:
+    w = words.heap_mu(_heap_word(args.a), _heap_word(args.b), _heap_word(args.c))
+    rep.text(format_word(w))
+    rep.emit(word=format_word(w), stratum=w.stratum)
+    return 0
+
+
+@command("heap member", option("--word", required=True))
+def cmd_heap_member(args, rep: Report) -> int:
+    w = _word(args.word)
+    member = words.is_heap_word(w)
+    rep.text("true" if member else "false")
+    rep.emit(word=format_word(w), member=member)
+    return 0 if member else 1
+
+
+@command("heap group-ops", option("--base", required=True), option("--u"), option("--v"))
+def cmd_heap_group_ops(args, rep: Report) -> int:
+    group = words.heap_group_ops(_heap_word(args.base))
+    rep.text(f"identity: {format_word(group.identity)}")
+    rep.emit(identity=format_word(group.identity))
+    if args.u:
+        u = _heap_word(args.u)
+        inverse = format_word(group.inv(u))
+        rep.text(f"inv(u): {inverse}")
+        rep.emit(inverse_u=inverse)
+        if args.v:
+            product = format_word(group.mul(u, _heap_word(args.v)))
+            rep.text(f"u * v: {product}")
+            rep.emit(product_uv=product)
+    return 0
+
+
+@command("hom group", option("--term", required=True), option("--map"))
+def cmd_hom_group(args, rep: Report) -> int:
+    t = parse_term(args.term, MALTSEV_SIGNATURE)
+    return _emit_word(rep, homs.hom_to_group(t, _parse_map(args.map)))
+
+
+@command("hom separate", *required("--term", "--witness"))
+def cmd_hom_separate(args, rep: Report) -> int:
+    value = homs.separating_hom(parse_term(args.term, MALTSEV_SIGNATURE), args.witness)
+    rep.text(str(value))
+    rep.emit(value=value, witness=args.witness)
+    return 0
+
+
+@command("algebra check-identity", FILE, option("--identity", required=True))
+def cmd_check_identity(args, rep: Report) -> int:
+    alg = _read_algebra(args.file)
+    failure = check_identity(alg, parse_identity(args.identity, alg.signature))
+    if failure is None:
+        rep.text("holds")
+        rep.emit(holds=True)
+        return 0
+    rep.text(f"counterexample: {failure}")
+    rep.emit(holds=False, counterexample=failure)
+    return 1
+
+
+@command("algebra maltsev-check", FILE, option("--symbol", default="mu"))
+def cmd_maltsev_check(args, rep: Report) -> int:
+    ok = is_maltsev_operation(_read_algebra(args.file), args.symbol)
+    rep.text("true" if ok else "false")
+    rep.emit(symbol=args.symbol, maltsev=ok)
+    return 0 if ok else 1
+
+
+DERIVATIONS = {
+    "group": maltsev_from_group,
+    "left-loop": maltsev_from_left_loop,
+    "quasigroup": maltsev_from_quasigroup,
+}
+
+
+@command(
+    "algebra derive-maltsev",
+    FILE,
+    option("--from", dest="source", choices=DERIVATIONS, required=True),
+)
+def cmd_derive_maltsev(args, rep: Report) -> int:
+    alg = _read_algebra(args.file)
+    derived = with_operation(alg, "mu", DERIVATIONS[args.source](alg))
+    verified = is_maltsev_operation(derived, "mu")
+    doc = dump_algebra(derived)
+    rep.text(json.dumps(doc, indent=2, sort_keys=True))
+    rep.text(f"verified maltsev: {'true' if verified else 'false'}")
+    rep.emit(algebra=doc, verified=verified)
+    return 0 if verified else 1
+
+
+@command(
+    "algebra congruences",
+    FILE,
+    option("--check-permutability", action="store_true"),
+    option("--max-size", type=int, default=8),
+)
+def cmd_congruences(args, rep: Report) -> int:
+    alg = _read_algebra(args.file)
+    if alg.size > 8 and alg.size <= args.max_size:
+        rep.text(
+            f"warning: carrier size {alg.size} above the default guard of 8;"
+            " principal-congruence generation scans all element pairs and"
+            " may be slow"
         )
-        w = words.heap_mu(a, b, c)
-        rep.text(format_word(w))
-        rep.emit(command="heap mu", word=format_word(w), stratum=w.stratum)
+    lattice = cong.all_congruences(alg, max_size=args.max_size)
+    partitions = [cong.format_partition(c.partition) for c in lattice]
+    for p in partitions:
+        rep.text(p)
+    rep.text(f"count: {len(partitions)}")
+    rep.emit(congruences=partitions)
+    if not args.check_permutability:
         return 0
-    if sub == "group-ops":
-        base = HeapWord(reduce(parse_letters(cfg.options["base"])))
-        group = words.heap_group_ops(base)
-        rep.text(f"identity: {format_word(group.identity)}")
-        record = {"command": "heap group-ops", "identity": format_word(group.identity)}
-        if cfg.options.get("u"):
-            u = HeapWord(reduce(parse_letters(cfg.options["u"])))
-            record["inverse_u"] = format_word(group.inv(u))
-            rep.text(f"inv(u): {record['inverse_u']}")
-            if cfg.options.get("v"):
-                v = HeapWord(reduce(parse_letters(cfg.options["v"])))
-                record["product_uv"] = format_word(group.mul(u, v))
-                rep.text(f"u * v: {record['product_uv']}")
-        rep.emit(**record)
+    failing = next(
+        (pair for pair in itertools.combinations(lattice, 2) if not cong.permute(alg, *pair)),
+        None,
+    )
+    rep.emit(permutable=failing is None)
+    if failing is None:
+        rep.text("all congruence pairs permute")
         return 0
-    raise MaltsevError(f"unknown heap subcommand {sub!r}")
+    counterexample = [cong.format_partition(theta.partition) for theta in failing]
+    rep.text(f"non-permuting pair: {counterexample[0]}  {counterexample[1]}")
+    rep.emit(counterexample=counterexample)
+    return 1
 
 
-def cmd_hom(cfg: RunConfig, rep: Report) -> int:
-    sub = cfg.command[1]
-    t = parse_term(cfg.options["term"], MALTSEV_SIGNATURE)
-    if sub == "group":
-        w = homs.hom_to_group(t, _parse_map(cfg.options.get("map")))
-        rep.text(format_word(w))
-        rep.emit(command="hom group", word=format_word(w), length=len(w))
-        return 0
-    if sub == "separate":
-        value = homs.separating_hom(t, cfg.options["witness"])
-        rep.text(str(value))
-        rep.emit(command="hom separate", value=value, witness=cfg.options["witness"])
-        return 0
-    raise MaltsevError(f"unknown hom subcommand {sub!r}")
+@command("algebra principal", FILE, option("--pair", required=True))
+def cmd_principal(args, rep: Report) -> int:
+    alg = _read_algebra(args.file)
+    a, b = (int(x) for x in args.pair.split(","))
+    theta = cong.principal_congruence(alg, a, b)
+    rep.text(cong.format_partition(theta.partition))
+    rep.emit(pair=[a, b], congruence=cong.format_partition(theta.partition))
+    return 0
 
 
-def cmd_algebra(cfg: RunConfig, rep: Report) -> int:
-    sub = cfg.command[1]
-    alg = _read_algebra(cfg.options["file"])
-    if sub == "check-identity":
-        ident = parse_identity(cfg.options["identity"], alg.signature)
-        failure = check_identity(alg, ident)
-        if failure is None:
-            rep.text("holds")
-            rep.emit(command="algebra check-identity", holds=True)
-            return 0
-        rep.text(f"counterexample: {failure}")
-        rep.emit(command="algebra check-identity", holds=False, counterexample=failure)
+@command("algebra quotient", FILE, option("--partition", required=True))
+def cmd_quotient(args, rep: Report) -> int:
+    alg = _read_algebra(args.file)
+    p = cong.parse_partition(args.partition, alg.size)
+    violation = cong.find_compatibility_violation(alg, p)
+    if violation is not None:
+        rep.text(f"not a congruence: violation {violation}")
+        rep.emit(congruence=False)
         return 1
-    if sub == "maltsev-check":
-        ok = is_maltsev_operation(alg, cfg.options["symbol"])
-        rep.text("true" if ok else "false")
-        rep.emit(command="algebra maltsev-check", symbol=cfg.options["symbol"], maltsev=ok)
-        return 0 if ok else 1
-    if sub == "derive-maltsev":
-        kind = cfg.options["from"]
-        if kind == "group":
-            table = maltsev_from_group(alg)
-        elif kind == "left-loop":
-            table = maltsev_from_left_loop(alg)
-        elif kind == "quasigroup":
-            table = maltsev_from_quasigroup(alg)
-        else:
-            raise MaltsevError(f"unknown derivation source {kind!r}")
-        derived = with_operation(alg, "mu", table)
-        verified = is_maltsev_operation(derived, "mu")
-        doc = dump_algebra(derived)
-        rep.text(json.dumps(doc, indent=2, sort_keys=True))
-        rep.text(f"verified maltsev: {'true' if verified else 'false'}")
-        rep.emit(command="algebra derive-maltsev", algebra=doc, verified=verified)
-        return 0 if verified else 1
-    if sub == "congruences":
-        max_size = cfg.options["max_size"]
-        if alg.size > 8 and alg.size <= max_size:
-            rep.text(
-                f"warning: carrier size {alg.size} above the default guard of 8;"
-                " principal-congruence generation scans all element pairs and"
-                " may be slow"
-            )
-        lattice = cong.all_congruences(alg, max_size=max_size)
-        partitions = [cong.format_partition(c.partition) for c in lattice]
-        for p in partitions:
-            rep.text(p)
-        rep.text(f"count: {len(partitions)}")
-        record = {"command": "algebra congruences", "congruences": partitions}
-        code = 0
-        if cfg.options["check_permutability"]:
-            failing = None
-            for i, theta in enumerate(lattice):
-                for phi in lattice[i + 1 :]:
-                    if not cong.permute(alg, theta, phi):
-                        failing = (
-                            cong.format_partition(theta.partition),
-                            cong.format_partition(phi.partition),
-                        )
-                        break
-                if failing:
-                    break
-            record["permutable"] = failing is None
-            if failing is None:
-                rep.text("all congruence pairs permute")
-            else:
-                rep.text(f"non-permuting pair: {failing[0]}  {failing[1]}")
-                record["counterexample"] = list(failing)
-                code = 1
-        rep.emit(**record)
-        return code
-    if sub == "principal":
-        a, b = (int(x) for x in cfg.options["pair"].split(","))
-        theta = cong.principal_congruence(alg, a, b)
-        rep.text(cong.format_partition(theta.partition))
-        rep.emit(
-            command="algebra principal",
-            pair=[a, b],
-            congruence=cong.format_partition(theta.partition),
-        )
-        return 0
-    if sub == "quotient":
-        p = cong.parse_partition(cfg.options["partition"], alg.size)
-        violation = cong.find_compatibility_violation(alg, p)
-        if violation is not None:
-            rep.text(f"not a congruence: violation {violation}")
-            rep.emit(command="algebra quotient", congruence=False)
-            return 1
-        q = cong.quotient(alg, cong.Congruence(alg, p))
-        doc = dump_algebra(q)
-        rep.text(json.dumps(doc, indent=2, sort_keys=True))
-        rep.emit(command="algebra quotient", congruence=True, algebra=doc)
-        return 0
-    if sub == "maltsev-term":
-        outcome = find_maltsev_term(alg, budget=cfg.search_budget)
-        record = {
-            "command": "algebra maltsev-term",
-            "status": outcome.status,
-            "visited": outcome.visited,
-        }
-        if outcome.status == "found":
-            text = format_term(outcome.term)
-            rep.text(text)
-            rep.text("verified: true")
-            record["term"] = text
-            record["verified"] = True
-            rep.emit(**record)
-            return 0
-        rep.text(outcome.status)
-        rep.emit(**record)
-        return 1 if outcome.status == "none" else 2
-    raise MaltsevError(f"unknown algebra subcommand {sub!r}")
+    doc = dump_algebra(cong.quotient(alg, cong.Congruence(alg, p)))
+    rep.text(json.dumps(doc, indent=2, sort_keys=True))
+    rep.emit(congruence=True, algebra=doc)
+    return 0
 
 
-def cmd_selftest(cfg: RunConfig, rep: Report) -> int:
+@command("algebra maltsev-term", FILE, BUDGET)
+def cmd_maltsev_term(args, rep: Report) -> int:
+    alg = _read_algebra(args.file)
+    outcome = find_maltsev_term(alg, budget=_budget(args, SEARCH_BUDGET))
+    rep.emit(status=outcome.status, visited=outcome.visited)
+    if outcome.status == "found":
+        text = format_term(outcome.term)
+        rep.text(text)
+        rep.text("verified: true")
+        rep.emit(term=text, verified=True)
+        return 0
+    rep.text(outcome.status)
+    return 1 if outcome.status == "none" else 2
+
+
+@command(
+    "selftest",
+    option("--iterations", type=int, default=500),
+    help="seeded randomized property checks",
+)
+def cmd_selftest(args, rep: Report) -> int:
     """Randomized invariants at a quick desk scale, reproducible by seed."""
-    rng = random.Random(cfg.seed)
-    iterations = cfg.options.get("iterations", 500)
+    rng = random.Random(args.seed)
     gens = ("x", "y", "z")
-    checks: list[tuple[str, bool]] = []
 
-    ok = True
-    for _ in range(iterations):
+    def strategy_independence():
         t = sampling.random_term(rng, gens, 6)
         inner = _strategy_fixpoint(t, rewriting.rewrite_once)
         outer = _strategy_fixpoint(t, rewriting.rewrite_once_outermost)
-        if inner != outer or inner != rewriting.normalize(t):
-            ok = False
-            break
-    checks.append(("strategy-independence", ok))
+        return inner == outer == rewriting.normalize(t)
 
-    ok = True
-    for _ in range(iterations):
+    def axiom_walk_equivalence():
         t = sampling.random_term(rng, gens, 4)
-        s = sampling.axiom_walk(rng, t, 8, gens)
-        if not rewriting.equal_in_free(t, s):
-            ok = False
-            break
-    checks.append(("axiom-walk-equivalence", ok))
+        return rewriting.equal_in_free(t, sampling.axiom_walk(rng, t, 8, gens))
 
-    ok = True
-    for _ in range(iterations):
+    def reduction_order_independence():
         raw = list(sampling.random_letters(rng, gens, 12))
         expected = words.reduce(raw)
-        for _ in range(3):
-            shuffled_order = _random_deletion(rng, raw)
-            if shuffled_order != expected:
-                ok = False
-        if not ok:
-            break
-    checks.append(("reduction-order-independence", ok))
+        # A list, not a generator: all three deletions draw from rng.
+        return all([_random_deletion(rng, raw) == expected for _ in range(3)])
 
-    ok = True
-    for _ in range(iterations):
+    def heap_para_associativity():
         a, b, c, d, e = (sampling.random_heap_word(rng, gens, 3) for _ in range(5))
         lhs = words.heap_mu(words.heap_mu(a, b, c), d, e)
         mid = words.heap_mu(a, words.heap_mu(d, c, b), e)
         rhs = words.heap_mu(a, b, words.heap_mu(c, d, e))
-        if lhs != mid or mid != rhs:
-            ok = False
-            break
-    checks.append(("heap-para-associativity", ok))
+        return lhs == mid == rhs
 
-    ok = True
-    for _ in range(iterations):
+    def hom_normalization_invariance():
         t = sampling.random_term(rng, gens, 5)
-        if homs.hom_to_group(t) != homs.hom_to_group(rewriting.normalize(t)):
-            ok = False
-            break
-    checks.append(("hom-normalization-invariance", ok))
+        return homs.hom_to_group(t) == homs.hom_to_group(rewriting.normalize(t))
+
+    # The checks run in this order on one rng; each stops at its first
+    # failing trial.
+    checks = [
+        (name, all(trial() for _ in range(args.iterations)))
+        for name, trial in (
+            ("strategy-independence", strategy_independence),
+            ("axiom-walk-equivalence", axiom_walk_equivalence),
+            ("reduction-order-independence", reduction_order_independence),
+            ("heap-para-associativity", heap_para_associativity),
+            ("hom-normalization-invariance", hom_normalization_invariance),
+        )
+    ]
 
     all_ok = all(flag for _, flag in checks)
     for name, flag in checks:
         rep.text(f"{'PASS' if flag else 'FAIL'} {name}")
-    rep.text(f"selftest: {'pass' if all_ok else 'fail'} (seed {cfg.seed})")
+    rep.text(f"selftest: {'pass' if all_ok else 'fail'} (seed {args.seed})")
     rep.emit(
-        command="selftest",
-        seed=cfg.seed,
-        iterations=iterations,
+        seed=args.seed,
+        iterations=args.iterations,
         results={name: flag for name, flag in checks},
         passed=all_ok,
     )
@@ -444,18 +481,6 @@ def _random_deletion(rng, raw):
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch.
 
-HANDLERS = {
-    "normalize": cmd_normalize,
-    "equal": cmd_equal,
-    "count-m": cmd_count_m,
-    "confluence-report": cmd_confluence_report,
-    "fg": cmd_fg,
-    "heap": cmd_heap,
-    "hom": cmd_hom,
-    "algebra": cmd_algebra,
-    "selftest": cmd_selftest,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -465,144 +490,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="normal form of a term")
-    p.add_argument("--term", required=True)
-
-    p = sub.add_parser("equal", help="word problem for two terms")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
-    p = sub.add_parser("count-m", help="count free-algebra elements by stratum")
-    p.add_argument("--generators", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-
-    sub.add_parser("confluence-report", help="critical pairs and joinability")
-
-    p = sub.add_parser("fg", help="free group on reduced words")
-    fg_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = fg_sub.add_parser("reduce")
-    q.add_argument("--word", required=True)
-    q = fg_sub.add_parser("mul")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q = fg_sub.add_parser("inv")
-    q.add_argument("--a", required=True)
-
-    p = sub.add_parser("heap", help="free heap inside the free group")
-    heap_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = heap_sub.add_parser("mu")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--c", required=True)
-    q = heap_sub.add_parser("member")
-    q.add_argument("--word", required=True)
-    q = heap_sub.add_parser("group-ops")
-    q.add_argument("--base", required=True)
-    q.add_argument("--u")
-    q.add_argument("--v")
-
-    p = sub.add_parser("hom", help="homomorphisms out of the free algebra")
-    hom_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = hom_sub.add_parser("group")
-    q.add_argument("--term", required=True)
-    q.add_argument("--map")
-    q = hom_sub.add_parser("separate")
-    q.add_argument("--term", required=True)
-    q.add_argument("--witness", required=True)
-
-    p = sub.add_parser("algebra", help="finite-algebra analysis")
-    alg_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = alg_sub.add_parser("check-identity")
-    q.add_argument("--file", required=True)
-    q.add_argument("--identity", required=True)
-    q = alg_sub.add_parser("maltsev-check")
-    q.add_argument("--file", required=True)
-    q.add_argument("--symbol", default="mu")
-    q = alg_sub.add_parser("derive-maltsev")
-    q.add_argument("--file", required=True)
-    q.add_argument("--from", dest="source", choices=("group", "left-loop", "quasigroup"), required=True)
-    q = alg_sub.add_parser("congruences")
-    q.add_argument("--file", required=True)
-    q.add_argument("--check-permutability", action="store_true")
-    q.add_argument("--max-size", type=int, default=8)
-    q = alg_sub.add_parser("principal")
-    q.add_argument("--file", required=True)
-    q.add_argument("--pair", required=True)
-    q = alg_sub.add_parser("quotient")
-    q.add_argument("--file", required=True)
-    q.add_argument("--partition", required=True)
-    q = alg_sub.add_parser("maltsev-term")
-    q.add_argument("--file", required=True)
-    q.add_argument("--budget", type=int, default=None)
-
-    p = sub.add_parser("selftest", help="seeded randomized property checks")
-    p.add_argument("--iterations", type=int, default=500)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups: dict = {}
+    for name, help_text, options, handler in COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            p = top.add_parser(group, help=GROUP_HELP[group])
+            groups[group] = p.add_subparsers(dest="subcommand", required=True)
+        p = groups[group].add_parser(leaf) if group else top.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler, name=name)
     return parser
 
 
-def make_config(args: argparse.Namespace) -> RunConfig:
-    env_budget = os.environ.get("MW_BUDGET")
-    enum_budget = ENUM_BUDGET
-    search_budget = SEARCH_BUDGET
-    if env_budget is not None:
-        enum_budget = search_budget = int(env_budget)
-    explicit = getattr(args, "budget", None)
-    if explicit is not None:
-        enum_budget = search_budget = explicit
-
-    command = [args.command]
-    if getattr(args, "subcommand", None):
-        command.append(args.subcommand)
-
-    options = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "subcommand", "format", "seed", "budget")
-    }
-    if "source" in options:
-        options["from"] = options.pop("source")
-    if "max_size" not in options and command[0] == "algebra":
-        options.setdefault("max_size", 8)
-
-    return RunConfig(
-        command=tuple(command),
-        options=options,
-        output_format=args.format,
-        seed=args.seed,
-        enum_budget=enum_budget,
-        search_budget=search_budget,
-    )
-
-
-def dispatch(cfg: RunConfig) -> tuple[int, str]:
-    rep = Report(cfg.output_format)
+def dispatch(args: argparse.Namespace) -> tuple[int, str]:
+    """Run a parsed command.  Any exception it raises, expected or not, is
+    reported as exit 2 with an output holding only the error."""
+    rep = Report(args.format)
     try:
-        code = HANDLERS[cfg.command[0]](cfg, rep)
-    except (MaltsevError, ValueError) as exc:
+        code = args.handler(args, rep)
+    except Exception as exc:
+        code, rep = 2, Report(args.format)
         rep.text(f"error: {exc}")
-        rep.emit(command=" ".join(cfg.command), error=str(exc))
-        return 2, rep.render()
-    except FileNotFoundError as exc:
-        rep.text(f"error: {exc}")
-        rep.emit(command=" ".join(cfg.command), error=str(exc))
-        return 2, rep.render()
-    except json.JSONDecodeError as exc:
-        rep.text(f"error: malformed JSON: {exc}")
-        rep.emit(command=" ".join(cfg.command), error=f"malformed JSON: {exc}")
-        return 2, rep.render()
+        rep.emit(error=str(exc))
+    rep.emit(command=args.name)
     return code, rep.render()
 
 
+def run(argv: list[str] | None = None) -> tuple[int, str]:
+    """Parse argv and run the command; returns (exit code, output)."""
+    return dispatch(build_parser().parse_args(argv))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = make_config(args)
-    code, output = dispatch(cfg)
+    code, output = run(argv)
     if output:
         print(output)
     return code

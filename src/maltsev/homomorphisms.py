@@ -12,7 +12,7 @@ from typing import Callable, Mapping, TypeVar
 
 from .errors import BudgetExceededError, EvaluationError
 from .rewriting import enumerate_normal_forms, normalize
-from .terms import Term, Var, default_generators, term_depth
+from .terms import Term, Var, default_generators, term_depth, variables
 from .words import Letter, ReducedWord, fg_inv, fg_mul, is_heap_word
 
 T = TypeVar("T")
@@ -58,19 +58,10 @@ def separating_hom(t: Term, witness: str) -> int:
     """Evaluate t in the two-element group (mu = xor of the three arguments)
     under the indicator assignment of the witness variable.  Distinguishes
     the witness generator from every other generator."""
-    names = _var_names(t)
+    names = set(variables(t))
     assignment = {name: 1 if name == witness else 0 for name in names}
     assignment.setdefault(witness, 1)
     return eval_term(t, assignment, lambda a, b, c: a ^ b ^ c)
-
-
-def _var_names(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for a in t.args:
-        out |= _var_names(a)
-    return out
 
 
 def check_injectivity_on_M1(m: int) -> bool:
@@ -109,7 +100,7 @@ def _all_reduced_words(gens: tuple[str, ...], length: int) -> list[ReducedWord]:
 def distinguish_in_small_groups(t: Term, s: Term) -> bool:
     """Search the evaluation homomorphisms into the two- and three-element
     cyclic groups for one separating t from s (all assignments tried)."""
-    names = sorted(_var_names(t) | _var_names(s))
+    names = sorted(set(variables(t)) | set(variables(s)))
     for modulus, op in ((2, lambda a, b, c: (a - b + c) % 2), (3, lambda a, b, c: (a - b + c) % 3)):
         total = modulus ** len(names)
         for code in range(total):

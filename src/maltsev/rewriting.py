@@ -22,8 +22,12 @@ from .terms import (
     count_W_up_to,
     default_generators,
     enumerate_up_to,
+    replace_at,
+    substitute,
+    subterm_at,
     term_depth,
     term_size,
+    variables,
 )
 
 
@@ -38,8 +42,6 @@ class RewriteSystem:
     rules: tuple[tuple[Term, Term], ...]
 
     def __post_init__(self):
-        from .terms import variables
-
         for lhs, rhs in self.rules:
             if not isinstance(lhs, App):
                 raise ValueError("rule lhs must be an application")
@@ -225,19 +227,6 @@ def nonvar_positions(t: Term) -> list[tuple[int, ...]]:
     return out
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        t = t.args[i]
-    return t
-
-
-def replace_at(t: Term, path: tuple[int, ...], s: Term) -> Term:
-    if not path:
-        return s
-    i, rest = path[0], path[1:]
-    return App(t.symbol, t.args[:i] + (replace_at(t.args[i], rest, s),) + t.args[i + 1 :])
-
-
 def rename_vars(t: Term, suffix: str) -> Term:
     if isinstance(t, Var):
         return Var(t.name + suffix)
@@ -365,8 +354,6 @@ def rewrite_once_with(t: Term, rs: RewriteSystem) -> Term | None:
         if sigma is not None:
             # Plain substitution: the bound subject terms must not be
             # re-traversed (their variables may share pattern names).
-            from .terms import substitute
-
             return substitute(rhs, sigma)
     return None
 

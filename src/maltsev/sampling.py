@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .terms import App, MU, Term, Var
+from .terms import App, MU, Term, Var, replace_at, subterm_at
 from .words import HeapWord, Letter, reduce
 
 
@@ -41,23 +41,10 @@ def all_positions(t: Term) -> list[tuple[int, ...]]:
     return out
 
 
-def _subterm(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        t = t.args[i]
-    return t
-
-
-def _replace(t: Term, path: tuple[int, ...], s: Term) -> Term:
-    if not path:
-        return s
-    i, rest = path[0], path[1:]
-    return App(t.symbol, t.args[:i] + (_replace(t.args[i], rest, s),) + t.args[i + 1 :])
-
-
 def _redex_positions(t: Term) -> list[tuple[int, ...]]:
     out = []
     for p in all_positions(t):
-        s = _subterm(t, p)
+        s = subterm_at(t, p)
         if isinstance(s, App):
             a, b, c = s.args
             if b == c or a == b:
@@ -78,15 +65,15 @@ def axiom_walk(
         redexes = _redex_positions(t)
         if redexes and rng.random() < 0.5:
             p = rng.choice(redexes)
-            s = _subterm(t, p)
+            s = subterm_at(t, p)
             a, b, c = s.args
-            t = _replace(t, p, a if b == c else c)
+            t = replace_at(t, p, a if b == c else c)
         else:
             p = rng.choice(all_positions(t))
-            s = _subterm(t, p)
+            s = subterm_at(t, p)
             w = random_term(rng, gens, 2)
             wrapped = App(MU, (s, w, w)) if rng.random() < 0.5 else App(MU, (w, w, s))
-            t = _replace(t, p, wrapped)
+            t = replace_at(t, p, wrapped)
     return t
 
 

@@ -130,6 +130,21 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     return App(t.symbol, tuple(substitute(a, mapping) for a in t.args))
 
 
+def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+    """The subterm at a position, given as a path of argument indices."""
+    for i in path:
+        t = t.args[i]
+    return t
+
+
+def replace_at(t: Term, path: tuple[int, ...], s: Term) -> Term:
+    """t with the subterm at the position path replaced by s."""
+    if not path:
+        return s
+    i, rest = path[0], path[1:]
+    return App(t.symbol, t.args[:i] + (replace_at(t.args[i], rest, s),) + t.args[i + 1 :])
+
+
 def validate_term(t: Term, sig: Signature) -> None:
     """Check the signature invariants: declared arities respected, variable
     names disjoint from symbol names."""

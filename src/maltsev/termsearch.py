@@ -27,7 +27,7 @@ from .algebras import (
 )
 from .congruences import all_congruences, permute, quotient
 from .algebras import product_algebra
-from .errors import EvaluationError
+from .errors import EvaluationError, MaltsevError
 from .terms import App, Term, Var, variables
 
 PairVector = tuple[int, ...]
@@ -132,7 +132,8 @@ def _index_tuples(total: int, k: int, must_reach: int):
 
 def _found(alg, elements, parents, target_index) -> SearchOutcome:
     term = rebuild_term(parents, target_index)
-    assert verify_maltsev_term(alg, term), "search produced an unverified term"
+    if not verify_maltsev_term(alg, term):
+        raise MaltsevError("search produced an unverified term")
     return SearchOutcome("found", term, len(elements))
 
 

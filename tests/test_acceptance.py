@@ -18,7 +18,7 @@ from maltsev.algebras import (
     maltsev_from_retraction,
 )
 from maltsev.catalog import bundled_algebras
-from maltsev.cli import build_parser, dispatch, make_config
+from maltsev.cli import run as cli
 from maltsev.congruences import (
     Congruence,
     Partition,
@@ -82,11 +82,6 @@ def criterion(number, description):
         return wrapper
 
     return deco
-
-
-def cli(argv):
-    parser = build_parser()
-    return dispatch(make_config(parser.parse_args(argv)))
 
 
 def fixpoint(t, step):

@@ -1,13 +1,85 @@
+import copy
+import itertools
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
-from maltsev.cli import build_parser, dispatch, main, make_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maltsev.cli import build_parser, main, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+Z2 = {
+    "name": "Z2",
+    "size": 2,
+    "operations": [{"symbol": "mul", "arity": 2, "table": [0, 1, 1, 0]}],
+}
 
 
-def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = make_config(args)
-    return dispatch(cfg)
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_z2_table(v):
+    return isinstance(v, list) and len(v) == 4 and all(_is_int(e) and e in (0, 1) for e in v)
+
+
+def _z2_with(path, values):
+    """The Z2 document, as text, with the value at path replaced."""
+
+    def build(value):
+        doc = copy.deepcopy(Z2)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(doc)
+
+    return values.map(build)
+
+
+def malformed_document():
+    """Text of a file that holds no valid algebra document.  Short raw text
+    cannot hold one: a document needs "size" and "operations" keys.  The
+    dictionaries drawn from JSON_VALUES have keys of at most three
+    characters, so none of them is a valid document or operation."""
+    op = ("operations", 0)
+    return st.one_of(
+        st.text(max_size=20),
+        JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+        st.sampled_from(["size", "operations"]).map(
+            lambda key: json.dumps({k: v for k, v in Z2.items() if k != key})
+        ),
+        _z2_with(("name",), JSON_VALUES.filter(lambda v: not isinstance(v, str))),
+        _z2_with(("size",), JSON_VALUES.filter(lambda v: not (_is_int(v) and v == 2))),
+        _z2_with(("operations",), JSON_VALUES.filter(lambda v: v != [])),
+        _z2_with(op, JSON_VALUES),
+        _z2_with(op + ("symbol",), JSON_VALUES.filter(lambda v: not isinstance(v, str) or not v)),
+        _z2_with(op + ("arity",), JSON_VALUES.filter(lambda v: not (_is_int(v) and v == 2))),
+        _z2_with(op + ("table",), JSON_VALUES.filter(lambda v: not _is_z2_table(v))),
+        st.integers(0, 3).flatmap(
+            lambda i: _z2_with(
+                op + ("table", i), JSON_VALUES.filter(lambda v: not (_is_int(v) and v in (0, 1)))
+            )
+        ),
+    )
 
 
 class TestNormalize:
@@ -398,3 +470,64 @@ class TestLatticeGuard:
         assert code == 0
         assert "warning" in out
         assert "count: 3" in out
+
+
+class TestExitCodeContract:
+    """Every failure exits 2 with a one-line record holding only the command
+    and the error, never a traceback (which would exit 1, i.e. "false")."""
+
+    DEEP_TERM = "mu(" * 3000 + "x" + ",y,y)" * 3000
+
+    CASES = {
+        "unknown symbol": (["algebra", "maltsev-check", "--file", "{z4}", "--symbol", "nosuch"], None),
+        "file is a directory": (["algebra", "congruences", "--file", "{dir}"], None),
+        "deep term": (["normalize", "--term", DEEP_TERM], None),
+        "MW_BUDGET not an integer": (["count-m", "--generators", "2", "--level", "1"], "abc"),
+        "MW_BUDGET not an integer, search": (["algebra", "maltsev-term", "--file", "{z4}"], "abc"),
+        "pair of one element": (["algebra", "principal", "--file", "{z4}", "--pair", "0"], None),
+        "map entry without =": (["hom", "group", "--term", "mu(x,y,z)", "--map", "x=a,yb"], None),
+        "non-heap u": (["heap", "group-ops", "--base", "x", "--u", "x y", "--v", "x"], None),
+    }
+
+    @staticmethod
+    def assert_error_record(code, out, command):
+        assert code == 2
+        assert "\n" not in out
+        record = json.loads(out)
+        assert set(record) == {"command", "error"}
+        assert record["command"] == command
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_malformed_input(self, case, algebra_file, tmp_path, monkeypatch):
+        argv, budget = self.CASES[case]
+        if budget is None:
+            monkeypatch.delenv("MW_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("MW_BUDGET", budget)
+        paths = {"{z4}": algebra_file("z4"), "{dir}": str(tmp_path)}
+        code, out = run(["--format", "json", *(paths.get(a, a) for a in argv)])
+        command = " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
+        self.assert_error_record(code, out, command)
+
+    @settings(max_examples=60, deadline=None)
+    @given(document=malformed_document())
+    def test_malformed_algebra_document(self, document):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "algebra.json"
+            path.write_text(document, encoding="utf-8")
+            code, out = run(["--format", "json", "algebra", "congruences", "--file", str(path)])
+        self.assert_error_record(code, out, "algebra congruences")
+
+    def test_no_traceback_from_a_process(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC), MW_BUDGET="abc")
+        argv = ["--format", "json", "count-m", "--generators", "2", "--level", "1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "maltsev.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        self.assert_error_record(done.returncode, done.stdout.strip(), "count-m")

@@ -1,0 +1,34 @@
+"""Golden outputs of the CLI: every README example and the known error
+cases, in text and --format json, with their exit codes.
+
+``cli_golden.json`` holds the exact stdout bytes.  ``files`` are documents
+written to a temporary directory and named in argv as ``{tmp}/<name>``;
+other paths are relative to the root of the checkout.  A change that alters
+any of these outputs on purpose must update the data file in the same
+change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from maltsev.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["cases"], ids=[" ".join(c["argv"])[:60] for c in GOLDEN["cases"]]
+)
+def test_output_is_byte_identical(case, tmp_path, monkeypatch, capsys):
+    for name, text in GOLDEN["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("MW_BUDGET", raising=False)
+    for key, value in case.get("env", {}).items():
+        monkeypatch.setenv(key, value)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in case["argv"]]
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == (case["code"], case["out"])

@@ -2,7 +2,8 @@ import pytest
 
 from maltsev.algebras import is_maltsev_operation, make_algebra, table_from_function
 from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
-from maltsev.errors import EvaluationError
+from maltsev import termsearch
+from maltsev.errors import EvaluationError, MaltsevError
 from maltsev.terms import Var, format_term, parse_term
 from maltsev.termsearch import (
     find_maltsev_term,
@@ -121,6 +122,12 @@ class TestVerify:
         )
         t = parse_term("star(rdiv(x,ldiv(y,y)),ldiv(y,z))", full.signature)
         assert verify_maltsev_term(full, t)
+
+    def test_unverified_witness_is_an_error_not_an_assert(self, monkeypatch):
+        # A check that must also hold under python -O.
+        monkeypatch.setattr(termsearch, "verify_maltsev_term", lambda alg, t: False)
+        with pytest.raises(MaltsevError, match="unverified"):
+            find_maltsev_term(cyclic_group(2))
 
     def test_foreign_variable(self):
         with pytest.raises(EvaluationError):
