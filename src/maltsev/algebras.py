@@ -18,6 +18,7 @@ from .errors import (
     AxiomError,
     EvaluationError,
     SchemaError,
+    UnknownSymbolError,
 )
 from .rewriting import enumerate_normal_forms, normalize
 from .terms import (
@@ -67,7 +68,8 @@ class FiniteAlgebra:
         for sym, tab in self.tables:
             if sym == symbol:
                 return tab
-        raise KeyError(symbol)
+        names = ", ".join(sym for sym, _ in self.tables)
+        raise UnknownSymbolError(f"unknown operation symbol {symbol!r} (operations: {names})")
 
     def apply(self, symbol: str, *args: int) -> int:
         return self.table(symbol).apply(self.size, *args)

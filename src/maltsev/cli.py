@@ -32,7 +32,7 @@ from .algebras import (
     parse_identity,
     with_operation,
 )
-from .errors import MaltsevError
+from .errors import MaltsevError, NotACongruenceError
 from .terms import MALTSEV_SIGNATURE, format_term, parse_term
 from .termsearch import find_maltsev_term
 from .words import HeapWord, format_word, parse_letters, reduce
@@ -354,7 +354,12 @@ def cmd_congruences(args, rep: Report) -> int:
 @command("algebra principal", FILE, option("--pair", required=True))
 def cmd_principal(args, rep: Report) -> int:
     alg = _read_algebra(args.file)
-    a, b = (int(x) for x in args.pair.split(","))
+    try:
+        a, b = (int(x) for x in args.pair.split(","))
+    except ValueError:
+        raise MaltsevError(
+            f"--pair must be two comma-separated elements, got {args.pair!r}"
+        ) from None
     theta = cong.principal_congruence(alg, a, b)
     rep.text(cong.format_partition(theta.partition))
     rep.emit(pair=[a, b], congruence=cong.format_partition(theta.partition))
@@ -365,12 +370,13 @@ def cmd_principal(args, rep: Report) -> int:
 def cmd_quotient(args, rep: Report) -> int:
     alg = _read_algebra(args.file)
     p = cong.parse_partition(args.partition, alg.size)
-    violation = cong.find_compatibility_violation(alg, p)
-    if violation is not None:
-        rep.text(f"not a congruence: violation {violation}")
+    try:
+        theta = cong.Congruence(alg, p)
+    except NotACongruenceError as exc:
+        rep.text(str(exc))
         rep.emit(congruence=False)
         return 1
-    doc = dump_algebra(cong.quotient(alg, cong.Congruence(alg, p)))
+    doc = dump_algebra(cong.quotient(alg, theta))
     rep.text(json.dumps(doc, indent=2, sort_keys=True))
     rep.emit(congruence=True, algebra=doc)
     return 0

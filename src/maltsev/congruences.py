@@ -8,6 +8,12 @@ but one argument fixed) is applied to each newly merged pair, with
 symmetry and transitivity maintained by a union-find.  Finite compositions
 of translations are reached by the iteration itself rather than being
 materialized.
+
+Compatibility is checked once, where it comes from outside: the public
+Congruence(alg, p) constructor checks the partition, and kernel checks its
+map with check_homomorphism.  What the engine builds (a closure fixpoint, a
+join of congruences, the fibres of a checked homomorphism) is a congruence
+by construction, so _closed wraps it unchecked and quotient trusts it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .algebras import FiniteAlgebra, make_algebra, table_from_function
-from .errors import BudgetExceededError, NotAHomomorphismError, SchemaError
+from .errors import (
+    BudgetExceededError,
+    NotACongruenceError,
+    NotAHomomorphismError,
+    SchemaError,
+)
 
 Pair = tuple[int, int]
 
@@ -196,13 +207,23 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
 
 @dataclass(frozen=True)
 class Congruence:
+    """A partition compatible with every operation, checked on construction."""
+
     algebra: FiniteAlgebra
     partition: Partition
 
     def __post_init__(self):
         violation = find_compatibility_violation(self.algebra, self.partition)
         if violation is not None:
-            raise ValueError(f"not a congruence: violation {violation}")
+            raise NotACongruenceError(violation)
+
+
+def _closed(alg: FiniteAlgebra, p: Partition) -> Congruence:
+    """A partition the engine built as a congruence, wrapped unchecked."""
+    theta = object.__new__(Congruence)
+    object.__setattr__(theta, "algebra", alg)
+    object.__setattr__(theta, "partition", p)
+    return theta
 
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -218,8 +239,6 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
         c, d = queue.pop()
         for sym, tab in alg.tables:
             k = tab.arity
-            if k == 0:
-                continue
             for pos in range(k):
                 for fixed in itertools.product(range(n), repeat=k - 1):
                     left = fixed[:pos] + (c,) + fixed[pos:]
@@ -228,7 +247,7 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
                     gd = tab.apply(n, *right)
                     if uf.union(gc, gd):
                         queue.append((gc, gd))
-    return Congruence(alg, Partition.from_labels([uf.find(x) for x in range(n)]))
+    return _closed(alg, Partition.from_labels([uf.find(x) for x in range(n)]))
 
 
 def all_congruences(
@@ -254,7 +273,7 @@ def all_congruences(
                 known.add(j)
                 queue.append(j)
     ordered = sorted(known, key=lambda p: (-p.num_blocks, p.block_of))
-    return [Congruence(alg, p) for p in ordered]
+    return [_closed(alg, p) for p in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +303,20 @@ def permute(alg: FiniteAlgebra, theta: Congruence, phi: Congruence) -> bool:
 
 
 def quotient(alg: FiniteAlgebra, theta: Congruence) -> FiniteAlgebra:
-    """Carrier of blocks in canonical order, tables induced through
-    representatives.  Well-definedness is re-verified over every argument
-    tuple, not just representatives."""
+    """Carrier of blocks in canonical order, tables induced through the
+    least element of each block.  The choice of representative does not
+    matter because theta is a congruence."""
     p = theta.partition
     blocks = p.blocks()
     reps = [block[0] for block in blocks]
     n = alg.size
     ops = {}
     for sym, tab in alg.tables:
-        k = tab.arity
 
         def fn(*bargs, tab=tab):
             return p.block_of[tab.apply(n, *(reps[b] for b in bargs))]
 
-        table = table_from_function(len(blocks), k, fn)
-        for args in itertools.product(range(n), repeat=k):
-            expected = table.apply(len(blocks), *(p.block_of[x] for x in args))
-            assert p.block_of[tab.apply(n, *args)] == expected, (
-                "quotient table not well defined"
-            )
-        ops[sym] = table
+        ops[sym] = table_from_function(len(blocks), tab.arity, fn)
     return make_algebra(f"{alg.name}/{format_partition(p)}", len(blocks), ops)
 
 
@@ -317,19 +329,25 @@ def check_homomorphism(
         raise NotAHomomorphismError("map is not a function into the codomain")
     if src.signature != dst.signature:
         raise NotAHomomorphismError("signatures differ")
+    violation = _hom_violation(src, dst, f)
+    if violation is not None:
+        sym, args = violation
+        raise NotAHomomorphismError(f"not compatible with {sym!r} at {args}")
+
+
+def _hom_violation(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]):
+    """First (symbol, args) at which f does not commute with the operation, or None."""
     for sym, tab in src.tables:
         for args in itertools.product(range(src.size), repeat=tab.arity):
-            image = dst.apply(sym, *(f[x] for x in args))
-            if f[src.apply(sym, *args)] != image:
-                raise NotAHomomorphismError(
-                    f"not compatible with {sym!r} at {args}"
-                )
+            if f[tab.apply(src.size, *args)] != dst.apply(sym, *(f[x] for x in args)):
+                return sym, args
+    return None
 
 
 def kernel(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> Congruence:
     """Fiber partition of a verified homomorphism."""
     check_homomorphism(src, dst, f)
-    return Congruence(src, Partition.from_labels(list(f)))
+    return _closed(src, Partition.from_labels(list(f)))
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra, max_size: int = 6):
@@ -337,28 +355,14 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra, max_size: int = 6):
     if a.size != b.size or a.signature != b.signature:
         return None
     if a.size > max_size:
-        raise BudgetExceededError(
-            f"isomorphism search limited to size {max_size}"
-        )
+        raise BudgetExceededError(f"isomorphism search limited to size {max_size}")
     for perm in itertools.permutations(range(a.size)):
-        if _is_iso(a, b, perm):
+        if _hom_violation(a, b, perm) is None:
             return perm
     return None
 
 
-def _is_iso(a: FiniteAlgebra, b: FiniteAlgebra, perm: tuple[int, ...]) -> bool:
-    for sym, tab in a.tables:
-        for args in itertools.product(range(a.size), repeat=tab.arity):
-            if perm[tab.apply(a.size, *args)] != b.apply(
-                sym, *(perm[x] for x in args)
-            ):
-                return False
-    return True
-
-
-def first_iso_check(
-    src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]
-) -> bool:
+def first_iso_check(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> bool:
     """Quotient by the kernel of a surjective homomorphism is isomorphic to
     the image (exhaustive search)."""
     ker = kernel(src, dst, f)

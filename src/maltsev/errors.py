@@ -41,5 +41,18 @@ class NotAHomomorphismError(MaltsevError):
     """A map between algebras is not compatible with some operation."""
 
 
+class NotACongruenceError(MaltsevError, ValueError):
+    """A partition is not compatible with some operation. Carries the first
+    violation, as (symbol, args, position, replacement)."""
+
+    def __init__(self, violation: tuple):
+        super().__init__(f"not a congruence: violation {violation}")
+        self.violation = violation
+
+
+class UnknownSymbolError(MaltsevError):
+    """An operation symbol is not one of the algebra's operations."""
+
+
 class EvaluationError(MaltsevError):
     """Term evaluation failed (unassigned variable, foreign symbol, depth)."""

@@ -22,9 +22,9 @@ from .terms import (
     count_W_up_to,
     default_generators,
     enumerate_up_to,
+    positions,
     replace_at,
     substitute,
-    subterm_at,
     term_depth,
     term_size,
     variables,
@@ -218,19 +218,8 @@ class ConfluenceReport:
         return all(joinable for _, joinable in self.entries)
 
 
-def nonvar_positions(t: Term) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    if isinstance(t, App):
-        out.append(())
-        for i, a in enumerate(t.args):
-            out.extend((i,) + p for p in nonvar_positions(a))
-    return out
-
-
 def rename_vars(t: Term, suffix: str) -> Term:
-    if isinstance(t, Var):
-        return Var(t.name + suffix)
-    return App(t.symbol, tuple(rename_vars(a, suffix) for a in t.args))
+    return substitute(t, {v: Var(v + suffix) for v in variables(t)})
 
 
 def _walk(t: Term, subst: dict[str, Term]) -> Term:
@@ -301,10 +290,10 @@ def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
         for j, (l2_raw, r2_raw) in enumerate(rs.rules):
             l2 = rename_vars(l2_raw, "_r")
             r2 = rename_vars(r2_raw, "_r")
-            for path in nonvar_positions(l1):
-                if path == () and i == j:
+            for path, sub in positions(l1):
+                if not isinstance(sub, App) or (path == () and i == j):
                     continue
-                sigma = unify(subterm_at(l1, path), l2)
+                sigma = unify(sub, l2)
                 if sigma is None:
                     continue
                 peak = resolve(l1, sigma)

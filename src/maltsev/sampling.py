@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .terms import App, MU, Term, Var, replace_at, subterm_at
+from .terms import App, MU, Term, Var, positions, replace_at
 from .words import HeapWord, Letter, reduce
 
 
@@ -33,22 +33,13 @@ def random_normal_form(rng: random.Random, gens: Sequence[str], max_depth: int) 
     return normalize(random_term(rng, gens, max_depth))
 
 
-def all_positions(t: Term) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    if isinstance(t, App):
-        for i, a in enumerate(t.args):
-            out.extend((i,) + p for p in all_positions(a))
-    return out
-
-
-def _redex_positions(t: Term) -> list[tuple[int, ...]]:
+def _redexes(t: Term) -> list[tuple[tuple[int, ...], App]]:
     out = []
-    for p in all_positions(t):
-        s = subterm_at(t, p)
+    for p, s in positions(t):
         if isinstance(s, App):
             a, b, c = s.args
             if b == c or a == b:
-                out.append(p)
+                out.append((p, s))
     return out
 
 
@@ -62,15 +53,13 @@ def axiom_walk(
     backward (expand a subterm s into mu(s,w,w) or mu(w,w,s)) at random
     positions.  The result always denotes the same free-algebra element."""
     for _ in range(steps):
-        redexes = _redex_positions(t)
+        redexes = _redexes(t)
         if redexes and rng.random() < 0.5:
-            p = rng.choice(redexes)
-            s = subterm_at(t, p)
+            p, s = rng.choice(redexes)
             a, b, c = s.args
             t = replace_at(t, p, a if b == c else c)
         else:
-            p = rng.choice(all_positions(t))
-            s = subterm_at(t, p)
+            p, s = rng.choice(list(positions(t)))
             w = random_term(rng, gens, 2)
             wrapped = App(MU, (s, w, w)) if rng.random() < 0.5 else App(MU, (w, w, s))
             t = replace_at(t, p, wrapped)

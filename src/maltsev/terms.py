@@ -75,14 +75,6 @@ class App(Term):
     args: tuple[Term, ...]
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def app(symbol: str, *args: Term) -> App:
-    return App(symbol, tuple(args))
-
-
 def mu(a: Term, b: Term, c: Term) -> App:
     return App(MU, (a, b, c))
 
@@ -130,11 +122,14 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     return App(t.symbol, tuple(substitute(a, mapping) for a in t.args))
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    """The subterm at a position, given as a path of argument indices."""
-    for i in path:
-        t = t.args[i]
-    return t
+def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
+    """Every (path, subterm) pair of t in pre-order, left to right."""
+    stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
+    while stack:
+        path, s = stack.pop()
+        yield path, s
+        if isinstance(s, App):
+            stack.extend(((*path, i), s.args[i]) for i in reversed(range(len(s.args))))
 
 
 def replace_at(t: Term, path: tuple[int, ...], s: Term) -> Term:

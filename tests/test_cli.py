@@ -478,28 +478,44 @@ class TestExitCodeContract:
 
     DEEP_TERM = "mu(" * 3000 + "x" + ",y,y)" * 3000
 
+    # name: (argv, MW_BUDGET, a substring the error must contain or None)
     CASES = {
-        "unknown symbol": (["algebra", "maltsev-check", "--file", "{z4}", "--symbol", "nosuch"], None),
-        "file is a directory": (["algebra", "congruences", "--file", "{dir}"], None),
-        "deep term": (["normalize", "--term", DEEP_TERM], None),
-        "MW_BUDGET not an integer": (["count-m", "--generators", "2", "--level", "1"], "abc"),
-        "MW_BUDGET not an integer, search": (["algebra", "maltsev-term", "--file", "{z4}"], "abc"),
-        "pair of one element": (["algebra", "principal", "--file", "{z4}", "--pair", "0"], None),
-        "map entry without =": (["hom", "group", "--term", "mu(x,y,z)", "--map", "x=a,yb"], None),
-        "non-heap u": (["heap", "group-ops", "--base", "x", "--u", "x y", "--v", "x"], None),
+        "unknown symbol": (
+            ["algebra", "maltsev-check", "--file", "{z4}", "--symbol", "nosuch"],
+            None,
+            "unknown operation symbol 'nosuch' (operations: mul, inv, e)",
+        ),
+        "file is a directory": (["algebra", "congruences", "--file", "{dir}"], None, None),
+        "deep term": (["normalize", "--term", DEEP_TERM], None, None),
+        "MW_BUDGET not an integer": (["count-m", "--generators", "2", "--level", "1"], "abc", None),
+        "MW_BUDGET not an integer, search": (["algebra", "maltsev-term", "--file", "{z4}"], "abc", None),
+        "pair of one element": (
+            ["algebra", "principal", "--file", "{z4}", "--pair", "0"],
+            None,
+            "--pair must be two comma-separated elements, got '0'",
+        ),
+        "pair not integers": (
+            ["algebra", "principal", "--file", "{z4}", "--pair", "a,b"],
+            None,
+            "--pair must be two comma-separated elements, got 'a,b'",
+        ),
+        "map entry without =": (["hom", "group", "--term", "mu(x,y,z)", "--map", "x=a,yb"], None, None),
+        "non-heap u": (["heap", "group-ops", "--base", "x", "--u", "x y", "--v", "x"], None, None),
     }
 
     @staticmethod
-    def assert_error_record(code, out, command):
+    def assert_error_record(code, out, command, expected=None):
         assert code == 2
         assert "\n" not in out
         record = json.loads(out)
         assert set(record) == {"command", "error"}
         assert record["command"] == command
+        if expected is not None:
+            assert expected in record["error"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_malformed_input(self, case, algebra_file, tmp_path, monkeypatch):
-        argv, budget = self.CASES[case]
+        argv, budget, expected = self.CASES[case]
         if budget is None:
             monkeypatch.delenv("MW_BUDGET", raising=False)
         else:
@@ -507,7 +523,7 @@ class TestExitCodeContract:
         paths = {"{z4}": algebra_file("z4"), "{dir}": str(tmp_path)}
         code, out = run(["--format", "json", *(paths.get(a, a) for a in argv)])
         command = " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
-        self.assert_error_record(code, out, command)
+        self.assert_error_record(code, out, command, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(document=malformed_document())

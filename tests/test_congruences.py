@@ -1,8 +1,8 @@
 import itertools
-import random
 
 import pytest
 
+from maltsev import congruences
 from maltsev.algebras import make_algebra, table_from_function
 from maltsev.catalog import chain_semilattice, cyclic_group
 from maltsev.congruences import (
@@ -23,11 +23,14 @@ from maltsev.congruences import (
     quotient,
     relation_of,
 )
+from maltsev.cli import run
 from maltsev.errors import (
     BudgetExceededError,
+    NotACongruenceError,
     NotAHomomorphismError,
     SchemaError,
 )
+from maltsev.termsearch import permutability_audit
 
 
 def naive_compatible(alg, p):
@@ -124,6 +127,14 @@ class TestIsCongruence:
         with pytest.raises(ValueError):
             Congruence(z4, Partition.from_blocks(4, [[0, 1], [2, 3]]))
 
+    def test_constructor_error_carries_the_violation(self):
+        z4 = cyclic_group(4)
+        p = Partition.from_blocks(4, [[0, 1], [2, 3]])
+        with pytest.raises(NotACongruenceError) as info:
+            Congruence(z4, p)
+        assert info.value.violation == find_compatibility_violation(z4, p)
+        assert str(info.value) == f"not a congruence: violation {info.value.violation}"
+
     def test_violation_is_reported(self):
         z4 = cyclic_group(4)
         v = find_compatibility_violation(z4, Partition.from_blocks(4, [[0, 1], [2, 3]]))
@@ -211,6 +222,12 @@ class TestAllCongruences:
     def test_guard_override(self):
         assert len(all_congruences(cyclic_group(9), force=True)) == 3
 
+    def test_every_result_passes_the_naive_oracle(self, algebras):
+        # all_congruences returns its joins unchecked; the oracle checks them
+        for name, alg in algebras.items():
+            for theta in all_congruences(alg):
+                assert naive_compatible(alg, theta.partition), (name, theta.partition)
+
 
 class TestPermutability:
     def test_compose_with_identity(self):
@@ -265,22 +282,20 @@ class TestQuotient:
         q = quotient(z4, Congruence(z4, Partition.total(4)))
         assert q.size == 1
 
-    def test_representative_independence(self):
-        # recompute tables with random representative choices
-        rng = random.Random(10)
-        z6 = cyclic_group(6)
-        theta = principal_congruence(z6, 0, 3)
-        q = quotient(z6, theta)
-        blocks = theta.partition.blocks()
-        for _ in range(50):
-            reps = [rng.choice(block) for block in blocks]
-            for sym, tab in z6.tables:
-                for args in itertools.product(range(len(blocks)), repeat=tab.arity):
-                    expected = q.apply(sym, *args)
-                    value = theta.partition.block_of[
-                        z6.apply(sym, *(reps[i] for i in args))
-                    ]
-                    assert value == expected
+    def test_representative_independence(self, algebras):
+        # Every argument tuple of the algebra, i.e. every choice of block
+        # representatives, lands in the block the quotient table names; for
+        # every congruence of every bundled algebra of size <= 6.
+        for name, alg in algebras.items():
+            if alg.size > 6:
+                continue
+            for theta in all_congruences(alg):
+                q = quotient(alg, theta)
+                block_of = theta.partition.block_of
+                for sym, tab in alg.tables:
+                    for args in itertools.product(range(alg.size), repeat=tab.arity):
+                        expected = q.apply(sym, *(block_of[x] for x in args))
+                        assert block_of[alg.apply(sym, *args)] == expected, (name, sym, args)
 
 
 class TestKernel:
@@ -334,3 +349,51 @@ class TestFirstIso:
         z9 = cyclic_group(9)
         with pytest.raises(BudgetExceededError):
             find_isomorphism(z9, z9, max_size=6)
+
+
+class TestTrustBoundary:
+    """Compatibility is checked once, where a partition comes from outside,
+    and never again on what the engine built itself."""
+
+    ENGINE = {
+        "principal_congruence": lambda z4: principal_congruence(z4, 0, 2),
+        "all_congruences": all_congruences,
+        "kernel": lambda z4: kernel(z4, cyclic_group(2), [0, 1, 0, 1]),
+        "quotient": lambda z4: [quotient(z4, theta) for theta in all_congruences(z4)],
+        "permutability_audit": permutability_audit,
+    }
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        calls = []
+        real = congruences.find_compatibility_violation
+
+        def counting(alg, p):
+            calls.append(p)
+            return real(alg, p)
+
+        monkeypatch.setattr(congruences, "find_compatibility_violation", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ENGINE)
+    def test_engine_never_rechecks(self, name, checks, algebras):
+        self.ENGINE[name](algebras["z4"])
+        assert checks == []
+
+    def test_constructor_checks_once(self, checks):
+        Congruence(cyclic_group(4), Partition.from_blocks(4, [[0, 2], [1, 3]]))
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("partition, code", [("0,2|1,3", 0), ("0,1|2,3", 1)])
+    def test_cli_quotient_checks_once(self, partition, code, checks, algebra_file):
+        argv = ["algebra", "quotient", "--file", algebra_file("z4"), "--partition", partition]
+        assert run(argv)[0] == code
+        assert len(checks) == 1
+
+    def test_trusted_and_checked_compare_and_hash_equal(self):
+        z4 = cyclic_group(4)
+        trusted = principal_congruence(z4, 0, 2)
+        checked = Congruence(z4, trusted.partition)
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+        assert {trusted} == {checked}
