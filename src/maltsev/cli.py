@@ -6,7 +6,7 @@ human-readable; --format json emits one JSON record per line with sorted
 keys, so identical configurations (including --seed) produce byte-identical
 output.  The MW_BUDGET environment variable overrides the default
 enumeration (10**6) and search (10**7) budgets; explicit --budget flags win
-over it.
+over it.  Either must be a positive integer.
 """
 
 from __future__ import annotations
@@ -100,10 +100,21 @@ BUDGET = option("--budget", type=int, default=None)
 
 
 def _budget(args: argparse.Namespace, default: int) -> int:
-    """An explicit --budget wins over MW_BUDGET, which wins over the default."""
+    """An explicit --budget wins over MW_BUDGET, which wins over the default.
+    A given budget must be a positive integer."""
     if args.budget is not None:
-        return args.budget
-    return int(os.environ.get("MW_BUDGET", default))
+        source, raw = "--budget", args.budget
+    elif "MW_BUDGET" in os.environ:
+        source, raw = "MW_BUDGET", os.environ["MW_BUDGET"]
+    else:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise MaltsevError(f"{source} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _read_algebra(path: str):

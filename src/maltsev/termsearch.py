@@ -7,15 +7,19 @@ closure over pairs of such functions.  The variable generators are
     x -> (first projection, second projection)
     y -> (second projection, second projection)
     z -> (second projection, first projection)
-and a term is a witness exactly when its pair is (first, first).  When the
-closure completes without reaching the target the answer is a definitive
-"none"; exhausting the budget is reported as a distinct third outcome.
+and a term is a witness exactly when its pair is (first, first).  Each level
+applies the operations only to argument tuples that touch the newest level,
+in the same lexicographic order as the full product, and the search stops
+at the first target or at the budget as each vector is stored.  The budget
+counts stored vectors.  When the closure completes without reaching the
+target the answer is a definitive "none"; exhausting the budget is reported
+as a distinct third outcome.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Literal
 
 from .algebras import (
@@ -23,10 +27,10 @@ from .algebras import (
     evaluate,
     is_maltsev_operation,
     make_algebra,
+    product_algebra,
     table_from_function,
 )
 from .congruences import all_congruences, permute, quotient
-from .algebras import product_algebra
 from .errors import EvaluationError, MaltsevError
 from .terms import App, Term, Var, variables
 
@@ -63,71 +67,67 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
 
     The witness is the BFS-first one: levels are expanded in signature
     order, then in lexicographic order of argument index tuples, so reruns
-    are deterministic.  Any returned term is re-verified pointwise.
+    are deterministic.  A level generates only the tuples that touch the
+    newest level, in that same order.  Each new vector is stored at once;
+    the search stops when more than ``budget`` vectors are stored (checked
+    first) or the target is.  Any returned term is re-verified pointwise.
     """
     n = alg.size
-    gens = _generators(n)
     target = _target(n)
-
-    elements: list[PairVector] = []
-    parents: list[tuple] = []
     index: dict[PairVector, int] = {}
-
-    def add(vec: PairVector, parent: tuple) -> bool:
-        if vec in index:
-            return False
-        index[vec] = len(elements)
-        elements.append(vec)
-        parents.append(parent)
-        return True
-
-    for name in ("x", "y", "z"):
-        add(gens[name], ("gen", name))
+    parents: list[tuple] = []
+    for name, vec in _generators(n).items():
+        if vec not in index:
+            index[vec] = len(parents)
+            parents.append(("gen", name))
+    elements = list(index)
     if target in index:
         return _found(alg, elements, parents, index[target])
 
-    width = 2 * n * n
     level_start = 0
-    first_round = True
     while True:
+        # Arguments come from range(level_end) only, so storing at once finds
+        # what storing after the whole level would find, in the same order.
         level_end = len(elements)
-        buffer: list[tuple[PairVector, tuple]] = []
-        buffered: set[PairVector] = set()
         for sym, tab in alg.tables:
-            k = tab.arity
-            if k == 0:
-                if first_round:
-                    vec = (tab.entries[0],) * width
-                    if vec not in index and vec not in buffered:
-                        buffer.append((vec, ("app", sym, ())))
-                        buffered.add(vec)
+            if tab.arity:
+                made = _applications(tab, n, elements, level_start, level_end)
+            elif level_start == 0:
+                made = [((tab.entries[0],) * len(target), ())]
+            else:
                 continue
-            for idxs in _index_tuples(level_end, k, level_start):
-                vec = tuple(
-                    tab.apply(n, *(elements[i][c] for i in idxs))
-                    for c in range(width)
-                )
-                if vec in index or vec in buffered:
+            for vec, idxs in made:
+                if vec in index:
                     continue
-                buffer.append((vec, ("app", sym, idxs)))
-                buffered.add(vec)
-        if not buffer:
+                index[vec] = len(elements)
+                elements.append(vec)
+                parents.append(("app", sym, idxs))
+                if len(elements) > budget:
+                    return SearchOutcome("budget-exhausted", None, len(elements))
+                if vec == target:
+                    return _found(alg, elements, parents, index[target])
+        if len(elements) == level_end:
             return SearchOutcome("none", None, len(elements))
-        for vec, parent in buffer:
-            add(vec, parent)
-            if len(elements) > budget:
-                return SearchOutcome("budget-exhausted", None, len(elements))
-            if vec == target:
-                return _found(alg, elements, parents, index[target])
         level_start = level_end
-        first_round = False
 
 
-def _index_tuples(total: int, k: int, must_reach: int):
-    """Lexicographic k-tuples over range(total) with max >= must_reach."""
-    for idxs in itertools.product(range(total), repeat=k):
-        if max(idxs) >= must_reach:
-            yield idxs
+def _applications(tab, n, elements, level_start, level_end):
+    """Yield (vector, argument indices) for each k-tuple over range(level_end)
+    with max >= level_start, in lexicographic order.  The flat table index of
+    each coordinate is summed along the tuple's prefix, once per prefix."""
+    lookup = tab.entries.__getitem__
+
+    def prefixes(prefix, scaled, start):
+        if len(prefix) == tab.arity - 1:
+            yield prefix, scaled, start
+            return
+        for i in range(level_end):
+            scaled_i = tuple(map(n.__mul__, map(add, scaled, elements[i])))
+            yield from prefixes(prefix + (i,), scaled_i, 0 if i >= level_start else start)
+
+    for prefix, scaled, start in prefixes((), (0,) * len(elements[0]), level_start):
+        for i in range(start, level_end):
+            yield tuple(map(lookup, map(add, scaled, elements[i]))), prefix + (i,)
 
 
 def _found(alg, elements, parents, target_index) -> SearchOutcome:

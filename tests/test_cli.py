@@ -487,8 +487,26 @@ class TestExitCodeContract:
         ),
         "file is a directory": (["algebra", "congruences", "--file", "{dir}"], None, None),
         "deep term": (["normalize", "--term", DEEP_TERM], None, None),
-        "MW_BUDGET not an integer": (["count-m", "--generators", "2", "--level", "1"], "abc", None),
-        "MW_BUDGET not an integer, search": (["algebra", "maltsev-term", "--file", "{z4}"], "abc", None),
+        "MW_BUDGET not an integer": (
+            ["count-m", "--generators", "2", "--level", "1"],
+            "abc",
+            "MW_BUDGET must be a positive integer, got 'abc'",
+        ),
+        "MW_BUDGET not an integer, search": (
+            ["algebra", "maltsev-term", "--file", "{z4}"],
+            "abc",
+            "MW_BUDGET must be a positive integer, got 'abc'",
+        ),
+        "budget zero, search": (
+            ["algebra", "maltsev-term", "--file", "{z4}", "--budget", "0"],
+            None,
+            "--budget must be a positive integer, got 0",
+        ),
+        "budget negative, count": (
+            ["count-m", "--generators", "2", "--level", "1", "--oracle", "--budget", "-1"],
+            None,
+            "--budget must be a positive integer, got -1",
+        ),
         "pair of one element": (
             ["algebra", "principal", "--file", "{z4}", "--pair", "0"],
             None,

@@ -1,18 +1,102 @@
+import itertools
+import random
+
 import pytest
 
-from maltsev.algebras import is_maltsev_operation, make_algebra, table_from_function
+from maltsev.algebras import (
+    OperationTable,
+    is_maltsev_operation,
+    make_algebra,
+    table_from_function,
+)
 from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
 from maltsev import termsearch
 from maltsev.errors import EvaluationError, MaltsevError
 from maltsev.terms import Var, format_term, parse_term
 from maltsev.termsearch import (
+    SearchOutcome,
     find_maltsev_term,
     permutability_audit,
+    rebuild_term,
     replay_vector,
     verify_maltsev_term,
     _generators,
     _target,
 )
+
+
+def reference_search(alg, budget=10**7):
+    """The search as first written, kept as a slow oracle: every level
+    filters the full product of argument tuples, applies each operation
+    coordinate by coordinate through ``OperationTable.apply``, and buffers
+    the whole level before checking the budget and the target."""
+    n = alg.size
+    gens = _generators(n)
+    target = _target(n)
+    elements, parents, index = [], [], {}
+
+    def add(vec, parent):
+        if vec not in index:
+            index[vec] = len(elements)
+            elements.append(vec)
+            parents.append(parent)
+
+    for name in ("x", "y", "z"):
+        add(gens[name], ("gen", name))
+    if target in index:
+        return SearchOutcome("found", rebuild_term(parents, index[target]), len(elements))
+    width = 2 * n * n
+    level_start = 0
+    first_round = True
+    while True:
+        level_end = len(elements)
+        buffer, buffered = [], set()
+        for sym, tab in alg.tables:
+            if tab.arity == 0:
+                candidates = [((tab.entries[0],) * width, ())] if first_round else []
+            else:
+                candidates = (
+                    (tuple(tab.apply(n, *(elements[i][c] for i in idxs)) for c in range(width)), idxs)
+                    for idxs in itertools.product(range(level_end), repeat=tab.arity)
+                    if max(idxs) >= level_start
+                )
+            for vec, idxs in candidates:
+                if vec not in index and vec not in buffered:
+                    buffer.append((vec, ("app", sym, idxs)))
+                    buffered.add(vec)
+        if not buffer:
+            return SearchOutcome("none", None, len(elements))
+        for vec, parent in buffer:
+            add(vec, parent)
+            if len(elements) > budget:
+                return SearchOutcome("budget-exhausted", None, len(elements))
+            if vec == target:
+                return SearchOutcome("found", rebuild_term(parents, index[target]), len(elements))
+        level_start = level_end
+        first_round = False
+
+
+def two_element_classes():
+    """One ternary table from each class of the 192 two-element tables whose
+    f(x,x,x) is not the negation of x; a class's members differ only by the
+    order of f's arguments and by swapping 0 and 1."""
+    seen, representatives = set(), []
+    args = list(itertools.product(range(2), repeat=3))
+    for code in range(256):
+        table = [(code >> i) & 1 for i in range(8)]
+        if (table[0], table[7]) == (1, 0) or code in seen:
+            continue
+        representatives.append(tuple(table))
+        for order in itertools.permutations(range(3)):
+            for swap in (0, 1):
+                moved = {tuple(a[k] ^ swap for k in order): table[i] ^ swap for i, a in enumerate(args)}
+                seen.add(sum(moved[a] << i for i, a in enumerate(args)))
+    return representatives
+
+
+def random_binary_3(seed):
+    rng = random.Random(seed)
+    return make_algebra(f"r3-{seed}", 3, {"f": OperationTable(2, tuple(rng.randrange(3) for _ in range(9)))})
 
 
 class TestGenerators:
@@ -168,3 +252,66 @@ class TestTheoremShadow:
 
     def test_audit_flags_the_semilattice(self):
         assert permutability_audit(chain_semilattice(3)) != []
+
+
+class TestAgainstReference:
+    """The semi-naive engine gives the reference search's status, witness
+    and visited count byte for byte."""
+
+    @staticmethod
+    def assert_same(alg, budget=10**7):
+        got, want = find_maltsev_term(alg, budget), reference_search(alg, budget)
+        assert (got.status, got.term and format_term(got.term), got.visited) == (
+            want.status,
+            want.term and format_term(want.term),
+            want.visited,
+        ), (alg.name, budget)
+
+    def test_bundled_algebras(self):
+        for name, alg in bundled_algebras().items():
+            if name != "s3":
+                self.assert_same(alg)
+
+    def test_two_element_ternary_classes(self):
+        classes = two_element_classes()
+        assert len(classes) == 33
+        for table in classes:
+            self.assert_same(make_algebra("t", 2, {"f": OperationTable(3, table)}))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_small_budget(self, n):
+        for budget in range(1, 41):
+            self.assert_same(cyclic_group(n), budget)
+
+    @pytest.mark.parametrize("budget", [4, 50, 300])
+    def test_random_three_element_algebra(self, budget):
+        self.assert_same(random_binary_3(2), budget)
+
+
+class TestWorkBound:
+    @pytest.fixture()
+    def applications(self, monkeypatch):
+        made = []
+        real = termsearch._applications
+
+        def counting(*args):
+            for vec, idxs in real(*args):
+                made.append(idxs)
+                yield vec, idxs
+
+        monkeypatch.setattr(termsearch, "_applications", counting)
+        return made
+
+    def test_work_stops_at_the_budget(self, applications):
+        # The reference search applies f to 21 025 argument tuples here: it
+        # finishes the level that crosses the budget before checking it.
+        outcome = find_maltsev_term(random_binary_3(2), budget=300)
+        assert outcome.status == "budget-exhausted"
+        assert len(applications) <= 2 * 300
+
+    def test_each_argument_tuple_is_applied_once(self, applications):
+        # A completed closure has applied its one binary operation to every
+        # pair of its vectors, and to none twice.
+        outcome = find_maltsev_term(chain_semilattice(3))
+        assert outcome.status == "none"
+        assert sorted(applications) == list(itertools.product(range(outcome.visited), repeat=2))
