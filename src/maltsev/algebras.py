@@ -16,7 +16,6 @@ from typing import Mapping
 from .errors import (
     ArityMismatchError,
     AxiomError,
-    EvaluationError,
     SchemaError,
     UnknownSymbolError,
 )
@@ -28,6 +27,8 @@ from .terms import (
     Signature,
     Term,
     Var,
+    format_term,
+    interpret,
     parse_term,
     validate_term,
     variables,
@@ -185,12 +186,7 @@ def parse_identity(text: str, sig: Signature) -> Identity:
 
 
 def evaluate(alg: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise EvaluationError(f"unassigned variable {t.name!r}")
-        return env[t.name]
-    args = tuple(evaluate(alg, a, env) for a in t.args)
-    return alg.apply(t.symbol, *args)
+    return interpret(t, env, alg.apply)
 
 
 def check_identity(alg: FiniteAlgebra, ident: Identity) -> dict[str, int] | None:
@@ -261,9 +257,8 @@ def maltsev_from_group(
 ) -> OperationTable:
     """x * y^-1 * z, after verifying the group axioms."""
     _require_axioms(alg, _rename_axioms(GROUP_AXIOMS, {"mul": mul, "inv": inv, "e": unit}))
-    n = alg.size
     return table_from_function(
-        n, 3, lambda x, y, z: alg.apply(mul, x, alg.apply(mul, alg.apply(inv, y), z))
+        alg.size, 3, lambda x, y, z: alg.apply(mul, x, alg.apply(mul, alg.apply(inv, y), z))
     )
 
 
@@ -274,9 +269,8 @@ def maltsev_from_left_loop(
     _require_axioms(
         alg, _rename_axioms(LEFT_LOOP_AXIOMS, {"star": star, "ldiv": ldiv, "e": unit})
     )
-    n = alg.size
     return table_from_function(
-        n, 3, lambda x, y, z: alg.apply(star, x, alg.apply(ldiv, y, z))
+        alg.size, 3, lambda x, y, z: alg.apply(star, x, alg.apply(ldiv, y, z))
     )
 
 
@@ -293,9 +287,8 @@ def maltsev_from_quasigroup(
         alg,
         _rename_axioms(QUASIGROUP_AXIOMS, {"star": star, "rdiv": rdiv, "ldiv": ldiv}),
     )
-    n = alg.size
     return table_from_function(
-        n,
+        alg.size,
         3,
         lambda x, y, z: alg.apply(
             star,
@@ -315,17 +308,12 @@ def _rename_axioms(axioms: tuple[str, ...], mapping: dict[str, str]) -> tuple[st
 
 
 def is_latin_square(alg: FiniteAlgebra, symbol: str) -> bool:
-    tab = alg.table(symbol)
-    if tab.arity != 2:
-        return False
-    n = alg.size
+    tab, n = alg.table(symbol), alg.size
     full = set(range(n))
-    for i in range(n):
-        if {tab.apply(n, i, j) for j in range(n)} != full:
-            return False
-        if {tab.apply(n, j, i) for j in range(n)} != full:
-            return False
-    return True
+    return tab.arity == 2 and all(
+        {tab.apply(n, i, j) for j in range(n)} == full == {tab.apply(n, j, i) for j in range(n)}
+        for i in range(n)
+    )
 
 
 def _with_solved_divisions(
@@ -365,7 +353,7 @@ def maltsev_from_retraction(
     forms = enumerate_normal_forms(tuple(sorted(gens)), 1)
     for t in forms:
         if t not in retraction:
-            raise AxiomError(f"retraction is not defined on {t!r}")
+            raise AxiomError(f"retraction is not defined on {format_term(t)}")
         if retraction[t] not in index:
             raise AxiomError(f"retraction image {retraction[t]!r} is not a generator")
     for g in gens:

@@ -198,18 +198,13 @@ def cmd_confluence_report(args, rep: Report) -> int:
     report = rewriting.check_confluence()
     pairs = []
     for pair, joinable in report.entries:
+        peak, left, right = map(format_term, (pair.peak, pair.left_result, pair.right_result))
+        position = list(pair.position)
         pairs.append(
-            {
-                "peak": format_term(pair.peak),
-                "left": format_term(pair.left_result),
-                "right": format_term(pair.right_result),
-                "position": list(pair.position),
-                "joinable": joinable,
-            }
+            {"peak": peak, "left": left, "right": right, "position": position, "joinable": joinable}
         )
         rep.text(
-            f"critical pair at {list(pair.position)}: peak {format_term(pair.peak)}"
-            f" -> {format_term(pair.left_result)} | {format_term(pair.right_result)}"
+            f"critical pair at {position}: peak {peak} -> {left} | {right}"
             f" : {'joinable' if joinable else 'NOT JOINABLE'}"
         )
     verdict = report.locally_confluent

@@ -95,27 +95,16 @@ class Partition:
         return Partition.from_labels([uf.find(x) for x in range(self.size)])
 
     def meet(self, other: "Partition") -> "Partition":
-        pairs = {(self.block_of[x], other.block_of[x]) for x in range(self.size)}
-        index = {p: i for i, p in enumerate(sorted(pairs))}
-        return Partition.from_labels(
-            [index[(self.block_of[x], other.block_of[x])] for x in range(self.size)]
-        )
+        return Partition.from_labels(list(zip(self.block_of, other.block_of)))
 
     def refines(self, other: "Partition") -> bool:
-        """Every block of self lies inside a block of other."""
-        seen: dict[int, int] = {}
-        for x in range(self.size):
-            b = self.block_of[x]
-            if b in seen:
-                if seen[b] != other.block_of[x]:
-                    return False
-            else:
-                seen[b] = other.block_of[x]
-        return True
+        """Every block of self lies inside a block of other, i.e. meets
+        exactly one block of other."""
+        return len(set(zip(self.block_of, other.block_of))) == self.num_blocks
 
 
-def _canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
-    remap: dict[int, int] = {}
+def _canonical(labels: tuple) -> tuple[int, ...]:
+    remap: dict = {}
     out = []
     for lab in labels:
         if lab not in remap:

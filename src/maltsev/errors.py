@@ -55,4 +55,4 @@ class UnknownSymbolError(MaltsevError):
 
 
 class EvaluationError(MaltsevError):
-    """Term evaluation failed (unassigned variable, foreign symbol, depth)."""
+    """Term evaluation failed (unassigned variable, foreign symbol)."""

@@ -11,7 +11,6 @@ element identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from .errors import BudgetExceededError
 from .terms import (
@@ -25,6 +24,7 @@ from .terms import (
     positions,
     replace_at,
     substitute,
+    subterms,
     term_depth,
     term_size,
     variables,
@@ -60,38 +60,15 @@ MALTSEV_SYSTEM = RewriteSystem(
 )
 
 
-def _check_mu_signature(t: Term) -> None:
-    if isinstance(t, App):
-        if t.symbol != MU or len(t.args) != 3:
-            raise ValueError(f"term is not over the mu signature: {t.symbol!r}")
-        for a in t.args:
-            _check_mu_signature(a)
-
-
 def rewrite_once(t: Term) -> Term | None:
     """One leftmost-innermost step of the Mal'tsev system, or None when t is
     already a normal form.  The result is strictly smaller in node count."""
-    if isinstance(t, Var):
-        return None
-    for i, a in enumerate(t.args):
-        r = rewrite_once(a)
-        if r is not None:
-            return App(t.symbol, t.args[:i] + (r,) + t.args[i + 1 :])
-    return _root_step(t)
+    return _rewrite_first(t, _root_step, outermost=False)
 
 
 def rewrite_once_outermost(t: Term) -> Term | None:
     """One leftmost-outermost step; used to witness strategy independence."""
-    if isinstance(t, Var):
-        return None
-    r = _root_step(t)
-    if r is not None:
-        return r
-    for i, a in enumerate(t.args):
-        r = rewrite_once_outermost(a)
-        if r is not None:
-            return App(t.symbol, t.args[:i] + (r,) + t.args[i + 1 :])
-    return None
+    return _rewrite_first(t, _root_step, outermost=True)
 
 
 def _root_step(t: App) -> Term | None:
@@ -105,34 +82,71 @@ def _root_step(t: App) -> Term | None:
     return None
 
 
+def _rewrite_first(t: Term, step, outermost: bool) -> Term | None:
+    """Rewrite t at its first redex in pre-order (outermost) or post-order
+    (innermost), where step(s) is the root rewrite of s or None; None when
+    no subterm is a redex."""
+    if isinstance(t, Var):
+        return None
+    if outermost and (r := step(t)) is not None:
+        return r
+    frames = [[t, 0]]  # an application and the index of its next argument
+    while frames:
+        frame = frames[-1]
+        node, i = frame
+        if i < len(node.args):
+            frame[1] = i + 1
+            child = node.args[i]
+            if isinstance(child, App):
+                if outermost and (r := step(child)) is not None:
+                    return replace_at(t, tuple(f[1] - 1 for f in frames), r)
+                frames.append([child, 0])
+            continue
+        frames.pop()
+        if not outermost and (r := step(node)) is not None:
+            return replace_at(t, tuple(f[1] - 1 for f in frames), r)
+    return None
+
+
+_REDUCE = object()  # marks, on the work stack, an application whose arguments are done
+
+
 def normalize(t: Term) -> Term:
     """The unique normal form of t (innermost evaluation in a single pass).
 
     Agrees with iterating rewrite_once to a fixpoint, and with the outermost
-    strategy, by convergence of the system.
+    strategy, by convergence of the system.  Raises ValueError at the first
+    application, in pre-order, that is not a ternary mu.
     """
-    _check_mu_signature(t)
-    return _normalize(t)
-
-
-def _normalize(t: Term) -> Term:
-    if isinstance(t, Var):
-        return t
-    a = _normalize(t.args[0])
-    b = _normalize(t.args[1])
-    c = _normalize(t.args[2])
-    if b == c:
-        return a
-    if a == b:
-        return c
-    return App(MU, (a, b, c))
+    done: list[Term] = []
+    stack: list = [t]
+    while stack:
+        s = stack.pop()
+        if s is _REDUCE:
+            c, b, a = done.pop(), done.pop(), done.pop()
+        elif isinstance(s, Var):
+            done.append(s)
+            continue
+        elif s.symbol != MU or len(s.args) != 3:
+            raise ValueError(f"term is not over the mu signature: {s.symbol!r}")
+        else:
+            a, b, c = s.args
+            if isinstance(a, App) or isinstance(b, App) or isinstance(c, App):
+                stack += (_REDUCE, c, b, a)
+                continue
+        # a, b and c are normal forms: one root step finishes the node.
+        if b == c:
+            done.append(a)
+        elif a == b:
+            done.append(c)
+        else:
+            done.append(App(MU, (a, b, c)))
+    return done[0]
 
 
 def is_normal_form(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    a, b, c = t.args
-    return a != b and b != c and all(is_normal_form(s) for s in t.args)
+    apps = (s.args for s in subterms(t) if isinstance(s, App))
+    return all(a != b and b != c for a, b, c in apps)
 
 
 def equal_in_free(t: Term, s: Term) -> bool:
@@ -180,7 +194,7 @@ def _count_M_oracle(m: int, n: int, budget: int) -> int:
     gens = default_generators(m)
     seen: set[Term] = set()
     for t in enumerate_up_to(gens, n, budget=budget):
-        seen.add(_normalize(t))
+        seen.add(normalize(t))
     return len(seen)
 
 
@@ -218,38 +232,21 @@ class ConfluenceReport:
         return all(joinable for _, joinable in self.entries)
 
 
-def rename_vars(t: Term, suffix: str) -> Term:
-    return substitute(t, {v: Var(v + suffix) for v in variables(t)})
-
-
-def _walk(t: Term, subst: dict[str, Term]) -> Term:
-    while isinstance(t, Var) and t.name in subst:
-        t = subst[t.name]
-    return t
-
-
-def _occurs(name: str, t: Term, subst: dict[str, Term]) -> bool:
-    t = _walk(t, subst)
-    if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a, subst) for a in t.args)
-
-
 def unify(s: Term, t: Term) -> dict[str, Term] | None:
     """Most general unifier as a triangular substitution, or None."""
     subst: dict[str, Term] = {}
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        a, b = _walk(a, subst), _walk(b, subst)
+        a, b = resolve(a, subst), resolve(b, subst)
         if a == b:
             continue
         if isinstance(a, Var):
-            if _occurs(a.name, b, subst):
+            if a.name in variables(b):
                 return None
             subst[a.name] = b
         elif isinstance(b, Var):
-            if _occurs(b.name, a, subst):
+            if b.name in variables(a):
                 return None
             subst[b.name] = a
         elif a.symbol == b.symbol and len(a.args) == len(b.args):
@@ -260,25 +257,24 @@ def unify(s: Term, t: Term) -> dict[str, Term] | None:
 
 
 def resolve(t: Term, subst: dict[str, Term]) -> Term:
-    t = _walk(t, subst)
-    if isinstance(t, Var):
-        return t
-    return App(t.symbol, tuple(resolve(a, subst) for a in t.args))
+    """Apply a triangular substitution until no bound variable is left; the
+    occurs check in unify makes the bindings acyclic, so this stops."""
+    while any(name in subst for name in variables(t)):
+        t = substitute(t, subst)
+    return t
 
 
 def _canonical_key(ts: tuple[Term, ...]) -> tuple:
-    """Serialize terms with variables renumbered by first occurrence, making
-    renaming-equivalent tuples identical."""
+    """Serialize terms in pre-order with variables renumbered by first
+    occurrence, making renaming-equivalent tuples identical."""
     names: dict[str, int] = {}
-
-    def enc(t: Term) -> tuple:
-        if isinstance(t, Var):
-            if t.name not in names:
-                names[t.name] = len(names)
-            return ("v", names[t.name])
-        return ("a", t.symbol) + tuple(enc(a) for a in t.args)
-
-    return tuple(enc(t) for t in ts)
+    return tuple(
+        ("v", names.setdefault(s.name, len(names)))
+        if isinstance(s, Var)
+        else ("a", s.symbol, len(s.args))
+        for t in ts
+        for s in subterms(t)
+    )
 
 
 def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
@@ -288,8 +284,9 @@ def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
     seen: set[tuple] = set()
     for i, (l1, r1) in enumerate(rs.rules):
         for j, (l2_raw, r2_raw) in enumerate(rs.rules):
-            l2 = rename_vars(l2_raw, "_r")
-            r2 = rename_vars(r2_raw, "_r")
+            # A renamed copy; rhs variables are among the lhs variables.
+            renamed = {v: Var(v + "_r") for v in variables(l2_raw)}
+            l2, r2 = substitute(l2_raw, renamed), substitute(r2_raw, renamed)
             for path, sub in positions(l1):
                 if not isinstance(sub, App) or (path == () and i == j):
                     continue
@@ -330,31 +327,22 @@ def match(pattern: Term, t: Term) -> dict[str, Term] | None:
     return subst
 
 
-def rewrite_once_with(t: Term, rs: RewriteSystem) -> Term | None:
-    """Generic leftmost-innermost step for an arbitrary system."""
-    if isinstance(t, Var):
-        return None
-    for i, a in enumerate(t.args):
-        r = rewrite_once_with(a, rs)
-        if r is not None:
-            return App(t.symbol, t.args[:i] + (r,) + t.args[i + 1 :])
-    for lhs, rhs in rs.rules:
-        sigma = match(lhs, t)
-        if sigma is not None:
-            # Plain substitution: the bound subject terms must not be
-            # re-traversed (their variables may share pattern names).
-            return substitute(rhs, sigma)
-    return None
-
-
 def normalize_with(t: Term, rs: RewriteSystem) -> Term:
-    """Fixpoint of the generic step; total because rules are size-decreasing."""
-    for _ in count():
-        r = rewrite_once_with(t, rs)
-        if r is None:
-            return t
+    """Fixpoint of the generic leftmost-innermost step; total because rules
+    are size-decreasing."""
+
+    def step(s: App) -> Term | None:
+        for lhs, rhs in rs.rules:
+            sigma = match(lhs, s)
+            if sigma is not None:
+                # Plain substitution: the bound subject terms must not be
+                # re-traversed (their variables may share pattern names).
+                return substitute(rhs, sigma)
+        return None
+
+    while (r := _rewrite_first(t, step, outermost=False)) is not None:
         t = r
-    raise AssertionError("unreachable")
+    return t
 
 
 def check_confluence(rs: RewriteSystem = MALTSEV_SYSTEM) -> ConfluenceReport:

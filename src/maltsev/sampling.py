@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .rewriting import _root_step, normalize
 from .terms import App, MU, Term, Var, positions, replace_at
 from .words import HeapWord, Letter, reduce
 
@@ -28,19 +29,7 @@ def random_term(
 
 
 def random_normal_form(rng: random.Random, gens: Sequence[str], max_depth: int) -> Term:
-    from .rewriting import normalize
-
     return normalize(random_term(rng, gens, max_depth))
-
-
-def _redexes(t: Term) -> list[tuple[tuple[int, ...], App]]:
-    out = []
-    for p, s in positions(t):
-        if isinstance(s, App):
-            a, b, c = s.args
-            if b == c or a == b:
-                out.append((p, s))
-    return out
 
 
 def axiom_walk(
@@ -53,13 +42,14 @@ def axiom_walk(
     backward (expand a subterm s into mu(s,w,w) or mu(w,w,s)) at random
     positions.  The result always denotes the same free-algebra element."""
     for _ in range(steps):
-        redexes = _redexes(t)
-        if redexes and rng.random() < 0.5:
-            p, s = rng.choice(redexes)
-            a, b, c = s.args
-            t = replace_at(t, p, a if b == c else c)
+        spots = list(positions(t))
+        contractions = [
+            (p, r) for p, s in spots if isinstance(s, App) and (r := _root_step(s)) is not None
+        ]
+        if contractions and rng.random() < 0.5:
+            t = replace_at(t, *rng.choice(contractions))
         else:
-            p, s = rng.choice(list(positions(t)))
+            p, s = rng.choice(spots)
             w = random_term(rng, gens, 2)
             wrapped = App(MU, (s, w, w)) if rng.random() < 0.5 else App(MU, (w, w, s))
             t = replace_at(t, p, wrapped)

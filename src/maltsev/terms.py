@@ -9,16 +9,20 @@ tuple of argument terms.  The layer is signature-generic; the ternary symbol
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .errors import (
     ArityMismatchError,
     BudgetExceededError,
+    EvaluationError,
     NameCollisionError,
     TermSyntaxError,
 )
+
+T = TypeVar("T")
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -43,16 +47,13 @@ class Signature:
             seen.add(name)
 
     def arity(self, name: str) -> int:
-        for sym, ar in self.symbols:
-            if sym == name:
-                return ar
-        raise KeyError(name)
+        return dict(self.symbols)[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(sym == name for sym, _ in self.symbols)
+        return name in dict(self.symbols)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(sym for sym, _ in self.symbols)
+        return tuple(dict(self.symbols))
 
 
 MALTSEV_SIGNATURE = Signature(((MU, 3),))
@@ -64,62 +65,126 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash(name)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Var and self.name == other.name
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
 
-@dataclass(frozen=True)
 class App(Term):
-    symbol: str
-    args: tuple[Term, ...]
+    """An operation symbol applied to a tuple of argument terms.
+
+    Every walk over terms is a loop over an explicit stack, so a term of any
+    depth works.  Both term classes keep plain slots and a hash computed once,
+    at construction, from the arguments' hashes (a frozen guard would double
+    the cost of building a node); equality compares two trees on a stack and
+    stops at the first unequal hash.
+    """
+
+    __slots__ = ("symbol", "args", "_hash")
+
+    def __init__(self, symbol: str, args: tuple[Term, ...]):
+        self.symbol = symbol
+        self.args = args
+        self._hash = hash((symbol, args))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not App or self._hash != other._hash:
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.symbol != b.symbol or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if x.__class__ is not y.__class__ or x._hash != y._hash:
+                    return False
+                if x.__class__ is App:
+                    stack.append((x, y))
+                elif x.name != y.name:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"<App {format_term(self)}>"
 
 
 def mu(a: Term, b: Term, c: Term) -> App:
     return App(MU, (a, b, c))
 
 
+def subterms(t: Term) -> Iterator[Term]:
+    """Every subterm of t in pre-order, left to right."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, App):
+            stack.extend(reversed(s.args))
+
+
+def interpret(t: Term, env: Mapping[str, T], apply: Callable[..., T]) -> T:
+    """The value of t with each variable read from env and each application
+    computed by apply(symbol, *argument values), in post-order, left to right.
+    The one evaluator of eval_term, algebras.evaluate, term_depth and
+    substitute."""
+    order = []  # subterms in right-to-left pre-order, the reverse of post-order
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        order.append(s)
+        if isinstance(s, App):
+            stack += s.args
+    values: list = []
+    for s in reversed(order):
+        if isinstance(s, Var):
+            if s.name not in env:
+                raise EvaluationError(f"unassigned variable {s.name!r}")
+            values.append(env[s.name])
+        else:
+            split = len(values) - len(s.args)
+            values[split:] = [apply(s.symbol, *values[split:])]
+    return values[0]
+
+
 def term_size(t: Term) -> int:
     """Total node count (variables and applications)."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    return sum(1 for _ in subterms(t))
 
 
 def term_depth(t: Term) -> int:
     """Nesting depth: 0 for variables and constants, 1 + max over arguments
     otherwise.  A term lies in stratum n of the absolutely free algebra iff
     its depth equals n."""
-    if isinstance(t, Var):
-        return 0
-    if not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
+    env = dict.fromkeys(variables(t), 0)
+    return interpret(t, env, lambda _, *depths: (1 + max(depths)) if depths else 0)
 
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names in order of first occurrence (left to right)."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def walk(s: Term):
-        if isinstance(s, Var):
-            if s.name not in seen:
-                seen.add(s.name)
-                out.append(s.name)
-        else:
-            for a in s.args:
-                walk(a)
-
-    walk(t)
-    return tuple(out)
+    return tuple(dict.fromkeys(s.name for s in subterms(t) if isinstance(s, Var)))
 
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Simultaneous first-order substitution; unmapped variables stay fixed."""
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    return App(t.symbol, tuple(substitute(a, mapping) for a in t.args))
+    env = {name: mapping.get(name, Var(name)) for name in variables(t)}
+    return interpret(t, env, lambda symbol, *args: App(symbol, args))
 
 
 def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
@@ -134,30 +199,31 @@ def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
 
 def replace_at(t: Term, path: tuple[int, ...], s: Term) -> Term:
     """t with the subterm at the position path replaced by s."""
-    if not path:
-        return s
-    i, rest = path[0], path[1:]
-    return App(t.symbol, t.args[:i] + (replace_at(t.args[i], rest, s),) + t.args[i + 1 :])
+    above = []
+    for i in path:
+        above.append(t)
+        t = t.args[i]
+    for node, i in zip(reversed(above), reversed(path)):
+        s = App(node.symbol, node.args[:i] + (s,) + node.args[i + 1 :])
+    return s
 
 
 def validate_term(t: Term, sig: Signature) -> None:
     """Check the signature invariants: declared arities respected, variable
     names disjoint from symbol names."""
-    if isinstance(t, Var):
-        if t.name in sig:
-            raise NameCollisionError(
-                f"{t.name!r} is an operation symbol, not a variable"
+    arities = dict(sig.symbols)
+    for s in subterms(t):
+        if isinstance(s, Var):
+            if s.name in arities:
+                raise NameCollisionError(
+                    f"{s.name!r} is an operation symbol, not a variable"
+                )
+        elif s.symbol not in arities:
+            raise NameCollisionError(f"unknown operation symbol {s.symbol!r}")
+        elif len(s.args) != arities[s.symbol]:
+            raise ArityMismatchError(
+                f"{s.symbol!r} expects {arities[s.symbol]} argument(s), got {len(s.args)}"
             )
-        return
-    if t.symbol not in sig:
-        raise NameCollisionError(f"unknown operation symbol {t.symbol!r}")
-    expected = sig.arity(t.symbol)
-    if len(t.args) != expected:
-        raise ArityMismatchError(
-            f"{t.symbol!r} expects {expected} argument(s), got {len(t.args)}"
-        )
-    for a in t.args:
-        validate_term(a, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -169,35 +235,8 @@ def validate_term(t: Term, sig: Signature) -> None:
 # An IDENT is an operation symbol iff declared in the signature, else a
 # variable.  Declared constants (arity 0) are written without parentheses.
 
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def expect(self, char: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != char:
-            raise TermSyntaxError(f"expected {char!r}", self.pos)
-        self.pos += 1
-
-    def ident(self) -> tuple[str, int]:
-        self.skip_ws()
-        m = IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise TermSyntaxError("expected an identifier", self.pos)
-        self.pos = m.end()
-        return m.group(), m.start()
+_SPACE = re.compile(r"\s*")
+_NAME = re.compile(rf"\s*({IDENT_RE.pattern})?\s*")
 
 
 def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
@@ -210,49 +249,68 @@ def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
     """
     if not text or text.isspace():
         raise TermSyntaxError("empty term", 0)
-    toks = _Tokens(text)
-    t = _parse(toks, sig)
-    toks.skip_ws()
-    if toks.pos != len(text):
-        raise TermSyntaxError("trailing input after term", toks.pos)
-    return t
-
-
-def _parse(toks: _Tokens, sig: Signature) -> Term:
-    name, start = toks.ident()
-    if toks.peek() == "(":
-        if name not in sig:
-            raise TermSyntaxError(f"unknown operation symbol {name!r}", start)
-        toks.expect("(")
-        args = [_parse(toks, sig)]
-        while toks.peek() == ",":
-            toks.expect(",")
-            args.append(_parse(toks, sig))
-        toks.expect(")")
-        expected = sig.arity(name)
-        if len(args) != expected:
-            raise ArityMismatchError(
-                f"{name!r} expects {expected} argument(s), got {len(args)}"
-                f" (at position {start})"
+    arities = dict(sig.symbols)
+    # Open applications, innermost last: symbol, its position, arguments read.
+    frames: list[tuple[str, int, list[Term]]] = []
+    pos = 0
+    while True:
+        m = _NAME.match(text, pos)
+        name, start, pos = m.group(1), m.start(1), m.end()
+        if name is None:
+            raise TermSyntaxError("expected an identifier", pos)
+        if text.startswith("(", pos):
+            if name not in arities:
+                raise TermSyntaxError(f"unknown operation symbol {name!r}", start)
+            frames.append((name, start, []))
+            pos += 1
+            continue
+        if arities.get(name, 0):
+            raise NameCollisionError(
+                f"{name!r} is an operation symbol of arity {arities[name]},"
+                f" not a variable (at position {start})"
             )
-        return App(name, tuple(args))
-    if name in sig:
-        if sig.arity(name) == 0:
-            return App(name, ())
-        raise NameCollisionError(
-            f"{name!r} is an operation symbol of arity {sig.arity(name)},"
-            f" not a variable (at position {start})"
-        )
-    return Var(name)
+        t = App(name, ()) if name in arities else Var(name)
+        # t ends an argument: read the next one, or close applications.
+        while frames:
+            frames[-1][2].append(t)
+            if text.startswith(",", pos):
+                pos += 1
+                break
+            if not text.startswith(")", pos):
+                raise TermSyntaxError("expected ')'", pos)
+            pos = _SPACE.match(text, pos + 1).end()
+            name, start, args = frames.pop()
+            if len(args) != arities[name]:
+                raise ArityMismatchError(
+                    f"{name!r} expects {arities[name]} argument(s), got {len(args)}"
+                    f" (at position {start})"
+                )
+            t = App(name, tuple(args))
+        else:
+            if pos != len(text):
+                raise TermSyntaxError("trailing input after term", pos)
+            return t
 
 
 def format_term(t: Term) -> str:
     """Canonical rendering; parse_term(format_term(t)) == t."""
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.symbol
-    return f"{t.symbol}({','.join(format_term(a) for a in t.args)})"
+    parts = []
+    stack: list = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            parts.append(s)
+        elif isinstance(s, Var):
+            parts.append(s.name)
+        elif not s.args:
+            parts.append(s.symbol)
+        else:
+            parts.append(s.symbol + "(")
+            stack.append(")")
+            for a in reversed(s.args[1:]):
+                stack += (a, ",")
+            stack.append(s.args[0])
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +330,10 @@ def count_W(m: int, n: int) -> int:
         raise ValueError("need at least one generator")
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if n == 0:
-        return m
-    cumulative = m  # S(n-1)
-    previous = 0  # S(n-2)
-    for _ in range(n - 1):
-        level = cumulative**3 - previous**3
-        previous = cumulative
-        cumulative += level
-    return cumulative**3 - previous**3
+    previous, cumulative = 0, m  # S(k-1) and S(k), from k = 0
+    for _ in range(n):
+        previous, cumulative = cumulative, cumulative + cumulative**3 - previous**3
+    return cumulative - previous
 
 
 def count_W_up_to(m: int, n: int) -> int:
@@ -312,13 +365,11 @@ def enumerate_level(gens: tuple[str, ...], n: int, budget: int = 10**6) -> list[
         below: list[tuple[Term, int]] = [
             (t, i) for i, lvl in enumerate(levels) for t in lvl
         ]
-        level: list[Term] = []
-        for a, da in below:
-            for b, db in below:
-                for c, dc in below:
-                    if max(da, db, dc) == d - 1:
-                        level.append(App(MU, (a, b, c)))
-        levels.append(level)
+        levels.append([
+            App(MU, (a, b, c))
+            for (a, da), (b, db), (c, dc) in itertools.product(below, repeat=3)
+            if max(da, db, dc) == d - 1
+        ])
     return levels[n]
 
 

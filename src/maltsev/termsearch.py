@@ -138,11 +138,21 @@ def _found(alg, elements, parents, target_index) -> SearchOutcome:
 
 
 def rebuild_term(parents: list[tuple], i: int) -> Term:
-    parent = parents[i]
-    if parent[0] == "gen":
-        return Var(parent[1])
-    _, sym, idxs = parent
-    return App(sym, tuple(rebuild_term(parents, j) for j in idxs))
+    """The term of vector i, expanded from the parent links; each index is
+    built once, after its arguments, and shared where it recurs."""
+    built: dict[int, Term] = {}
+    stack = [i]
+    while stack:
+        kind, *link = parents[stack[-1]]
+        if kind == "app" and (todo := [k for k in link[1] if k not in built]):
+            stack += todo
+            continue
+        j = stack.pop()
+        if kind == "gen":
+            built[j] = Var(link[0])
+        else:
+            built[j] = App(link[0], tuple(map(built.__getitem__, link[1])))
+    return built[i]
 
 
 def replay_vector(alg: FiniteAlgebra, t: Term) -> PairVector:

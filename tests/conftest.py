@@ -1,4 +1,5 @@
 import json
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -19,6 +20,41 @@ def term_strategy(gens=GENS3, max_leaves=30):
             lambda a, b, c: App(MU, (a, b, c)), children, children, children
         ),
         max_leaves=max_leaves,
+    )
+
+
+class Chain(NamedTuple):
+    """A deep term: a seed wrapped ``depth`` times in mu, the deeper term at
+    a given argument position with two small fillers, the levels cycling
+    through ``levels`` = ((position, filler, filler), ...)."""
+
+    seed: object
+    levels: tuple
+    depth: int
+
+    def fold(self, value, combine):
+        """combine(...) applied level by level to the values of the deeper
+        term and of the fillers, in argument order; a loop, so it works at
+        any depth."""
+        out = value(self.seed)
+        for i in range(self.depth):
+            position, f, g = self.levels[i % len(self.levels)]
+            args = [value(f), value(g)]
+            args.insert(position, out)
+            out = combine(*args)
+        return out
+
+    def build(self):
+        return self.fold(lambda t: t, lambda a, b, c: App(MU, (a, b, c)))
+
+
+def chain_strategy(min_depth=5000):
+    small = term_strategy(max_leaves=4)
+    return st.builds(
+        Chain,
+        small,
+        st.lists(st.tuples(st.integers(0, 2), small, small), min_size=1, max_size=6).map(tuple),
+        st.integers(min_depth, min_depth + 100),
     )
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from maltsev.cli import build_parser, main, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+Z3_FILE = SRC.parent / "algebras" / "z3.json"
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -476,8 +477,6 @@ class TestExitCodeContract:
     """Every failure exits 2 with a one-line record holding only the command
     and the error, never a traceback (which would exit 1, i.e. "false")."""
 
-    DEEP_TERM = "mu(" * 3000 + "x" + ",y,y)" * 3000
-
     # name: (argv, MW_BUDGET, a substring the error must contain or None)
     CASES = {
         "unknown symbol": (
@@ -486,7 +485,6 @@ class TestExitCodeContract:
             "unknown operation symbol 'nosuch' (operations: mul, inv, e)",
         ),
         "file is a directory": (["algebra", "congruences", "--file", "{dir}"], None, None),
-        "deep term": (["normalize", "--term", DEEP_TERM], None, None),
         "MW_BUDGET not an integer": (
             ["count-m", "--generators", "2", "--level", "1"],
             "abc",
@@ -543,6 +541,13 @@ class TestExitCodeContract:
         command = " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
         self.assert_error_record(code, out, command, expected)
 
+    def test_deep_term_normalizes(self):
+        # A depth-5000 tower of mu(_,y,y) cancels down to x.
+        deep = "mu(" * 5000 + "x" + ",y,y)" * 5000
+        code, out = run(["--format", "json", "normalize", "--term", deep])
+        assert code == 0
+        assert json.loads(out) == {"command": "normalize", "input": deep, "normal_form": "x"}
+
     @settings(max_examples=60, deadline=None)
     @given(document=malformed_document())
     def test_malformed_algebra_document(self, document):
@@ -565,3 +570,66 @@ class TestExitCodeContract:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         self.assert_error_record(done.returncode, done.stdout.strip(), "count-m")
+
+
+class TestDeepTerms:
+    """Terms of depth 5000 through every command that takes a term; each
+    answer is computed here from the shape of the term."""
+
+    DEPTH = 5000
+
+    @staticmethod
+    def comb(depth, innermost):
+        # mu(x,y,mu(x,y,...mu(x,y,innermost))): every level is irreducible.
+        return "mu(x,y," * depth + innermost + ")" * depth
+
+    def test_equal_true(self):
+        lhs = self.comb(self.DEPTH, "z")
+        padded = "mu(" + self.comb(self.DEPTH, "mu(z,x,x)") + ",y,y)"
+        code, out = run(["--format", "json", "equal", "--lhs", lhs, "--rhs", padded])
+        assert code == 0
+        record = json.loads(out)
+        assert record["equal"] is True
+        assert record["lhs_normal_form"] == record["rhs_normal_form"] == lhs
+
+    def test_equal_false(self):
+        lhs, rhs = self.comb(self.DEPTH, "z"), self.comb(self.DEPTH, "x")
+        code, out = run(["equal", "--lhs", lhs, "--rhs", rhs])
+        assert code == 1
+        assert out.splitlines() == ["false", f"lhs normal form: {lhs}", f"rhs normal form: {rhs}"]
+
+    def test_hom_group(self):
+        # mu(t,y,z) maps to image(t) y^-1 z, so the chain maps to x (y^-1 z)^n.
+        term = "mu(" * self.DEPTH + "x" + ",y,z)" * self.DEPTH
+        code, out = run(["--format", "json", "hom", "group", "--term", term])
+        assert code == 0
+        record = json.loads(out)
+        assert record["word"] == "x" + " y^-1 z" * self.DEPTH
+        assert record["length"] == 2 * self.DEPTH + 1
+
+    def test_hom_separate(self):
+        # mu(t,x,y) under x=1, y=0 in Z2 adds x+y = 1 at every level.
+        term = "mu(" * self.DEPTH + "x" + ",x,y)" * self.DEPTH
+        code, out = run(["hom", "separate", "--term", term, "--witness", "x"])
+        assert (code, out) == (0, str((1 + self.DEPTH) % 2))
+
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_check_identity(self, holds):
+        # In Z3, mul(t,y) adds y, so the chain is x + DEPTH*y (mod 3).
+        chain = "mul(" * self.DEPTH + "x" + ",y)" * self.DEPTH
+        rhs = "mul(x,mul(y,y))" if holds else "x"
+        assert self.DEPTH % 3 == 2
+        code, out = run(
+            ["--format", "json", "algebra", "check-identity", "--file", str(Z3_FILE),
+             "--identity", f"{chain} = {rhs}"]
+        )
+        record = json.loads(out)
+        if holds:
+            assert (code, record["holds"]) == (0, True)
+            return
+        x, y = next(
+            (x, y)
+            for x, y in itertools.product(range(3), repeat=2)
+            if (x + self.DEPTH * y) % 3 != x
+        )
+        assert (code, record["holds"], record["counterexample"]) == (1, False, {"x": x, "y": y})

@@ -1,0 +1,160 @@
+"""Terms of depth 5000 and more.  Every walk over a term is a loop, so
+parsing, formatting, equality, hashing, normalization, evaluation and the
+map into the free group work at any depth.  Each answer is checked against a
+level-by-level computation along the chain that uses the recursive reference
+implementations only on the small fillers."""
+
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maltsev.algebras import OperationTable, check_identity, evaluate, make_algebra, parse_identity
+from maltsev.catalog import bundled_algebras
+from maltsev.homomorphisms import eval_term, hom_to_group
+from maltsev.rewriting import equal_in_free, normalize
+from maltsev.terms import MU, App, Var, format_term, mu, parse_term, variables
+from maltsev.words import HeapWord
+
+from conftest import GENS3, Chain, chain_strategy
+from test_homomorphisms import reference_hom_to_group
+from test_rewriting import reference_normalize
+from test_terms import reference_format
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+
+DEEP = settings(max_examples=10, deadline=None)
+
+
+def root_step(a, b, c):
+    if b == c:
+        return a
+    if a == b:
+        return c
+    return App(MU, (a, b, c))
+
+
+def reference_eval(t, env, op):
+    if isinstance(t, Var):
+        return env[t.name]
+    return op(*(reference_eval(s, env, op) for s in t.args))
+
+
+def perm_mul(p, q):
+    """p then q."""
+    return tuple(q[i] for i in p)
+
+
+def perm_inv(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+@DEEP
+@given(chain_strategy())
+def test_parse_format_round_trip(chain):
+    t = chain.build()
+    text = chain.fold(reference_format, lambda a, b, c: f"mu({a},{b},{c})")
+    assert format_term(t) == text
+    assert parse_term(text) == t
+
+
+@DEEP
+@given(chain_strategy())
+def test_equality_and_hash(chain):
+    t, u = chain.build(), chain.build()
+    assert t is not u
+    assert t == u and hash(t) == hash(u) and len({t, u}) == 1
+    # The same chain on a different seed differs only at the bottom.
+    v = chain._replace(seed=mu(chain.seed, X, Y)).build()
+    assert t != v and not t == v
+
+
+@DEEP
+@given(chain_strategy())
+def test_normalize(chain):
+    t = chain.build()
+    assert normalize(t) == chain.fold(reference_normalize, root_step)
+    assert equal_in_free(t, mu(Y, Y, t))
+
+
+@DEEP
+@given(
+    chain_strategy(),
+    st.lists(st.integers(0, 2), min_size=27, max_size=27),
+    st.tuples(*[st.integers(0, 2)] * 3),
+)
+def test_evaluate(chain, table, values):
+    env = dict(zip(GENS3, values))
+
+    def op(a, b, c):
+        return table[9 * a + 3 * b + c]
+
+    expected = chain.fold(lambda s: reference_eval(s, env, op), op)
+    t = chain.build()
+    assert eval_term(t, env, op) == expected
+    alg = make_algebra("T", 3, {"mu": OperationTable(3, tuple(table))})
+    assert evaluate(alg, t, env) == expected
+
+
+@DEEP
+@given(chain_strategy(), st.tuples(*[st.permutations(range(5))] * 3))
+def test_hom_to_group(chain, perms):
+    # Compared through a homomorphism of the free group into S5.
+    image = {g: tuple(p) for g, p in zip(GENS3, perms)}
+
+    def word_image(word):
+        out = tuple(range(5))
+        for letter in word.letters:
+            p = image[letter.gen]
+            out = perm_mul(out, p if letter.sign == 1 else perm_inv(p))
+        return out
+
+    expected = chain.fold(
+        lambda s: word_image(reference_hom_to_group(s)),
+        lambda a, b, c: perm_mul(perm_mul(a, perm_inv(b)), c),
+    )
+    word = hom_to_group(chain.build())
+    assert word_image(word) == expected
+    HeapWord(word)  # the constructor checks the heap-word shape
+
+
+def zigzag(depth):
+    """A depth-``depth`` chain whose deeper term moves through the three
+    argument positions."""
+    return Chain(X, ((0, Y, Z), (1, Z, X), (2, X, Y)), depth).build()
+
+
+def test_every_entry_point_at_depth_20000():
+    t = zigzag(20000)
+    text = format_term(t)
+    assert parse_term(text) == t and hash(parse_term(text)) == hash(t)
+    assert equal_in_free(t, mu(t, Z, Z))
+    assert normalize(t) == t  # no level is a redex
+    assert len(hom_to_group(t)) % 2 == 1
+    assert eval_term(t, {"x": 1, "y": 1, "z": 1}, lambda a, b, c: a ^ b ^ c) == 1
+    z3 = bundled_algebras()["z3"]
+    chain = "mul(" * 20000 + "x" + ",x)" * 20000
+    # 20001 copies of x: 20001 = 0 (mod 3), so the chain is e.
+    assert check_identity(z3, parse_identity(f"{chain} = e", z3.signature)) is None
+    assert evaluate(z3, parse_term(chain, z3.signature), {"x": 2}) == 0
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walkers_use_memory_linear_in_the_term():
+    # 60001 nodes.  A walker that keeps a path or a copy per pending node
+    # needs memory in the order of nodes * depth, about a gigabyte here.
+    t = zigzag(20000)
+    assert peak_bytes(variables, t) < 1_000_000
+    assert peak_bytes(hom_to_group, t) < 4_000_000
+    assert peak_bytes(normalize, t) < 8_000_000

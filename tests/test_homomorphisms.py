@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from maltsev.errors import BudgetExceededError, EvaluationError
 from maltsev.homomorphisms import (
@@ -15,11 +16,30 @@ from maltsev.homomorphisms import (
 from maltsev.rewriting import enumerate_normal_forms, normalize
 from maltsev.sampling import random_normal_form, random_term
 from maltsev.terms import Var, mu, parse_term
-from maltsev.words import format_word, heap_mu, HeapWord
+from maltsev.words import HeapWord, Letter, ReducedWord, fg_inv, fg_mul, format_word, heap_mu
 
 from conftest import GENS3, term_strategy
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
+
+
+def reference_hom_to_group(t, gen_map=None):
+    """The per-node homomorphism that hom_to_group replaced: one reduced
+    product per application."""
+    if isinstance(t, Var):
+        gen = t.name if gen_map is None else gen_map.get(t.name)
+        if gen is None:
+            raise EvaluationError(f"unmapped variable {t.name!r}")
+        return ReducedWord((Letter(gen, 1),))
+    a, b, c = (reference_hom_to_group(s, gen_map) for s in t.args)
+    return fg_mul(a, fg_mul(fg_inv(b), c))
+
+
+def hom_outcome(hom, t, gen_map):
+    try:
+        return hom(t, gen_map)
+    except (EvaluationError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def xor3(a, b, c):
@@ -43,12 +63,18 @@ class TestEvalTerm:
         with pytest.raises(EvaluationError):
             eval_term(mu(X, Y, Z), {"x": 0, "y": 0}, xor3)
 
-    def test_depth_limit(self):
-        t = X
-        for _ in range(65):
-            t = mu(t, Y, Z)
-        with pytest.raises(EvaluationError):
-            eval_term(t, {"x": 0, "y": 0, "z": 0}, xor3)
+    def test_depth_5000(self):
+        # The chain puts the deeper term at argument 0, 1, 2 in turn; xor is
+        # symmetric, so each level adds the xor of its two other arguments.
+        assignment = {"x": 1, "y": 0, "z": 1}
+        t, expected = X, 1
+        for i in range(5000):
+            others = (Y, Z) if i % 2 else (Z, Z)
+            args = list(others)
+            args.insert(i % 3, t)
+            t = mu(*args)
+            expected ^= assignment[others[0].name] ^ assignment[others[1].name]
+        assert eval_term(t, assignment, xor3) == expected
 
 
 class TestHomToGroup:
@@ -99,6 +125,21 @@ class TestHomToGroup:
                 HeapWord(hom_to_group(u)),
             )
             assert image == expected.word
+
+
+class TestAgainstReferenceHom:
+    @given(term_strategy(max_leaves=60))
+    def test_same_word(self, t):
+        assert hom_to_group(t) == reference_hom_to_group(t)
+
+    @given(
+        term_strategy(),
+        st.none() | st.dictionaries(st.sampled_from(GENS3), st.sampled_from(["a", "b", "x", "1a"])),
+    )
+    def test_same_word_or_error_under_a_map(self, t, gen_map):
+        # Unmapped variables and invalid generator names fail on the same
+        # variable as the reference does.
+        assert hom_outcome(hom_to_group, t, gen_map) == hom_outcome(reference_hom_to_group, t, gen_map)
 
 
 class TestSeparatingHom:

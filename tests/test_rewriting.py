@@ -3,6 +3,7 @@ from collections import defaultdict
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from maltsev.errors import BudgetExceededError
 from maltsev.rewriting import (
@@ -23,6 +24,7 @@ from maltsev.rewriting import (
 )
 from maltsev.sampling import axiom_walk, random_term
 from maltsev.terms import (
+    MU,
     App,
     Var,
     enumerate_up_to,
@@ -35,6 +37,61 @@ from maltsev.terms import (
 from conftest import GENS3, term_strategy
 
 X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
+
+
+# The recursive normalizer that normalize replaced, kept as its reference.
+
+
+def reference_normalize(t):
+    _reference_check_mu_signature(t)
+    return _reference_normalize(t)
+
+
+def _reference_check_mu_signature(t):
+    if isinstance(t, App):
+        if t.symbol != MU or len(t.args) != 3:
+            raise ValueError(f"term is not over the mu signature: {t.symbol!r}")
+        for a in t.args:
+            _reference_check_mu_signature(a)
+
+
+def _reference_normalize(t):
+    if isinstance(t, Var):
+        return t
+    a, b, c = (_reference_normalize(s) for s in t.args)
+    if b == c:
+        return a
+    if a == b:
+        return c
+    return App(MU, (a, b, c))
+
+
+def mixed_term_strategy():
+    """Terms over mu and a foreign symbol f, with two or three arguments."""
+    return st.recursive(
+        st.sampled_from([X, Y, Z]),
+        lambda children: st.builds(
+            App, st.sampled_from([MU, MU, MU, "f"]), st.lists(children, min_size=2, max_size=3).map(tuple)
+        ),
+        max_leaves=20,
+    )
+
+
+def normalize_outcome(normalizer, t):
+    try:
+        return normalizer(t)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstReferenceNormalizer:
+    @given(term_strategy(max_leaves=60))
+    def test_same_normal_form(self, t):
+        assert normalize(t) == reference_normalize(t)
+
+    @given(mixed_term_strategy())
+    def test_same_first_bad_node(self, t):
+        assert normalize_outcome(normalize, t) == normalize_outcome(reference_normalize, t)
 
 
 def fixpoint(t, step):

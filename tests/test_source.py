@@ -17,3 +17,63 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Recursion is allowed only where a parameter bounds its depth: the carrier
+# size, the operation's arity and max_depth.  Terms can be of any depth, so
+# every walk over a term must be a loop.
+BOUNDED_RECURSION = {
+    "congruences.all_partitions.rec",
+    "termsearch._applications.prefixes",
+    "sampling.random_term",
+}
+
+
+def _calls_itself(fn):
+    """Whether fn calls its own name, or self.<name> / cls.<name>."""
+    for call in ast.walk(fn):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        if isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if (
+            isinstance(f, ast.Attribute)
+            and f.attr == fn.name
+            and isinstance(f.value, ast.Name)
+            and f.value.id in ("self", "cls")
+        ):
+            return True
+    return False
+
+
+def _recursive_functions(node, prefix):
+    """Qualified names (module.outer.inner) of the self-calling functions under node."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                yield name
+        yield from _recursive_functions(child, name)
+
+
+def test_no_recursive_functions():
+    found = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _recursive_functions(
+            ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem
+        )
+    }
+    assert found == BOUNDED_RECURSION
+
+
+def test_no_recursion_limit_changes():
+    root = PACKAGE.parents[1]
+    assert [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if path != Path(__file__).resolve()
+        and "setrecursionlimit" in path.read_text(encoding="utf-8")
+    ] == []

@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from maltsev.errors import (
     ArityMismatchError,
     BudgetExceededError,
+    MaltsevError,
     NameCollisionError,
     TermSyntaxError,
 )
 from maltsev.terms import (
+    IDENT_RE,
     MALTSEV_SIGNATURE,
     App,
     Signature,
@@ -29,6 +32,142 @@ from maltsev.terms import (
 from conftest import term_strategy
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
+
+GROUP_SIGNATURE = Signature((("mul", 2), ("inv", 1), ("e", 0)))
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser that parse_term replaced, kept as the
+# reference for its terms, messages and positions.
+
+
+class _Tokens:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def expect(self, char):
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != char:
+            raise TermSyntaxError(f"expected {char!r}", self.pos)
+        self.pos += 1
+
+    def ident(self):
+        self.skip_ws()
+        m = IDENT_RE.match(self.text, self.pos)
+        if not m:
+            raise TermSyntaxError("expected an identifier", self.pos)
+        self.pos = m.end()
+        return m.group(), m.start()
+
+
+def reference_parse(text, sig=MALTSEV_SIGNATURE):
+    if not text or text.isspace():
+        raise TermSyntaxError("empty term", 0)
+    toks = _Tokens(text)
+    t = _reference_parse(toks, sig)
+    toks.skip_ws()
+    if toks.pos != len(text):
+        raise TermSyntaxError("trailing input after term", toks.pos)
+    return t
+
+
+def _reference_parse(toks, sig):
+    name, start = toks.ident()
+    if toks.peek() == "(":
+        if name not in sig:
+            raise TermSyntaxError(f"unknown operation symbol {name!r}", start)
+        toks.expect("(")
+        args = [_reference_parse(toks, sig)]
+        while toks.peek() == ",":
+            toks.expect(",")
+            args.append(_reference_parse(toks, sig))
+        toks.expect(")")
+        expected = sig.arity(name)
+        if len(args) != expected:
+            raise ArityMismatchError(
+                f"{name!r} expects {expected} argument(s), got {len(args)}"
+                f" (at position {start})"
+            )
+        return App(name, tuple(args))
+    if name in sig:
+        if sig.arity(name) == 0:
+            return App(name, ())
+        raise NameCollisionError(
+            f"{name!r} is an operation symbol of arity {sig.arity(name)},"
+            f" not a variable (at position {start})"
+        )
+    return Var(name)
+
+
+def reference_format(t):
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.symbol
+    return f"{t.symbol}({','.join(reference_format(a) for a in t.args)})"
+
+
+def parse_outcome(parse, text, sig):
+    """The term, or the error's type, message and position."""
+    try:
+        return parse(text, sig)
+    except MaltsevError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+TOKENS = ["mu", "mul", "inv", "e", "x", "y", "f", "(", ")", ",", " ", "\t", "1", ""]
+
+
+def mangled(texts):
+    """Texts with one token inserted, or one character replaced or deleted."""
+    return st.builds(
+        _mangle, texts, st.integers(0, 200), st.sampled_from(TOKENS),
+        st.sampled_from(("insert", "replace", "delete")),
+    )
+
+
+def _mangle(text, i, token, how):
+    i %= len(text) + 1
+    if how == "delete":
+        return text[:i] + text[i + 1 :]
+    if how == "replace":
+        return text[:i] + token + text[i + 1 :]
+    return text[:i] + token + text[i:]
+
+
+class TestAgainstReferenceParser:
+    @given(term_strategy())
+    def test_same_terms(self, t):
+        text = reference_format(t)
+        assert parse_term(text) == reference_parse(text) == t
+        assert format_term(t) == text
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=25).map("".join), st.booleans())
+    def test_same_outcome_on_token_soup(self, text, group):
+        sig = GROUP_SIGNATURE if group else MALTSEV_SIGNATURE
+        assert parse_outcome(parse_term, text, sig) == parse_outcome(reference_parse, text, sig)
+
+    @given(mangled(term_strategy().map(reference_format)))
+    def test_same_outcome_on_mangled_mu_terms(self, text):
+        sig = MALTSEV_SIGNATURE
+        assert parse_outcome(parse_term, text, sig) == parse_outcome(reference_parse, text, sig)
+
+    def test_same_outcome_on_known_malformed_texts(self):
+        for text in ("", " ", "mu(x,,y)", "x)", "mu(x y)", "mu(x,y", "mu (x , y , z) )",
+                     "mu(mu,y,z)", "f(x,y)", "mul(e,x,y)", "inv", "e(x)", "mul(\u2003x,e)"):
+            for sig in (MALTSEV_SIGNATURE, GROUP_SIGNATURE):
+                assert parse_outcome(parse_term, text, sig) == parse_outcome(reference_parse, text, sig)
 
 
 class TestParse:
@@ -96,6 +235,22 @@ class TestFormat:
     def test_format_parse_round_trip_on_canonical_strings(self):
         for text in ("x", "mu(x,y,z)", "mu(mu(x,y,y),z,mu(x,x,x))"):
             assert format_term(parse_term(text)) == text
+
+
+class TestEquality:
+    def test_structural(self):
+        assert mu(X, mu(Y, Z, Z), X) == mu(X, mu(Y, Z, Z), X)
+        assert mu(X, Y, Z) != mu(X, Z, Y) and X != mu(X, X, X) and mu(X, X, X) != X
+        assert hash(mu(X, Y, Z)) == hash(mu(X, Y, Z))
+
+    def test_equal_hashes_are_not_trusted(self):
+        # A hash collision must not make different terms equal.
+        t, s = App("f", (mu(X, Y, Z),)), App("g", (mu(X, Y, Z),))
+        s._hash = t._hash
+        assert t != s
+        u, v = mu(X, Y, Var("u")), mu(X, Y, Var("v"))
+        v._hash, v.args[2]._hash = u._hash, u.args[2]._hash
+        assert u != v
 
 
 class TestSubstitute:
