@@ -58,7 +58,6 @@ from .congruences import (
     Congruence,
     Partition,
     all_congruences,
-    compose,
     first_iso_check,
     is_congruence,
     kernel,

@@ -325,13 +325,13 @@ def cmd_derive_maltsev(args, rep: Report) -> int:
     "algebra congruences",
     FILE,
     option("--check-permutability", action="store_true"),
-    option("--max-size", type=int, default=8),
+    option("--max-size", type=int, default=cong.LATTICE_GUARD),
 )
 def cmd_congruences(args, rep: Report) -> int:
     alg = _read_algebra(args.file)
-    if alg.size > 8 and alg.size <= args.max_size:
+    if cong.LATTICE_GUARD < alg.size <= args.max_size:
         rep.text(
-            f"warning: carrier size {alg.size} above the default guard of 8;"
+            f"warning: carrier size {alg.size} above the default guard of {cong.LATTICE_GUARD};"
             " principal-congruence generation scans all element pairs and"
             " may be slow"
         )

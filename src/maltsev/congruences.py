@@ -1,24 +1,28 @@
-"""Partitions and congruences of finite algebras: principal-congruence
-generation through translation closure, the full congruence set via joins,
-permutability, quotients and kernels.
+"""Partitions and congruences of finite algebras: principal congruences by
+translation closure, lattices from joins with principal congruences,
+permutability by blocks, quotients and kernels.
 
-The principal congruence Cg(a,b) is grown as a fixpoint: starting from the
-merge of a and b, every principal translation (a basic operation with all
-but one argument fixed) is applied to each newly merged pair, with
-symmetry and transitivity maintained by a union-find.  Finite compositions
-of translations are reached by the iteration itself rather than being
-materialized.
+A translation x -> f(..., x at pos, ...) of a k-ary table is its stride
+slice entries[base : base + n*stride : stride], stride = n**(k-1-pos), and
+Cg(a,b) closes {a,b} under (c,d) -> (t[c], t[d]) over the distinct
+non-constant translations t.  Every congruence is the join of the Cg(a,b)
+of its pairs, so join-irreducibles are principal, and the identity and the
+distinct principal congruences P closed under joins with P alone give every
+congruence, in |Con|*|P| joins.  theta o phi = phi o theta iff theta o phi
+= theta v phi (commuting, it is transitive and symmetric; equal to the join,
+it is symmetric, and its converse is phi o theta), iff in each block J of
+theta v phi every theta-block meets every phi-block, iff the distinct
+(theta, phi) label pairs number the sum over J of #theta(J) * #phi(J).
 
-Compatibility is checked once, where it comes from outside: the public
-Congruence(alg, p) constructor checks the partition, and kernel checks its
-map with check_homomorphism.  What the engine builds (a closure fixpoint, a
-join of congruences, the fibres of a checked homomorphism) is a congruence
-by construction, so _closed wraps it unchecked and quotient trusts it.
+Compatibility is checked once, where a partition comes from outside (the
+Congruence constructor; check_homomorphism for kernel).  What the engine
+builds is a congruence by construction: _closed wraps it unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -30,7 +34,10 @@ from .errors import (
     SchemaError,
 )
 
-Pair = tuple[int, int]
+Labels = tuple[int, ...]
+
+# Largest carrier whose congruence lattice is computed without force=True.
+LATTICE_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -87,12 +94,7 @@ class Partition:
         return self.block_of[a] == self.block_of[b]
 
     def join(self, other: "Partition") -> "Partition":
-        uf = _UnionFind(self.size)
-        for p in (self, other):
-            for block in p.blocks():
-                for x in block[1:]:
-                    uf.union(block[0], x)
-        return Partition.from_labels([uf.find(x) for x in range(self.size)])
+        return Partition(_join(self.block_of, other.block_of))
 
     def meet(self, other: "Partition") -> "Partition":
         return Partition.from_labels(list(zip(self.block_of, other.block_of)))
@@ -105,45 +107,38 @@ class Partition:
 
 def _canonical(labels: tuple) -> tuple[int, ...]:
     remap: dict = {}
-    out = []
-    for lab in labels:
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out.append(remap[lab])
-    return tuple(out)
+    return tuple(remap.setdefault(lab, len(remap)) for lab in labels)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+def _join(p: Labels, q: Labels) -> Labels:
+    """Join of canonical labels: a union-find over p's block ids, each linked
+    to the first p-block seen with its q-label, always to the smaller id."""
+    parent = list(range(max(p, default=-1) + 1))
+    first: dict[int, int] = {}
+    for x, y in zip(p, q):
+        r = first.setdefault(y, x)
+        while parent[r] != r:
+            r = parent[r]
+        while parent[x] != x:
+            x = parent[x]
+        if r < x:
+            parent[x] = r
+        elif x < r:
+            parent[r] = x
+    for b in range(len(parent)):  # parent[b] <= b: one pass finds every root
+        parent[b] = parent[parent[b]]
+    return _canonical(tuple(parent[b] for b in p))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
-    """Every partition of {0..n-1}, by restricted-growth strings."""
-
-    def rec(prefix: list[int], used: int):
+    """Every partition of {0..n-1}, as restricted-growth strings in lexicographic order."""
+    stack: list[Labels] = [()]
+    while stack:
+        prefix = stack.pop()
         if len(prefix) == n:
-            yield Partition(tuple(prefix))
-            return
-        for b in range(used + 1):
-            prefix.append(b)
-            yield from rec(prefix, max(used, b + 1))
-            prefix.pop()
-
-    yield from rec([], 0)
+            yield Partition(prefix)
+        else:
+            stack.extend(prefix + (b,) for b in reversed(range(max(prefix, default=-1) + 2)))
 
 
 def parse_partition(text: str, n: int) -> Partition:
@@ -215,80 +210,85 @@ def _closed(alg: FiniteAlgebra, p: Partition) -> Congruence:
     return theta
 
 
+def _translations(alg: FiniteAlgebra) -> list[Labels]:
+    """The distinct non-constant basic translations, each as its n values,
+    in first-seen order (operation, position, fixed arguments)."""
+    n = alg.size
+    slices = (
+        tab.entries[base : base + n * stride : stride]
+        for _, tab in alg.tables
+        for stride in [n**i for i in reversed(range(tab.arity))]
+        for base in range(len(tab.entries))
+        if base // stride % n == 0
+    )
+    return [t for t in dict.fromkeys(slices) if min(t) != max(t)]
+
+
+def _closure(images: list[Labels], a: int, b: int) -> Labels:
+    """Labels of Cg(a,b); images[c] is c, then each t[c].  A popped pair
+    merges itself and its images; a merge relabels the smaller block."""
+    label = list(range(len(images)))
+    members = [[x] for x in label]
+    pending = [(a, b)]
+    while pending:
+        c, d = pending.pop()
+        for x, y in zip(images[c], images[d]):
+            big, small = label[x], label[y]
+            if big != small:
+                if len(members[big]) < len(members[small]):
+                    big, small = small, big
+                for z in members[small]:
+                    label[z] = big
+                members[big] += members[small]
+                pending.append((x, y))
+    return _canonical(tuple(label))
+
+
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     """Least congruence merging a and b (translation-closure fixpoint)."""
     n = alg.size
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"pair ({a},{b}) outside the carrier 0..{n - 1}")
-    uf = _UnionFind(n)
-    queue: list[Pair] = []
-    if uf.union(a, b):
-        queue.append((a, b))
-    while queue:
-        c, d = queue.pop()
-        for sym, tab in alg.tables:
-            k = tab.arity
-            for pos in range(k):
-                for fixed in itertools.product(range(n), repeat=k - 1):
-                    left = fixed[:pos] + (c,) + fixed[pos:]
-                    right = fixed[:pos] + (d,) + fixed[pos:]
-                    gc = tab.apply(n, *left)
-                    gd = tab.apply(n, *right)
-                    if uf.union(gc, gd):
-                        queue.append((gc, gd))
-    return _closed(alg, Partition.from_labels([uf.find(x) for x in range(n)]))
+    images = list(zip(range(n), *_translations(alg)))
+    return _closed(alg, Partition(_closure(images, a, b)))
 
 
 def all_congruences(
-    alg: FiniteAlgebra, max_size: int = 8, force: bool = False
+    alg: FiniteAlgebra, max_size: int = LATTICE_GUARD, force: bool = False
 ) -> list[Congruence]:
-    """Every congruence, as the join closure of the principal ones, sorted
-    finest to coarsest (identity first, total last)."""
+    """Every congruence, as the identity and the distinct principal
+    congruences closed under joins with the principal ones, sorted finest
+    to coarsest (identity first, total last)."""
     if alg.size > max_size and not force:
         raise BudgetExceededError(
             f"carrier size {alg.size} exceeds the lattice guard {max_size};"
             " raise the limit to override"
         )
-    known: set[Partition] = {Partition.identity(alg.size)}
-    for a in range(alg.size):
-        for b in range(a + 1, alg.size):
-            known.add(principal_congruence(alg, a, b).partition)
-    queue = list(known)
-    while queue:
-        p = queue.pop()
-        for q in list(known):
-            j = p.join(q)
+    images = list(zip(range(alg.size), *_translations(alg)))
+    principal = {_closure(images, a, b) for a, b in itertools.combinations(range(alg.size), 2)}
+    lattice = [tuple(range(alg.size)), *principal]
+    known = set(lattice)
+    for p in lattice:  # grows as joins find new congruences
+        for q in principal:
+            j = _join(p, q)
             if j not in known:
                 known.add(j)
-                queue.append(j)
-    ordered = sorted(known, key=lambda p: (-p.num_blocks, p.block_of))
-    return [_closed(alg, p) for p in ordered]
+                lattice.append(j)
+    ordered = sorted(known, key=lambda p: (-max(p), p))
+    return [_closed(alg, Partition(p)) for p in ordered]
 
 
 # ---------------------------------------------------------------------------
-# Relations, permutability, quotients, kernels.
-
-
-def relation_of(p: Partition) -> frozenset[Pair]:
-    return frozenset(
-        (x, y)
-        for block in p.blocks()
-        for x in block
-        for y in block
-    )
-
-
-def compose(r: frozenset[Pair], s: frozenset[Pair]) -> frozenset[Pair]:
-    """Relational composition: (x,z) iff some y has (x,y) in r, (y,z) in s."""
-    by_left: dict[int, set[int]] = {}
-    for y, z in s:
-        by_left.setdefault(y, set()).add(z)
-    return frozenset((x, z) for x, y in r for z in by_left.get(y, ()))
+# Permutability, quotients, kernels.
 
 
 def permute(alg: FiniteAlgebra, theta: Congruence, phi: Congruence) -> bool:
-    r, s = relation_of(theta.partition), relation_of(phi.partition)
-    return compose(r, s) == compose(s, r)
+    """Whether theta o phi = phi o theta, by blocks (see the module docstring)."""
+    p, q = theta.partition.block_of, phi.partition.block_of
+    j = _join(p, q)
+    theta_blocks = Counter(dict(zip(p, j)).values())
+    phi_blocks = Counter(dict(zip(q, j)).values())
+    return len(set(zip(p, q))) == sum(theta_blocks[b] * phi_blocks[b] for b in theta_blocks)
 
 
 def quotient(alg: FiniteAlgebra, theta: Congruence) -> FiniteAlgebra:

@@ -30,7 +30,7 @@ from .algebras import (
     product_algebra,
     table_from_function,
 )
-from .congruences import all_congruences, permute, quotient
+from .congruences import LATTICE_GUARD, all_congruences, permute, quotient
 from .errors import EvaluationError, MaltsevError
 from .terms import App, Term, Var, variables
 
@@ -183,23 +183,22 @@ def verify_maltsev_term(alg: FiniteAlgebra, t: Term) -> bool:
 
 
 def permutability_audit(
-    alg: FiniteAlgebra, square_limit: int = 36, lattice_guard: int = 8
+    alg: FiniteAlgebra, square_limit: int = 36, lattice_guard: int = LATTICE_GUARD
 ) -> list[str]:
     """Check that all congruence pairs permute for the algebra, each of its
     quotients, and its square (when within the size limit).  Returns a list
     of human-readable failures; empty means the audit passed."""
-    failures: list[str] = []
-    subjects: list[FiniteAlgebra] = [alg]
     base = all_congruences(alg, max_size=lattice_guard)
-    subjects.extend(quotient(alg, theta) for theta in base)
+    subjects = [quotient(alg, theta) for theta in base]
     if alg.size * alg.size <= square_limit:
         subjects.append(product_algebra(alg, alg))
-    for subject in subjects:
-        congruences = all_congruences(subject, max_size=max(lattice_guard, subject.size))
-        for i, theta in enumerate(congruences):
-            for phi in congruences[i + 1 :]:
-                if not permute(subject, theta, phi):
-                    failures.append(
-                        f"{subject.name}: congruences do not permute"
-                    )
-    return failures
+    lattices = [(alg, base)] + [
+        (s, all_congruences(s, max_size=max(lattice_guard, s.size))) for s in subjects
+    ]
+    return [
+        f"{subject.name}: congruences do not permute"
+        for subject, congruences in lattices
+        for i, theta in enumerate(congruences)
+        for phi in congruences[i + 1 :]
+        if not permute(subject, theta, phi)
+    ]

@@ -1,16 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maltsev import congruences
-from maltsev.algebras import make_algebra, table_from_function
+from maltsev.algebras import OperationTable, make_algebra, product_algebra, table_from_function
 from maltsev.catalog import chain_semilattice, cyclic_group
 from maltsev.congruences import (
     Congruence,
     Partition,
     all_congruences,
     all_partitions,
-    compose,
     find_compatibility_violation,
     find_isomorphism,
     first_iso_check,
@@ -21,7 +22,6 @@ from maltsev.congruences import (
     permute,
     principal_congruence,
     quotient,
-    relation_of,
 )
 from maltsev.cli import run
 from maltsev.errors import (
@@ -44,6 +44,47 @@ def naive_compatible(alg, p):
                     if not p.relates(tab.apply(n, *xs), tab.apply(n, *ys)):
                         return False
     return True
+
+
+def relation_of(p):
+    return frozenset((x, y) for block in p.blocks() for x in block for y in block)
+
+
+def compose(r, s):
+    """Relational composition: (x,z) iff some y has (x,y) in r, (y,z) in s."""
+    by_left = {}
+    for y, z in s:
+        by_left.setdefault(y, set()).add(z)
+    return frozenset((x, z) for x, y in r for z in by_left.get(y, ()))
+
+
+def permute_oracle(theta, phi):
+    r, s = relation_of(theta.partition), relation_of(phi.partition)
+    return compose(r, s) == compose(s, r)
+
+
+def lattice_order(p):
+    return (-p.num_blocks, p.block_of)
+
+
+@st.composite
+def small_algebras(draw, sizes=st.integers(2, 4)):
+    """An algebra with one to three operations of arity 0-3 and random tables."""
+    n = draw(sizes)
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = {
+        f"f{i}": OperationTable(
+            k, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+        )
+        for i, k in enumerate(arities)
+    }
+    return make_algebra("drawn", n, tables)
+
+
+NULLARY_ONLY = make_algebra("nullary", 3, {"c": OperationTable(0, (2,)), "d": OperationTable(0, (0,))})
+ONE_ELEMENT = make_algebra(
+    "one", 1, {"f": OperationTable(1, (0,)), "m": OperationTable(3, (0,)), "c": OperationTable(0, (0,))}
+)
 
 
 def brute_force_principal(alg, a, b):
@@ -100,6 +141,28 @@ class TestPartition:
     def test_all_partitions_counts_are_bell_numbers(self):
         for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
             assert len(list(all_partitions(n))) == bell
+
+    def test_all_partitions_in_restricted_growth_order(self):
+        # the restricted-growth strings among all label tuples, which
+        # itertools.product yields in lexicographic order
+        for n in range(7):
+            expected = [
+                labels
+                for labels in itertools.product(range(n), repeat=n)
+                if labels == Partition.from_labels(labels).block_of
+            ]
+            assert [p.block_of for p in all_partitions(n)] == expected
+
+    def test_join_matches_connected_components(self):
+        # the join relates x and y iff a path of p- and q-related steps
+        # links them
+        for n in (4, 5):
+            partitions = list(all_partitions(n))
+            for p, q in itertools.product(partitions, repeat=2):
+                reach = relation_of(p) | relation_of(q)
+                while (closed := reach | compose(reach, reach)) != reach:
+                    reach = closed
+                assert relation_of(p.join(q)) == reach, (p, q)
 
 
 class TestIsCongruence:
@@ -165,6 +228,36 @@ class TestPrincipalCongruence:
                     expected = brute_force_principal(alg, a, b)
                     assert principal_congruence(alg, a, b).partition == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_algebras(st.integers(1, 4)))
+    @example(NULLARY_ONLY)
+    @example(ONE_ELEMENT)
+    def test_matches_brute_force_oracle_on_drawn_algebras(self, alg):
+        candidates = [p for p in all_partitions(alg.size) if naive_compatible(alg, p)]
+        for a, b in itertools.product(range(alg.size), repeat=2):
+            least = Partition.total(alg.size)
+            for p in candidates:
+                if p.relates(a, b):
+                    least = least.meet(p)
+            assert principal_congruence(alg, a, b).partition == least, (a, b)
+
+    def test_translations_are_the_distinct_nonconstant_ones(self, algebras):
+        # x -> x meet 0 is constant and left out; Z3's two mul positions
+        # give the same three translations
+        assert congruences._translations(algebras["chain3"]) == [(0, 1, 1), (0, 1, 2)]
+        assert congruences._translations(algebras["z3"]) == [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)]
+        for alg in algebras.values():
+            n = alg.size
+            expected = {
+                tuple(tab.apply(n, *fixed[:pos], x, *fixed[pos:]) for x in range(n))
+                for _, tab in alg.tables
+                for pos in range(tab.arity)
+                for fixed in itertools.product(range(n), repeat=tab.arity - 1)
+            }
+            got = congruences._translations(alg)
+            assert len(got) == len(set(got))
+            assert set(got) == {t for t in expected if len(set(t)) > 1}
+
     def test_least_property_explicitly(self, algebras):
         # Cg(a,b) is a congruence containing (a,b) and refines every
         # congruence containing (a,b); exhaustive through size 5.
@@ -215,6 +308,46 @@ class TestAllCongruences:
             }
             assert {c.partition for c in all_congruences(alg)} == expected
 
+    def test_equals_the_sorted_partition_filter(self, algebras):
+        # list and order: every partition passing is_congruence, sorted by
+        # the engine's key
+        for name, alg in algebras.items():
+            assert alg.size <= 6
+            expected = sorted(
+                (p for p in all_partitions(alg.size) if is_congruence(alg, p)), key=lattice_order
+            )
+            assert [c.partition for c in all_congruences(alg)] == expected, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_algebras())
+    def test_equals_the_sorted_partition_filter_on_drawn_algebras(self, alg):
+        expected = sorted(
+            (p for p in all_partitions(alg.size) if is_congruence(alg, p)), key=lattice_order
+        )
+        assert [c.partition for c in all_congruences(alg)] == expected
+
+    def test_joins_only_with_principal_congruences(self, monkeypatch):
+        # every congruence is a join of principal ones, so joining each
+        # congruence with each distinct principal congruence suffices:
+        # |Con| * |P| joins, not |Con|^2
+        joins = []
+        real = congruences._join
+
+        def counting(p, q):
+            joins.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(congruences, "_join", counting)
+        chain = chain_semilattice(8)
+        lattice = all_congruences(chain)
+        monkeypatch.undo()
+        principal = {
+            principal_congruence(chain, a, b).partition
+            for a, b in itertools.combinations(range(8), 2)
+        }
+        assert (len(lattice), len(principal)) == (128, 28)
+        assert 0 < len(joins) <= len(lattice) * len(principal)
+
     def test_size_guard(self):
         with pytest.raises(BudgetExceededError):
             all_congruences(cyclic_group(9))
@@ -237,6 +370,24 @@ class TestPermutability:
         ident = relation_of(Partition.identity(4))
         assert compose(r, ident) == r
         assert compose(ident, r) == r
+
+    def test_matches_the_composition_oracle_on_lattices(self, algebras):
+        z2 = cyclic_group(2)
+        subjects = dict(algebras)
+        subjects["chain5"] = chain_semilattice(5)
+        subjects["Z2^3"] = product_algebra(product_algebra(z2, z2), z2)
+        for name, alg in subjects.items():
+            lattice = all_congruences(alg)
+            for theta, phi in itertools.product(lattice, repeat=2):
+                assert permute(alg, theta, phi) == permute_oracle(theta, phi), name
+
+    def test_matches_the_composition_oracle_on_all_partitions(self):
+        # under the unary identity every partition of 5 is a congruence
+        ident = make_algebra("id5", 5, {"f": table_from_function(5, 1, lambda x: x)})
+        lattice = [Congruence(ident, p) for p in all_partitions(5)]
+        assert len(lattice) == 52
+        for theta, phi in itertools.product(lattice, repeat=2):
+            assert permute(ident, theta, phi) == permute_oracle(theta, phi)
 
     def test_all_pairs_permute_on_z4(self):
         z4 = cyclic_group(4)

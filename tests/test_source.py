@@ -19,11 +19,10 @@ def test_no_assert_statements():
     assert found == []
 
 
-# Recursion is allowed only where a parameter bounds its depth: the carrier
-# size, the operation's arity and max_depth.  Terms can be of any depth, so
-# every walk over a term must be a loop.
+# Recursion is allowed only where a parameter bounds its depth: the
+# operation's arity and max_depth.  Terms can be of any depth, so every walk
+# over a term must be a loop.
 BOUNDED_RECURSION = {
-    "congruences.all_partitions.rec",
     "termsearch._applications.prefixes",
     "sampling.random_term",
 }

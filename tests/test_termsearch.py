@@ -253,6 +253,19 @@ class TestTheoremShadow:
     def test_audit_flags_the_semilattice(self):
         assert permutability_audit(chain_semilattice(3)) != []
 
+    def test_one_lattice_per_subject(self, monkeypatch):
+        # subjects: Z4, its three quotients and its square
+        subjects = []
+        real = termsearch.all_congruences
+
+        def counting(alg, **kwargs):
+            subjects.append(alg)
+            return real(alg, **kwargs)
+
+        monkeypatch.setattr(termsearch, "all_congruences", counting)
+        assert permutability_audit(cyclic_group(4)) == []
+        assert [alg.size for alg in subjects] == [4, 4, 2, 1, 16]
+
 
 class TestAgainstReference:
     """The semi-naive engine gives the reference search's status, witness
