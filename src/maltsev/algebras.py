@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping
 
 from .errors import (
@@ -41,14 +42,15 @@ class OperationTable:
     entries: tuple[int, ...]
 
     def apply(self, size: int, *args: int) -> int:
-        if len(args) != self.arity:
-            raise ArityMismatchError(
-                f"table of arity {self.arity} applied to {len(args)} argument(s)"
-            )
+        self.require_arity(len(args))
         index = 0
         for a in args:
             index = index * size + a
         return self.entries[index]
+
+    def require_arity(self, count: int) -> None:
+        if count != self.arity:
+            raise ArityMismatchError(f"table of arity {self.arity} applied to {count} argument(s)")
 
 
 def table_from_function(size: int, arity: int, fn) -> OperationTable:
@@ -74,9 +76,6 @@ class FiniteAlgebra:
 
     def apply(self, symbol: str, *args: int) -> int:
         return self.table(symbol).apply(self.size, *args)
-
-    def elements(self) -> range:
-        return range(self.size)
 
 
 def make_algebra(
@@ -189,15 +188,51 @@ def evaluate(alg: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
     return interpret(t, env, alg.apply)
 
 
+def evaluate_columns(
+    alg: FiniteAlgebra, t: Term, columns: Mapping[str, tuple[int, ...]], width: int
+) -> tuple[int, ...]:
+    """The values of t at ``width`` assignments at once: columns[v][i] is
+    the value of variable v in assignment i.  An application builds the flat
+    table index of every coordinate at once and reads the table once per
+    coordinate, so a constant is its entry repeated.  Raises what evaluate
+    raises, for the same first failing node."""
+    n = alg.size
+
+    def apply(symbol: str, *args: tuple[int, ...]) -> tuple[int, ...]:
+        tab = alg.table(symbol)
+        tab.require_arity(len(args))
+        index = (0,) * width
+        for column in args:
+            index = map(add, map(n.__mul__, index), column)
+        return tuple(map(tab.entries.__getitem__, index))
+
+    return interpret(t, columns, apply)
+
+
+# The most assignments check_identity evaluates in one vector.
+CHUNK = 4096
+
+
 def check_identity(alg: FiniteAlgebra, ident: Identity) -> dict[str, int] | None:
     """Exhaustively check the identity; None means it holds, otherwise the
-    lexicographically first failing assignment is returned."""
+    lexicographically first failing assignment is returned.  Both sides are
+    evaluated as vectors over chunks of at most CHUNK assignments, each of
+    which fixes the leading variables."""
     validate_term(ident.lhs, alg.signature)
     validate_term(ident.rhs, alg.signature)
-    for values in itertools.product(alg.elements(), repeat=len(ident.variables)):
-        env = dict(zip(ident.variables, values))
-        if evaluate(alg, ident.lhs, env) != evaluate(alg, ident.rhs, env):
-            return env
+    n, names = alg.size, ident.variables
+    tail = len(names)  # the variables that vary within a chunk
+    while n**tail > CHUNK:
+        tail -= 1
+    width = n**tail
+    trailing = list(zip(*itertools.product(range(n), repeat=tail)))
+    for leading in itertools.product(range(n), repeat=len(names) - tail):
+        columns = dict(zip(names, [(v,) * width for v in leading] + trailing))
+        lhs = evaluate_columns(alg, ident.lhs, columns, width)
+        rhs = evaluate_columns(alg, ident.rhs, columns, width)
+        if lhs != rhs:
+            i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return {name: column[i] for name, column in columns.items()}
     return None
 
 
@@ -244,34 +279,36 @@ QUASIGROUP_AXIOMS = (
 )
 
 
-def _require_axioms(alg: FiniteAlgebra, axioms: tuple[str, ...]) -> None:
+def _derive(
+    alg: FiniteAlgebra, axioms: tuple[str, ...], term: str, names: dict[str, str]
+) -> OperationTable:
+    """The ternary operation of term in x, y, z, by one vector evaluation over
+    every triple, after checking the axioms; both with symbols renamed."""
+    # Single simultaneous pass over whole identifiers; naive str.replace would
+    # corrupt names that occur inside other names.
+    *axioms, term = [IDENT_RE.sub(lambda m: names.get(m[0], m[0]), s) for s in axioms + (term,)]
     for text in axioms:
-        ident = parse_identity(text, alg.signature)
-        failure = check_identity(alg, ident)
+        failure = check_identity(alg, parse_identity(text, alg.signature))
         if failure is not None:
             raise AxiomError(f"axiom {text!r} fails at {failure}")
+    n = alg.size
+    columns = dict(zip("xyz", zip(*itertools.product(range(n), repeat=3))))
+    return OperationTable(3, evaluate_columns(alg, parse_term(term, alg.signature), columns, n**3))
 
 
 def maltsev_from_group(
     alg: FiniteAlgebra, mul: str = "mul", inv: str = "inv", unit: str = "e"
 ) -> OperationTable:
     """x * y^-1 * z, after verifying the group axioms."""
-    _require_axioms(alg, _rename_axioms(GROUP_AXIOMS, {"mul": mul, "inv": inv, "e": unit}))
-    return table_from_function(
-        alg.size, 3, lambda x, y, z: alg.apply(mul, x, alg.apply(mul, alg.apply(inv, y), z))
-    )
+    return _derive(alg, GROUP_AXIOMS, "mul(x,mul(inv(y),z))", {"mul": mul, "inv": inv, "e": unit})
 
 
 def maltsev_from_left_loop(
     alg: FiniteAlgebra, star: str = "star", ldiv: str = "ldiv", unit: str = "e"
 ) -> OperationTable:
     """x * (y \\ z), after verifying the left-loop axioms."""
-    _require_axioms(
-        alg, _rename_axioms(LEFT_LOOP_AXIOMS, {"star": star, "ldiv": ldiv, "e": unit})
-    )
-    return table_from_function(
-        alg.size, 3, lambda x, y, z: alg.apply(star, x, alg.apply(ldiv, y, z))
-    )
+    names = {"star": star, "ldiv": ldiv, "e": unit}
+    return _derive(alg, LEFT_LOOP_AXIOMS, "star(x,ldiv(y,z))", names)
 
 
 def maltsev_from_quasigroup(
@@ -283,28 +320,8 @@ def maltsev_from_quasigroup(
     solved from the Latin square of star.
     """
     alg = _with_solved_divisions(alg, star, rdiv, ldiv)
-    _require_axioms(
-        alg,
-        _rename_axioms(QUASIGROUP_AXIOMS, {"star": star, "rdiv": rdiv, "ldiv": ldiv}),
-    )
-    return table_from_function(
-        alg.size,
-        3,
-        lambda x, y, z: alg.apply(
-            star,
-            alg.apply(rdiv, x, alg.apply(ldiv, y, y)),
-            alg.apply(ldiv, y, z),
-        ),
-    )
-
-
-def _rename_axioms(axioms: tuple[str, ...], mapping: dict[str, str]) -> tuple[str, ...]:
-    # Single simultaneous pass over whole identifiers; naive str.replace would
-    # corrupt names that occur inside other names.
-    return tuple(
-        IDENT_RE.sub(lambda m: mapping.get(m.group(), m.group()), text)
-        for text in axioms
-    )
+    names = {"star": star, "rdiv": rdiv, "ldiv": ldiv}
+    return _derive(alg, QUASIGROUP_AXIOMS, "star(rdiv(x,ldiv(y,y)),ldiv(y,z))", names)
 
 
 def is_latin_square(alg: FiniteAlgebra, symbol: str) -> bool:

@@ -59,10 +59,13 @@ class Partition:
     def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> "Partition":
         labels = [-1] * n
         for i, block in enumerate(blocks):
+            if not block:
+                raise ValueError("a block is empty")
             for x in block:
-                if not 0 <= x < n or labels[x] != -1:
-                    raise ValueError("blocks must partition 0..n-1")
-            for x in block:
+                if not 0 <= x < n:
+                    raise ValueError(f"element {x} is outside 0..{n - 1}")
+                if labels[x] != -1:
+                    raise ValueError(f"element {x} occurs more than once")
                 labels[x] = i
         if -1 in labels:
             raise ValueError("blocks must cover 0..n-1")

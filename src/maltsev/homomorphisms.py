@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Mapping, TypeVar
 
+from .algebras import Identity, check_identity, make_algebra, table_from_function
 from .errors import BudgetExceededError, EvaluationError
 from .rewriting import enumerate_normal_forms, normalize
-from .terms import Term, Var, default_generators, interpret, variables
+from .terms import MU, Term, Var, default_generators, interpret, variables
 from .words import Letter, ReducedWord, is_heap_word, reduce
 
 T = TypeVar("T")
@@ -89,17 +90,13 @@ def _all_reduced_words(gens: tuple[str, ...], length: int) -> list[ReducedWord]:
 
 def distinguish_in_small_groups(t: Term, s: Term) -> bool:
     """Search the evaluation homomorphisms into the two- and three-element
-    cyclic groups for one separating t from s (all assignments tried)."""
-    names = sorted(set(variables(t)) | set(variables(s)))
-    for modulus in (2, 3):
-
-        def op(a, b, c):
-            return (a - b + c) % modulus
-
-        for values in itertools.product(range(modulus), repeat=len(names)):
-            assignment = dict(zip(names, values))
-            if eval_term(t, assignment, op) != eval_term(s, assignment, op):
-                return True
+    cyclic groups, with mu(a,b,c) = a - b + c, for one separating t from s
+    (all assignments tried, as vectors)."""
+    ident = Identity(t, s, tuple(sorted(set(variables(t)) | set(variables(s)))))
+    for m in (2, 3):
+        heap = table_from_function(m, 3, lambda a, b, c: (a - b + c) % m)
+        if check_identity(make_algebra(f"Z{m}", m, {MU: heap}), ident) is not None:
+            return True
     return False
 
 

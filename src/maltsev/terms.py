@@ -142,8 +142,8 @@ def subterms(t: Term) -> Iterator[Term]:
 def interpret(t: Term, env: Mapping[str, T], apply: Callable[..., T]) -> T:
     """The value of t with each variable read from env and each application
     computed by apply(symbol, *argument values), in post-order, left to right.
-    The one evaluator of eval_term, algebras.evaluate, term_depth and
-    substitute."""
+    The one evaluator of eval_term, algebras.evaluate, the vector evaluator
+    algebras.evaluate_columns, term_depth and substitute."""
     order = []  # subterms in right-to-left pre-order, the reverse of post-order
     stack = [t]
     while stack:

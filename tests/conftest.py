@@ -58,6 +58,17 @@ def chain_strategy(min_depth=5000):
     )
 
 
+def random_signature_term(rng, sig, names, depth):
+    """A random term over the signature and the variable names, of depth at
+    most ``depth``; constants and variables are the leaves."""
+    leaves = [Var(v) for v in names] + [App(s, ()) for s, k in sig.symbols if k == 0]
+    ops = [(s, k) for s, k in sig.symbols if k > 0]
+    if depth == 0 or not ops or rng.random() < 0.3:
+        return rng.choice(leaves)
+    symbol, arity = rng.choice(ops)
+    return App(symbol, tuple(random_signature_term(rng, sig, names, depth - 1) for _ in range(arity)))
+
+
 def letter_strategy(gens=("a", "b", "c")):
     return st.builds(Letter, st.sampled_from(gens), st.sampled_from((1, -1)))
 

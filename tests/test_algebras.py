@@ -7,9 +7,11 @@ from maltsev.algebras import (
     GROUP_AXIOMS,
     Identity,
     OperationTable,
+    CHUNK,
     check_identity,
     dump_algebra,
     evaluate,
+    evaluate_columns,
     is_latin_square,
     is_maltsev_operation,
     load_algebra,
@@ -30,9 +32,11 @@ from maltsev.catalog import (
     subtraction_quasigroup_3,
     symmetric_group_3,
 )
-from maltsev.errors import ArityMismatchError, AxiomError, SchemaError
+from maltsev.errors import ArityMismatchError, AxiomError, EvaluationError, SchemaError, UnknownSymbolError
 from maltsev.homomorphisms import eval_term
-from maltsev.terms import Var, mu
+from maltsev.terms import App, Var, mu, parse_term
+
+from conftest import random_signature_term
 
 
 class TestLoadAlgebra:
@@ -160,6 +164,66 @@ class TestCheckIdentity:
             for text in texts:
                 ident = parse_identity(text, alg.signature)
                 assert check_identity(alg, ident) == naive_check_identity(alg, ident)
+
+    def test_agrees_with_naive_oracle_across_chunks(self):
+        # 9^4 assignments do not fit in one chunk: each chunk fixes w, the
+        # first of the sorted variables.
+        assert 9**3 <= CHUNK < 9**4
+        z9 = cyclic_group(9)
+        patched = make_algebra(
+            "patched",
+            9,
+            {"f": table_from_function(9, 2, lambda a, b: 0 if (a, b) == (4, 7) else (a + b) % 9)},
+        )
+        cases = (
+            (z9, "mul(w,mul(x,mul(y,z)))=mul(z,mul(y,mul(x,w)))", None),
+            # fails first at the first assignment of the second chunk
+            (z9, "mul(mul(w,w),mul(x,mul(y,z)))=mul(w,mul(x,mul(y,z)))", {"w": 1, "x": 0, "y": 0, "z": 0}),
+            # fails first inside the fifth chunk
+            (patched, "f(f(w,x),f(y,z))=f(f(x,w),f(y,z))", {"w": 4, "x": 7, "y": 0, "z": 0}),
+        )
+        for alg, text, failure in cases:
+            ident = parse_identity(text, alg.signature)
+            assert check_identity(alg, ident) == naive_check_identity(alg, ident) == failure, text
+        rng = random.Random(4)
+        for _ in range(4):
+            alg = make_algebra(
+                "rand9", 9, {"f": table_from_function(9, 2, lambda a, b: rng.randrange(9))}
+            )
+            lhs, rhs = (random_signature_term(rng, alg.signature, "wxyz", 3) for _ in "lr")
+            ident = Identity(lhs, rhs, ("w", "x", "y", "z"))
+            assert check_identity(alg, ident) == naive_check_identity(alg, ident)
+
+    def test_only_the_last_assignment_fails(self):
+        # f(a,b) = 8 exactly when a = b = 8, so the identity fails only at
+        # the last of the 9^4 assignments.
+        alg = make_algebra(
+            "corner",
+            9,
+            {
+                "f": table_from_function(9, 2, lambda a, b: 8 if a == b == 8 else 0),
+                "c": table_from_function(9, 0, lambda: 0),
+            },
+        )
+        ident = parse_identity("f(f(w,x),f(y,z))=c", alg.signature)
+        assert check_identity(alg, ident) == {"w": 8, "x": 8, "y": 8, "z": 8}
+        assert naive_check_identity(alg, ident) == {"w": 8, "x": 8, "y": 8, "z": 8}
+
+    def test_identities_without_variables(self):
+        z3 = cyclic_group(3)
+        for text in ("mul(e,e)=e", "inv(e)=e", "mul(inv(e),e)=e"):
+            assert check_identity(z3, parse_identity(text, z3.signature)) is None
+        shifted = make_algebra(
+            "shift",
+            3,
+            {
+                "s": table_from_function(3, 1, lambda a: (a + 1) % 3),
+                "c": table_from_function(3, 0, lambda: 0),
+            },
+        )
+        ident = parse_identity("s(c)=c", shifted.signature)
+        assert ident.variables == ()
+        assert check_identity(shifted, ident) == {} == naive_check_identity(shifted, ident)
 
     def test_identity_requires_quantified_variables(self):
         with pytest.raises(ValueError):
@@ -387,10 +451,77 @@ class TestProductAlgebra:
 class TestEvaluate:
     def test_simple(self):
         z3 = cyclic_group(3)
-        from maltsev.terms import parse_term
-
         t = parse_term("mul(x,inv(y))", z3.signature)
         assert evaluate(z3, t, {"x": 1, "y": 2}) == (1 - 2) % 3
+
+
+class TestEvaluateColumns:
+    """The vector evaluator against evaluate at each assignment."""
+
+    @staticmethod
+    def expected(alg, t, assignments):
+        return tuple(evaluate(alg, t, env) for env in assignments)
+
+    @staticmethod
+    def columns(names, assignments):
+        return {v: tuple(env[v] for env in assignments) for v in names}
+
+    def test_every_assignment_of_random_terms(self, algebras):
+        rng = random.Random(7)
+        for name, alg in algebras.items():
+            names = ("x", "y", "z")
+            assignments = [
+                dict(zip(names, values))
+                for values in itertools.product(range(alg.size), repeat=3)
+            ]
+            columns = self.columns(names, assignments)
+            for _ in range(60):
+                t = random_signature_term(rng, alg.signature, names, 5)
+                assert evaluate_columns(alg, t, columns, len(assignments)) == self.expected(
+                    alg, t, assignments
+                ), (name, t)
+
+    def test_random_assignments_of_any_width(self, algebras):
+        rng = random.Random(8)
+        for alg in algebras.values():
+            for width in (1, 2, 7):
+                assignments = [
+                    {v: rng.randrange(alg.size) for v in "xy"} for _ in range(width)
+                ]
+                t = random_signature_term(rng, alg.signature, "xy", 4)
+                got = evaluate_columns(alg, t, self.columns("xy", assignments), width)
+                assert got == self.expected(alg, t, assignments)
+
+    def test_constants_and_unary_operations(self):
+        z5 = cyclic_group(5)
+        assignments = [{"x": a} for a in range(5)]
+        for text in ("e", "inv(e)", "inv(x)", "inv(inv(x))", "mul(inv(x),e)", "mul(e,e)"):
+            t = parse_term(text, z5.signature)
+            got = evaluate_columns(z5, t, self.columns("x", assignments), 5)
+            assert got == self.expected(z5, t, assignments), text
+        assert evaluate_columns(z5, parse_term("e", z5.signature), {}, 3) == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "t, error",
+        [
+            (App("nosuch", (Var("x"),)), UnknownSymbolError),
+            (App("mul", (Var("x"),)), ArityMismatchError),
+            (App("e", (Var("x"),)), ArityMismatchError),
+            (App("mul", (Var("x"), Var("w"))), EvaluationError),
+            # the first failing node in post-order decides
+            (App("mul", (App("nosuch", (Var("x"),)), Var("w"))), UnknownSymbolError),
+            (App("mul", (Var("w"), App("nosuch", (Var("x"),)))), EvaluationError),
+            (App("inv", (App("mul", (Var("x"),)), Var("x"))), ArityMismatchError),
+        ],
+    )
+    def test_errors_match_the_oracle(self, t, error):
+        z3 = cyclic_group(3)
+        with pytest.raises(error) as want:
+            evaluate(z3, t, {"x": 1})
+        with pytest.raises(error) as got:
+            evaluate_columns(z3, t, {"x": (0, 1, 2)}, 3)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def test_every_derivation_passes_the_maltsev_check():

@@ -138,6 +138,25 @@ class TestPartition:
         with pytest.raises(SchemaError):
             parse_partition("0,a|1", 2)
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([[0, 2, 2], [1, 3]], "element 2 occurs more than once"),
+            ([[0, 2], [2, 1, 3]], "element 2 occurs more than once"),
+            ([[0, 2], [1, 3], []], "a block is empty"),
+            ([[], [0, 1, 2, 3]], "a block is empty"),
+            ([[0, 4], [1, 2, 3]], "element 4 is outside 0..3"),
+        ],
+    )
+    def test_from_blocks_names_the_problem(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            Partition.from_blocks(4, blocks)
+
+    @pytest.mark.parametrize("text", ["0,2,2|1,3", "0,2|1,3|", "|0,2|1,3"])
+    def test_parse_rejects_repeats_and_empty_blocks(self, text):
+        with pytest.raises(SchemaError):
+            parse_partition(text, 4)
+
     def test_all_partitions_counts_are_bell_numbers(self):
         for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
             assert len(list(all_partitions(n))) == bell

@@ -158,3 +158,8 @@ def test_walkers_use_memory_linear_in_the_term():
     assert peak_bytes(variables, t) < 1_000_000
     assert peak_bytes(hom_to_group, t) < 4_000_000
     assert peak_bytes(normalize, t) < 8_000_000
+    # The vector evaluator keeps one vector per pending argument, not one
+    # per node: about 0.35 MB here, all of it the walk's node order.
+    z3 = bundled_algebras()["z3"]
+    chain = "mul(" * 20000 + "x" + ",x)" * 20000
+    assert peak_bytes(check_identity, z3, parse_identity(f"{chain} = e", z3.signature)) < 1_000_000

@@ -19,6 +19,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_per_assignment_evaluation():
+    # Terms are evaluated over all assignments at once (evaluate_columns);
+    # evaluate stays public and is the tests' oracle.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "evaluate"
+    ]
+    assert found == []
+
+
 # Recursion is allowed only where a parameter bounds its depth: the
 # operation's arity and max_depth.  Terms can be of any depth, so every walk
 # over a term must be a loop.

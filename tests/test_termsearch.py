@@ -5,6 +5,7 @@ import pytest
 
 from maltsev.algebras import (
     OperationTable,
+    evaluate,
     is_maltsev_operation,
     make_algebra,
     table_from_function,
@@ -12,7 +13,7 @@ from maltsev.algebras import (
 from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
 from maltsev import termsearch
 from maltsev.errors import EvaluationError, MaltsevError
-from maltsev.terms import Var, format_term, parse_term
+from maltsev.terms import App, Var, format_term, parse_term, variables
 from maltsev.termsearch import (
     SearchOutcome,
     find_maltsev_term,
@@ -23,6 +24,8 @@ from maltsev.termsearch import (
     _generators,
     _target,
 )
+
+from conftest import random_signature_term
 
 
 def reference_search(alg, budget=10**7):
@@ -74,6 +77,34 @@ def reference_search(alg, budget=10**7):
                 return SearchOutcome("found", rebuild_term(parents, index[target]), len(elements))
         level_start = level_end
         first_round = False
+
+
+def reference_replay_vector(alg, t):
+    """replay_vector as first written, kept as an oracle: one evaluate per
+    coordinate."""
+    n = alg.size
+    left = tuple(
+        evaluate(alg, t, {"x": a, "y": b, "z": b}) for a in range(n) for b in range(n)
+    )
+    right = tuple(
+        evaluate(alg, t, {"x": b, "y": b, "z": a}) for a in range(n) for b in range(n)
+    )
+    return left + right
+
+
+def reference_verify_maltsev_term(alg, t):
+    """verify_maltsev_term as first written, kept as an oracle: the induced
+    ternary table of t by one evaluate per argument triple, checked by
+    is_maltsev_operation."""
+    foreign = set(variables(t)) - {"x", "y", "z"}
+    if foreign:
+        raise EvaluationError(f"foreign variables {sorted(foreign)}")
+    n = alg.size
+    induced = table_from_function(
+        n, 3, lambda a, b, c: evaluate(alg, t, {"x": a, "y": b, "z": c})
+    )
+    probe = make_algebra("induced", n, {"t": induced})
+    return is_maltsev_operation(probe, "t")
 
 
 def two_element_classes():
@@ -216,6 +247,48 @@ class TestVerify:
     def test_foreign_variable(self):
         with pytest.raises(EvaluationError):
             verify_maltsev_term(cyclic_group(2), Var("w"))
+
+
+class TestAgainstPointwiseOracles:
+    """replay_vector and verify_maltsev_term give what the per-assignment
+    versions they replaced give."""
+
+    def test_random_terms(self, algebras):
+        rng = random.Random(11)
+        for name, alg in algebras.items():
+            for _ in range(40):
+                t = random_signature_term(rng, alg.signature, "xyz", 5)
+                assert replay_vector(alg, t) == reference_replay_vector(alg, t), (name, t)
+                assert verify_maltsev_term(alg, t) == reference_verify_maltsev_term(alg, t), (name, t)
+
+    def test_bundled_witnesses(self, algebras):
+        found = 0
+        for alg in algebras.values():
+            outcome = find_maltsev_term(alg)
+            if outcome.status == "found":
+                found += 1
+                assert replay_vector(alg, outcome.term) == reference_replay_vector(alg, outcome.term)
+                assert verify_maltsev_term(alg, outcome.term)
+                assert reference_verify_maltsev_term(alg, outcome.term)
+        assert found == 9
+
+    def test_near_misses(self):
+        # Each term satisfies one cancellation equation and not the other.
+        z3 = cyclic_group(3)
+        for text in ("mul(x,mul(inv(y),z))", "mul(z,mul(inv(y),x))", "mul(x,mul(inv(z),y))", "x", "z"):
+            t = parse_term(text, z3.signature)
+            assert verify_maltsev_term(z3, t) == reference_verify_maltsev_term(z3, t), text
+
+    @pytest.mark.parametrize(
+        "t", [Var("w"), App("mul", (Var("x"),)), App("nosuch", (Var("x"), Var("y")))]
+    )
+    def test_errors_match(self, t):
+        z2 = cyclic_group(2)
+        with pytest.raises(MaltsevError) as want:
+            reference_verify_maltsev_term(z2, t)
+        with pytest.raises(MaltsevError) as got:
+            verify_maltsev_term(z2, t)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 class TestSoundness:
