@@ -67,8 +67,11 @@ class Partition:
                 if labels[x] != -1:
                     raise ValueError(f"element {x} occurs more than once")
                 labels[x] = i
-        if -1 in labels:
-            raise ValueError("blocks must cover 0..n-1")
+        missing = [x for x, label in enumerate(labels) if label == -1]
+        if missing:
+            raise ValueError(
+                f"blocks must cover 0..{n - 1}; missing {', '.join(map(str, missing))}"
+            )
         return Partition.from_labels(labels)
 
     @staticmethod
@@ -145,14 +148,17 @@ def all_partitions(n: int) -> Iterator[Partition]:
 
 
 def parse_partition(text: str, n: int) -> Partition:
-    """Blocks separated by '|', elements by ',' (e.g. "0,2|1,3")."""
-    try:
-        blocks = [
-            [int(x) for x in chunk.split(",") if x.strip() != ""]
-            for chunk in text.split("|")
-        ]
-    except ValueError as exc:
-        raise SchemaError(f"bad partition syntax: {exc}", "partition") from exc
+    """Blocks separated by '|', elements by ',' (e.g. "0,2|1,3").  A blank
+    block is an empty block; a blank element inside a block is an error."""
+    blocks: list[list[int]] = []
+    for chunk in text.split("|"):
+        elements = chunk.split(",") if chunk.strip() else []
+        if "" in (x.strip() for x in elements):
+            raise SchemaError(f"empty element in block {chunk!r}", "partition")
+        try:
+            blocks.append([int(x) for x in elements])
+        except ValueError as exc:
+            raise SchemaError(f"bad partition syntax: {exc}", "partition") from exc
     try:
         return Partition.from_blocks(n, blocks)
     except ValueError as exc:

@@ -16,7 +16,7 @@ from .algebras import Identity, check_identity, make_algebra, table_from_functio
 from .errors import BudgetExceededError, EvaluationError
 from .rewriting import enumerate_normal_forms, normalize
 from .terms import MU, Term, Var, default_generators, interpret, variables
-from .words import Letter, ReducedWord, is_heap_word, reduce
+from .words import Letter, ReducedWord, _trusted, is_heap_word, reduce
 
 T = TypeVar("T")
 
@@ -33,25 +33,43 @@ def eval_term(
 def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWord:
     """The canonical homomorphism into the free group: variables go to
     generators and mu(a,b,c) to a b^-1 c, hence to c^-1 b a^-1 under an
-    inverse.  One signed pass over the raw term lists the letters, and one
-    stack pass reduces them; invariance under normalization is a
-    consequence, not an input.  The image of any term is a heap word."""
-    letters = {}
-    for name in variables(t):
-        gen = name if gen_map is None else gen_map.get(name)
-        if gen is None:
-            raise EvaluationError(f"unmapped variable {name!r}")
-        letters[name] = (Letter(gen, 1), Letter(gen, -1))
-
-    raw, stack = [], [(t, 0)]  # a subterm, and 1 when its image is inverted
+    inverse.  One signed pass over the raw term lists the letters and
+    cancels each against the one before it, so the word comes out reduced;
+    invariance under normalization is a consequence, not an input.  The
+    image of any term is a heap word.  Each generator name is checked once,
+    when its letters are built."""
+    by_gen: dict[str, tuple] = {}  # generator -> ((letter, inverse), (inverse, letter))
+    letters: dict[str, tuple] = {}  # variable name -> its generator's entry
+    out: list[Letter] = []
+    stack = [(t, 0)]  # a subterm, and 1 when its image is inverted
     while stack:
         s, inverted = stack.pop()
         if isinstance(s, Var):
-            raw.append(letters[s.name][inverted])
+            signs = letters.get(s.name)
+            if signs is None:
+                signs = letters[s.name] = _generator_letters(t, s.name, gen_map, by_gen)
+            letter, inverse = signs[inverted]
+            # One Letter object per generator and sign, so identity is equality.
+            if out and out[-1] is inverse:
+                out.pop()
+            else:
+                out.append(letter)
         else:
             a, b, c = s.args
             stack += ((a, 1), (b, 0), (c, 1)) if inverted else ((c, 0), (b, 1), (a, 0))
-    return reduce(raw)
+    return _trusted(ReducedWord, letters=tuple(out))
+
+
+def _generator_letters(t: Term, name: str, gen_map, by_gen: dict) -> tuple:
+    gen = name if gen_map is None else gen_map.get(name)
+    if gen is None:
+        first = next(v for v in variables(t) if gen_map.get(v) is None)
+        raise EvaluationError(f"unmapped variable {first!r}")
+    if gen not in by_gen:
+        letter = Letter(gen, 1)
+        inverse = letter.inverse()
+        by_gen[gen] = ((letter, inverse), (inverse, letter))
+    return by_gen[gen]
 
 
 def separating_hom(t: Term, witness: str) -> int:

@@ -111,37 +111,70 @@ def _rewrite_first(t: Term, step, outermost: bool) -> Term | None:
 _REDUCE = object()  # marks, on the work stack, an application whose arguments are done
 
 
+def _normalize(t: Term, forms: dict) -> Term:
+    """The normal form of t, hash-consed in forms.
+
+    forms maps each variable name to its one Var, the id of each node
+    already seen to its normal form, and each normal form to itself.  A node
+    seen before is not walked again, and a normal form is kept only when no
+    equal one exists, so equal normal forms are one object and a term costs
+    O(distinct nodes).  Seen nodes are found by identity, never by a
+    structural comparison, which could walk a shared term as a tree; normal
+    forms are found by structure, which stops at their consed arguments.
+    Callers may share forms across calls, and then compare results with
+    ``is``, as long as every term passed in stays alive while forms is used
+    (an id is unique only among live objects).  Raises ValueError at the
+    first application, in pre-order, that is not a ternary mu.
+    """
+    done: list[Term] = []
+    stack: list = [t]
+    get = forms.get
+    while stack:
+        s = stack.pop()
+        if s is _REDUCE:
+            s = stack.pop()
+            x, y, z = s.args
+            c, b, a = done.pop(), done.pop(), done.pop()
+        elif (r := get(id(s))) is not None:
+            done.append(r)
+            continue
+        elif s.__class__ is Var:
+            r = forms[id(s)] = forms.setdefault(s.name, s)
+            done.append(r)
+            continue
+        elif s.symbol != MU or len(s.args) != 3:
+            raise ValueError(f"term is not over the mu signature: {s.symbol!r}")
+        else:
+            x, y, z = s.args
+            if (
+                (a := get(id(x))) is None
+                or (b := get(id(y))) is None
+                or (c := get(id(z))) is None
+            ):
+                stack += (s, _REDUCE, z, y, x)
+                continue
+        # a, b and c are consed normal forms: one root step finishes s.
+        if b is c:
+            r = a
+        elif a is b:
+            r = c
+        else:
+            r = s if a is x and b is y and c is z else App(MU, (a, b, c))
+            r = forms.setdefault(r, r)
+        forms[id(s)] = r
+        done.append(r)
+    return done[0]
+
+
 def normalize(t: Term) -> Term:
-    """The unique normal form of t (innermost evaluation in a single pass).
+    """The unique normal form of t, in time and memory O(distinct nodes):
+    a subterm that occurs many times as one object is normalized once.
 
     Agrees with iterating rewrite_once to a fixpoint, and with the outermost
     strategy, by convergence of the system.  Raises ValueError at the first
     application, in pre-order, that is not a ternary mu.
     """
-    done: list[Term] = []
-    stack: list = [t]
-    while stack:
-        s = stack.pop()
-        if s is _REDUCE:
-            c, b, a = done.pop(), done.pop(), done.pop()
-        elif isinstance(s, Var):
-            done.append(s)
-            continue
-        elif s.symbol != MU or len(s.args) != 3:
-            raise ValueError(f"term is not over the mu signature: {s.symbol!r}")
-        else:
-            a, b, c = s.args
-            if isinstance(a, App) or isinstance(b, App) or isinstance(c, App):
-                stack += (_REDUCE, c, b, a)
-                continue
-        # a, b and c are normal forms: one root step finishes the node.
-        if b == c:
-            done.append(a)
-        elif a == b:
-            done.append(c)
-        else:
-            done.append(App(MU, (a, b, c)))
-    return done[0]
+    return _normalize(t, {})
 
 
 def is_normal_form(t: Term) -> bool:
@@ -150,8 +183,11 @@ def is_normal_form(t: Term) -> bool:
 
 
 def equal_in_free(t: Term, s: Term) -> bool:
-    """Word problem: do t and s denote the same element of the free algebra?"""
-    return normalize(t) == normalize(s)
+    """Word problem: do t and s denote the same element of the free algebra?
+    Both sides are normalized over one table, in O(distinct nodes), and the
+    consed normal forms are compared by identity."""
+    forms: dict = {}
+    return _normalize(t, forms) is _normalize(s, forms)
 
 
 def level(t: Term) -> int:
@@ -191,11 +227,12 @@ def _count_M_oracle(m: int, n: int, budget: int) -> int:
         raise BudgetExceededError(
             f"oracle enumeration needs {total} terms > budget {budget}"
         )
+    # One table for the whole enumeration: each level is built over the
+    # objects of the levels below, so every lower term is normalized once,
+    # and consed normal forms are equal exactly when they are one object.
+    forms: dict = {}
     gens = default_generators(m)
-    seen: set[Term] = set()
-    for t in enumerate_up_to(gens, n, budget=budget):
-        seen.add(normalize(t))
-    return len(seen)
+    return len({id(_normalize(t, forms)) for t in enumerate_up_to(gens, n, budget=budget)})
 
 
 def enumerate_normal_forms(

@@ -235,8 +235,9 @@ def validate_term(t: Term, sig: Signature) -> None:
 # An IDENT is an operation symbol iff declared in the signature, else a
 # variable.  Declared constants (arity 0) are written without parentheses.
 
-_SPACE = re.compile(r"\s*")
-_NAME = re.compile(rf"\s*({IDENT_RE.pattern})?\s*")
+# An identifier and the delimiter after it; a delimiter after a ')'.
+_TOKEN = re.compile(rf"\s*({IDENT_RE.pattern})?\s*([(,)]?)")
+_AFTER_CLOSE = re.compile(r"\s*([,)]?)")
 
 
 def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
@@ -246,49 +247,61 @@ def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
     a declared symbol of positive arity used without arguments is a name
     collision, and wrong argument counts are arity mismatches (both with the
     offending position in the message).
+
+    Equal subterms come back as one shared object: the parse keeps one table
+    of the subterms it has built, keyed by name and argument objects, so a
+    text that repeats a subterm yields a DAG with one node per distinct
+    subterm.  The table lives for this call only.
     """
     if not text or text.isspace():
         raise TermSyntaxError("empty term", 0)
     arities = dict(sig.symbols)
     # Open applications, innermost last: symbol, its position, arguments read.
     frames: list[tuple[str, int, list[Term]]] = []
+    # Each distinct subterm built so far: leaves by name, applications by
+    # (symbol, argument objects), whose arguments are themselves shared.
+    shared: dict = {}
     pos = 0
     while True:
-        m = _NAME.match(text, pos)
-        name, start, pos = m.group(1), m.start(1), m.end()
+        m = _TOKEN.match(text, pos)
+        (name, delimiter), pos = m.groups(), m.end()
         if name is None:
-            raise TermSyntaxError("expected an identifier", pos)
-        if text.startswith("(", pos):
+            raise TermSyntaxError("expected an identifier", pos - len(delimiter))
+        if delimiter == "(":
             if name not in arities:
-                raise TermSyntaxError(f"unknown operation symbol {name!r}", start)
-            frames.append((name, start, []))
-            pos += 1
+                raise TermSyntaxError(f"unknown operation symbol {name!r}", m.start(1))
+            frames.append((name, m.start(1), []))
             continue
         if arities.get(name, 0):
             raise NameCollisionError(
                 f"{name!r} is an operation symbol of arity {arities[name]},"
-                f" not a variable (at position {start})"
+                f" not a variable (at position {m.start(1)})"
             )
-        t = App(name, ()) if name in arities else Var(name)
+        t = shared.get(name)
+        if t is None:
+            t = shared[name] = App(name, ()) if name in arities else Var(name)
         # t ends an argument: read the next one, or close applications.
         while frames:
             frames[-1][2].append(t)
-            if text.startswith(",", pos):
-                pos += 1
+            if delimiter == ",":
                 break
-            if not text.startswith(")", pos):
+            if delimiter != ")":
                 raise TermSyntaxError("expected ')'", pos)
-            pos = _SPACE.match(text, pos + 1).end()
             name, start, args = frames.pop()
             if len(args) != arities[name]:
                 raise ArityMismatchError(
                     f"{name!r} expects {arities[name]} argument(s), got {len(args)}"
                     f" (at position {start})"
                 )
-            t = App(name, tuple(args))
+            key = (name, tuple(args))
+            t = shared.get(key)
+            if t is None:
+                t = shared[key] = App(*key)
+            m = _AFTER_CLOSE.match(text, pos)
+            delimiter, pos = m.group(1), m.end()
         else:
-            if pos != len(text):
-                raise TermSyntaxError("trailing input after term", pos)
+            if pos != len(text) or delimiter:
+                raise TermSyntaxError("trailing input after term", pos - len(delimiter))
             return t
 
 
@@ -349,31 +362,54 @@ def default_generators(m: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(m))
 
 
+def _check_generators(gens: tuple[str, ...]) -> None:
+    if sorted(gens) != list(gens) or len(set(gens)) != len(gens):
+        raise ValueError("generators must be distinct and sorted")
+
+
+def _check_budget(m: int, n: int, budget: int) -> None:
+    if count_W_up_to(m, n) > budget:
+        raise BudgetExceededError(
+            f"enumerating W_{n} over {m} generators needs "
+            f"{count_W_up_to(m, n)} terms > budget {budget}"
+        )
+
+
+def _levels(gens: tuple[str, ...], n: int, budget: int) -> Iterator[list[Term]]:
+    """Levels 0 to n in turn, each built once over the objects of the levels
+    below, and each checked against the budget before it is built."""
+    below: list[tuple[Term, int]] = []  # every term built, with its depth
+    for d in range(n + 1):
+        _check_budget(len(gens), d, budget)
+        if d == 0:
+            level: list[Term] = [Var(g) for g in gens]
+        else:
+            level = [
+                App(MU, (a, b, c))
+                for (a, da), (b, db), (c, dc) in itertools.product(below, repeat=3)
+                if max(da, db, dc) == d - 1
+            ]
+        below += ((t, d) for t in level)
+        yield level
+
+
 def enumerate_level(gens: tuple[str, ...], n: int, budget: int = 10**6) -> list[Term]:
     """All terms of depth exactly n over the given generators, in enumeration
     order.  Raises BudgetExceededError before materializing oversized levels.
     """
-    if sorted(gens) != list(gens) or len(set(gens)) != len(gens):
-        raise ValueError("generators must be distinct and sorted")
-    if count_W_up_to(len(gens), n) > budget:
-        raise BudgetExceededError(
-            f"enumerating W_{n} over {len(gens)} generators needs "
-            f"{count_W_up_to(len(gens), n)} terms > budget {budget}"
-        )
-    levels: list[list[Term]] = [[Var(g) for g in gens]]
-    for d in range(1, n + 1):
-        below: list[tuple[Term, int]] = [
-            (t, i) for i, lvl in enumerate(levels) for t in lvl
-        ]
-        levels.append([
-            App(MU, (a, b, c))
-            for (a, da), (b, db), (c, dc) in itertools.product(below, repeat=3)
-            if max(da, db, dc) == d - 1
-        ])
-    return levels[n]
+    _check_generators(gens)
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    _check_budget(len(gens), n, budget)
+    *_, level = _levels(gens, n, budget)
+    return level
 
 
 def enumerate_up_to(gens: tuple[str, ...], n: int, budget: int = 10**6) -> Iterator[Term]:
-    """Terms of depth <= n, level by level, each level in enumeration order."""
-    for d in range(n + 1):
-        yield from enumerate_level(gens, d, budget=budget)
+    """Terms of depth <= n, level by level, each level in enumeration order;
+    the levels are built once, each over the terms of the ones below.  A
+    level past the budget raises BudgetExceededError after the levels below
+    it have been yielded."""
+    _check_generators(gens)
+    for level in _levels(gens, n, budget):
+        yield from level

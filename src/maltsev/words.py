@@ -7,11 +7,17 @@ cancellation, independent of deletion order.  Heap words are the words of
 shape x1 x2^-1 x3 ... x(2n)^-1 x(2n+1); they are closed under the operation
 mu(a,b,c) = a b^-1 c and satisfy the para-associativity law
 mu(mu(a,b,c),d,e) = mu(a,mu(d,c,b),e) = mu(a,b,mu(c,d,e)).
+
+Words are checked once, where they come from outside: parse_letters and the
+public Letter, ReducedWord and HeapWord constructors.  The engine trusts its
+own output: reduce, fg_mul, fg_inv, heap_mu and Letter.inverse build their
+results reduced (and heap-shaped) by construction and wrap them unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import TermSyntaxError
@@ -30,7 +36,7 @@ class Letter:
             raise ValueError(f"invalid generator name {self.gen!r}")
 
     def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
+        return _trusted(Letter, gen=self.gen, sign=-self.sign)
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,15 @@ class ReducedWord:
 EMPTY_WORD = ReducedWord(())
 
 
+def _trusted(cls, **values):
+    """An instance of one of this module's frozen classes from values the
+    engine built valid, without the constructor's check."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def reduce(raw: Sequence[Letter] | Iterable[Letter]) -> ReducedWord:
     """Delete cancelling adjacent pairs to a fixpoint (single stack pass)."""
     stack: list[Letter] = []
@@ -60,16 +75,26 @@ def reduce(raw: Sequence[Letter] | Iterable[Letter]) -> ReducedWord:
             stack.pop()
         else:
             stack.append(letter)
-    return ReducedWord(tuple(stack))
+    return _trusted(ReducedWord, letters=tuple(stack))
 
 
 def fg_mul(a: ReducedWord, b: ReducedWord) -> ReducedWord:
-    """Concatenation followed by reduction."""
-    return reduce(a.letters + b.letters)
+    """Concatenation followed by reduction.  Both words are reduced, so
+    letters cancel only where they meet: the product costs the cancelled
+    letters plus one copy."""
+    x, y = a.letters, b.letters
+    k, n = 0, min(len(x), len(y))
+    while k < n and x[-1 - k].gen == y[k].gen and x[-1 - k].sign == -y[k].sign:
+        k += 1
+    return _trusted(ReducedWord, letters=x[: len(x) - k] + y[k:])
 
 
 def fg_inv(a: ReducedWord) -> ReducedWord:
-    return ReducedWord(tuple(l.inverse() for l in reversed(a.letters)))
+    """The reversed word with every sign flipped.  Each distinct letter
+    object is inverted once; the word is then mapped through those."""
+    ids = list(map(id, a.letters))
+    inverse = {i: l.inverse() for i, l in dict(zip(ids, a.letters)).items()}
+    return _trusted(ReducedWord, letters=tuple(map(inverse.__getitem__, reversed(ids))))
 
 
 def in_F_k(a: ReducedWord, k: int) -> bool:
@@ -77,13 +102,15 @@ def in_F_k(a: ReducedWord, k: int) -> bool:
     return len(a) <= k
 
 
+_sign = attrgetter("sign")
+
+
 def is_heap_word(a: ReducedWord) -> bool:
     """Odd length with strictly alternating signs starting and ending +1.
     Coincides with membership in the closure of the generators under the
     heap operation (checked against that oracle in the test suite)."""
-    if len(a) % 2 == 0:
-        return False
-    return all(l.sign == (1 if i % 2 == 0 else -1) for i, l in enumerate(a.letters))
+    signs = list(map(_sign, a.letters))
+    return len(signs) % 2 == 1 and -1 not in signs[::2] and 1 not in signs[1::2]
 
 
 @dataclass(frozen=True)
@@ -108,8 +135,9 @@ def generator_word(gen: str) -> HeapWord:
 
 def heap_mu(a: HeapWord, b: HeapWord, c: HeapWord) -> HeapWord:
     """a b^-1 c, reduced.  Closure holds: cancellation preserves the
-    alternating pattern and parity, so the result is again a heap word."""
-    return HeapWord(fg_mul(a.word, fg_mul(fg_inv(b.word), c.word)))
+    alternating pattern and parity, so the result is again a heap word and
+    is wrapped unchecked."""
+    return _trusted(HeapWord, word=fg_mul(a.word, fg_mul(fg_inv(b.word), c.word)))
 
 
 @dataclass(frozen=True)
@@ -164,7 +192,7 @@ def heap_closure(gens: Sequence[str], max_len: int) -> set[ReducedWord]:
     frontier = set(current)
     while frontier:
         new: set[ReducedWord] = set()
-        pool = [HeapWord(w) for w in current]
+        pool = [_trusted(HeapWord, word=w) for w in current]
         for a in pool:
             for b in pool:
                 for c in pool:

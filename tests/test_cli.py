@@ -515,6 +515,16 @@ class TestExitCodeContract:
             None,
             "--pair must be two comma-separated elements, got 'a,b'",
         ),
+        "empty partition element": (
+            ["algebra", "quotient", "--file", "{z4}", "--partition", "0,,2|1,3"],
+            None,
+            "partition: empty element in block '0,,2'",
+        ),
+        "partition misses elements": (
+            ["algebra", "quotient", "--file", "{z4}", "--partition", "0|2"],
+            None,
+            "partition: blocks must cover 0..3; missing 1, 3",
+        ),
         "map entry without =": (["hom", "group", "--term", "mu(x,y,z)", "--map", "x=a,yb"], None, None),
         "non-heap u": (["heap", "group-ops", "--base", "x", "--u", "x y", "--v", "x"], None, None),
     }

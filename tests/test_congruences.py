@@ -157,6 +157,21 @@ class TestPartition:
         with pytest.raises(SchemaError):
             parse_partition(text, 4)
 
+    @pytest.mark.parametrize("text", ["0,,2|1,3", "0,2,|1,3", ",0,2|1,3", "0,2|1, ,3"])
+    def test_parse_rejects_empty_elements(self, text):
+        with pytest.raises(SchemaError, match="partition: empty element in block"):
+            parse_partition(text, 4)
+
+    def test_parse_allows_spaces_around_elements(self):
+        assert parse_partition(" 0 , 2 | 1,3 ", 4) == parse_partition("0,2|1,3", 4)
+
+    @pytest.mark.parametrize(
+        "blocks, missing", [([[0, 2]], "1, 3"), ([[1], [2], [3]], "0"), ([], "0, 1, 2, 3")]
+    )
+    def test_noncover_names_the_missing_elements(self, blocks, missing):
+        with pytest.raises(ValueError, match=f"blocks must cover 0..3; missing {missing}$"):
+            Partition.from_blocks(4, blocks)
+
     def test_all_partitions_counts_are_bell_numbers(self):
         for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
             assert len(list(all_partitions(n))) == bell

@@ -27,9 +27,12 @@ from maltsev.terms import (
     MU,
     App,
     Var,
+    default_generators,
     enumerate_up_to,
+    format_term,
     mu,
     parse_term,
+    subterms,
     term_depth,
     term_size,
 )
@@ -92,6 +95,65 @@ class TestAgainstReferenceNormalizer:
     @given(mixed_term_strategy())
     def test_same_first_bad_node(self, t):
         assert normalize_outcome(normalize, t) == normalize_outcome(reference_normalize, t)
+
+
+@st.composite
+def shared_terms(draw, max_nodes=8, max_size=300):
+    """A term built bottom-up as a DAG: each new node takes its arguments
+    from the nodes built before it, so subterms are shared objects; some
+    nodes are rebuilt as equal but distinct objects, and some arguments are
+    fresh copies of a variable."""
+    nodes = [Var(g) for g in GENS3]
+    for _ in range(draw(st.integers(1, max_nodes))):
+        small = [t for t in nodes if term_size(t) <= max_size // 3]
+        args = []
+        for _ in range(3):
+            arg = draw(st.sampled_from(small))
+            if isinstance(arg, Var) and draw(st.booleans()):
+                arg = Var(arg.name)
+            args.append(arg)
+        node = App(MU, tuple(args))
+        nodes.append(node)
+        if draw(st.booleans()):
+            nodes.append(App(MU, node.args))
+    return nodes[-1]
+
+
+def assert_consed(t):
+    """Equal subterms of t are one object."""
+    assert len({id(s) for s in subterms(t)}) == len(set(subterms(t)))
+
+
+class TestSharedTerms:
+    """normalize and equal_in_free walk each distinct node once; on shared
+    terms they agree with the recursive reference, which walks the tree,
+    and with the generic rewriter."""
+
+    @given(shared_terms())
+    def test_same_normal_form(self, t):
+        nf = normalize(t)
+        assert nf == reference_normalize(t) == normalize_with(t, MALTSEV_SYSTEM)
+        assert_consed(nf)
+
+    @given(shared_terms(), shared_terms())
+    def test_same_word_problem_answer(self, t, s):
+        assert equal_in_free(t, s) == (reference_normalize(t) == reference_normalize(s))
+
+    @given(shared_terms())
+    def test_equal_to_a_distinct_copy(self, t):
+        copy = parse_term(format_term(t))
+        assert copy is not t
+        assert equal_in_free(t, copy) and equal_in_free(copy, mu(t, Y, Y))
+
+    def test_exponential_tree_is_linear_work(self):
+        # s_{i+1} = mu(s_i, x, s_i): 200 distinct nodes, about 2^200 as a
+        # tree.  Both sides are walked by node, never as trees.
+        t, u = X, X
+        for _ in range(200):
+            t, u = mu(t, Y, t), mu(u, Var("y"), u)
+        assert normalize(t) is t
+        assert equal_in_free(t, mu(u, Z, Z))
+        assert not equal_in_free(t, mu(u, Z, X))
 
 
 def fixpoint(t, step):
@@ -254,6 +316,14 @@ class TestCountM:
 
     def test_fast_mode_equals_oracle_three_generators(self):
         assert count_M(3, 2) == count_M(3, 2, oracle=True)
+
+    @pytest.mark.parametrize("m,n", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 1)])
+    def test_oracle_equals_independent_normalization(self, m, n):
+        # Each enumerated term normalized on its own by the recursive
+        # reference, against the oracle's one table for the enumeration.
+        gens = default_generators(m)
+        reference = {reference_normalize(t) for t in enumerate_up_to(gens, n)}
+        assert count_M(m, n, oracle=True) == len(reference) == count_M(m, n)
 
     def test_oracle_budget_is_enforced(self):
         with pytest.raises(BudgetExceededError):

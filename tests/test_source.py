@@ -32,6 +32,43 @@ def test_no_per_assignment_evaluation():
     assert found == []
 
 
+MUTABLE_BUILDERS = {"dict", "set", "defaultdict", "OrderedDict", "Counter"}
+
+
+def _module_level_mutables(tree):
+    """Names bound at module level to a dict or set display, comprehension or
+    constructor call."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        mutable = isinstance(value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)) or (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None)) in MUTABLE_BUILDERS
+        )
+        if mutable:
+            yield from (ast.unparse(target) for target in targets)
+
+
+def test_no_global_intern_tables():
+    # parse_term's intern table and the normalizer's cons table live for one
+    # call (or one enumeration); a module-level table would grow for the
+    # life of the process and couple unrelated callers.
+    found = {
+        name: sorted(_module_level_mutables(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))))
+        for name in ("terms.py", "rewriting.py")
+    }
+    assert found == {"terms.py": [], "rewriting.py": []}
+
+
+def test_module_level_mutables_are_found():
+    tree = ast.parse("a = {}\nb: dict = dict()\nc = {x for x in y}\nd = (1,)\ne = set()\n")
+    assert sorted(_module_level_mutables(tree)) == ["a", "b", "c", "e"]
+
+
 # Recursion is allowed only where a parameter bounds its depth: the
 # operation's arity and max_depth.  Terms can be of any depth, so every walk
 # over a term must be a loop.

@@ -23,6 +23,7 @@ from maltsev.terms import (
     mu,
     parse_term,
     substitute,
+    subterms,
     term_depth,
     term_size,
     validate_term,
@@ -218,6 +219,44 @@ class TestParse:
         assert t == App("star", (X, App("ldiv", (Y, Z))))
 
 
+def doubling_text(levels=10):
+    """A text in the shape of the benchmark's large terms: a level is
+    mu(s, v, s) for the level below s, some levels wrapped in the axiom
+    instance mu(s, w, w), so the text repeats a few subterms many times."""
+    text = "mu(mu(x,y,z),z,mu(y,x,w))"
+    for i in range(levels):
+        v = ("mu(x,y,z)", "mu(y,z,w)", "mu(w,x,y)")[i % 3]
+        inner = f"mu({text},w,w)" if i % 3 == 0 else text
+        text = f"mu({inner},{v},{inner})"
+    return text
+
+
+class TestSharedParse:
+    def test_one_object_per_distinct_subterm(self):
+        text = doubling_text()
+        t = parse_term(text)
+        nodes = list(subterms(t))
+        assert len(nodes) > 10**4
+        assert len({id(s) for s in nodes}) == len(set(nodes)) < 60
+        assert format_term(t) == text
+
+    @given(term_strategy())
+    def test_repeated_subterms_are_shared(self, t):
+        u = parse_term(format_term(mu(t, t, X)))
+        assert u == mu(t, t, X)
+        assert u.args[0] is u.args[1]
+        assert len({id(s) for s in subterms(u)}) == len(set(subterms(u)))
+
+    def test_no_table_outlives_a_call(self):
+        first, second = parse_term("mu(x,y,x)"), parse_term("mu(x,y,x)")
+        assert first == second and first is not second
+        assert first.args[0] is first.args[2] and first.args[0] is not second.args[0]
+
+    def test_constants_are_shared(self):
+        t = parse_term("mul(e,mul(e,x))", GROUP_SIGNATURE)
+        assert t.args[0] is t.args[1].args[0]
+
+
 class TestFormat:
     def test_direct_rendering(self):
         assert format_term(mu(X, Y, Z)) == "mu(x,y,z)"
@@ -334,6 +373,32 @@ class TestCounting:
     def test_enumerate_up_to_orders_by_level(self):
         terms = list(enumerate_up_to(("x", "y"), 1))
         assert [term_depth(t) for t in terms] == [0] * 2 + [1] * 8
+
+    def test_enumerate_up_to_is_the_levels_in_turn(self):
+        for gens, n in ((("x",), 3), (("x", "y"), 2), (("x", "y", "z"), 1)):
+            levels = [enumerate_level(gens, d) for d in range(n + 1)]
+            assert list(enumerate_up_to(gens, n)) == [t for level in levels for t in level]
+
+    def test_enumerate_up_to_builds_over_the_terms_it_yielded(self):
+        terms = list(enumerate_up_to(("x", "y"), 2))
+        lower = {id(t) for t in terms if term_depth(t) < 2}
+        assert all(id(a) in lower for t in terms if term_depth(t) == 2 for a in t.args)
+
+    def test_enumerate_up_to_yields_the_levels_within_budget_then_raises(self):
+        # 2 + 8 terms fit in a budget of 10; level 2 would make 1002.
+        out = []
+        with pytest.raises(BudgetExceededError, match="W_2 over 2 generators needs 1002"):
+            for t in enumerate_up_to(("x", "y"), 3, budget=10):
+                out.append(t)
+        assert [term_depth(t) for t in out] == [0] * 2 + [1] * 8
+
+    def test_enumerate_level_checks_its_level_first(self):
+        with pytest.raises(BudgetExceededError, match="W_3 over 2 generators"):
+            enumerate_level(("x", "y"), 3, budget=10)
+        with pytest.raises(ValueError, match="distinct and sorted"):
+            enumerate_level(("y", "x"), 3, budget=10)
+        with pytest.raises(ValueError, match="distinct and sorted"):
+            next(enumerate_up_to(("x", "x"), 1))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

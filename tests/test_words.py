@@ -1,10 +1,16 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from maltsev import words
+from maltsev.errors import TermSyntaxError
+from maltsev.homomorphisms import hom_to_group
 from maltsev.sampling import random_heap_word, random_letters
+from maltsev.terms import Var, mu
 from maltsev.words import (
     EMPTY_WORD,
     HeapWord,
@@ -22,7 +28,7 @@ from maltsev.words import (
     reduce,
 )
 
-from conftest import heap_word_strategy, raw_word_strategy
+from conftest import heap_word_strategy, letter_strategy, raw_word_strategy
 
 
 def w(text: str) -> ReducedWord:
@@ -256,3 +262,165 @@ class TestWordSyntax:
     def test_round_trip(self, raw):
         word = reduce(raw)
         assert reduce(parse_letters(format_word(word))) == word
+
+
+# ---------------------------------------------------------------------------
+# The word operations as they were before the engine trusted its own output:
+# every result goes through the checking constructors, and a product reduces
+# the whole concatenation.
+
+
+def reference_reduce(raw):
+    stack = []
+    for letter in raw:
+        if stack and stack[-1].gen == letter.gen and stack[-1].sign == -letter.sign:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return ReducedWord(tuple(stack))
+
+
+def reference_fg_mul(a, b):
+    return reference_reduce(a.letters + b.letters)
+
+
+def reference_fg_inv(a):
+    return ReducedWord(tuple(Letter(l.gen, -l.sign) for l in reversed(a.letters)))
+
+
+def reference_heap_mu(a, b, c):
+    return HeapWord(reference_fg_mul(a.word, reference_fg_mul(reference_fg_inv(b.word), c.word)))
+
+
+def reference_is_heap_word(a):
+    if len(a) % 2 == 0:
+        return False
+    return all(l.sign == (1 if i % 2 == 0 else -1) for i, l in enumerate(a.letters))
+
+
+def shared_letters(raw):
+    """The same word with one Letter object per generator and sign, as
+    hom_to_group and fg_inv build them."""
+    one = {}
+    return [one.setdefault(l, l) for l in raw]
+
+
+raw_words = st.one_of(raw_word_strategy(max_size=30), raw_word_strategy(max_size=30).map(shared_letters))
+
+
+class TestAgainstReferenceOperations:
+    @given(raw_words)
+    def test_reduce(self, raw):
+        assert reduce(raw) == reference_reduce(raw)
+
+    @given(raw_words, raw_words)
+    def test_fg_mul(self, ra, rb):
+        a, b = reduce(ra), reduce(rb)
+        assert fg_mul(a, b) == reference_fg_mul(a, b)
+
+    @given(raw_words)
+    def test_fg_inv(self, raw):
+        a = reduce(raw)
+        assert fg_inv(a) == reference_fg_inv(a)
+
+    @given(heap_word_strategy(("a", "b", "c"), 6), heap_word_strategy(("a", "b", "c"), 6),
+           heap_word_strategy(("a", "b", "c"), 6))
+    def test_heap_mu(self, a, b, c):
+        assert heap_mu(a, b, c) == reference_heap_mu(a, b, c)
+
+    @given(raw_words)
+    def test_is_heap_word(self, raw):
+        a = reduce(raw)
+        assert is_heap_word(a) == reference_is_heap_word(a)
+
+    @given(st.lists(letter_strategy(), max_size=9))
+    def test_is_heap_word_on_alternating_prefixes(self, raw):
+        # Reduced words that are heap words up to one letter.
+        alternating = [Letter(l.gen, 1 if i % 2 == 0 else -1) for i, l in enumerate(raw)]
+        for word in (reduce(alternating), reduce(alternating + raw[:1])):
+            assert is_heap_word(word) == reference_is_heap_word(word)
+
+
+class TestTrustBoundary:
+    """Words are checked once, where they come from outside: parse_letters
+    and the public constructors.  The engine never re-checks a name or
+    re-scans a word it built."""
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        counts = Counter()
+        pattern = words.IDENT_RE
+
+        class CountingPattern:
+            def fullmatch(self, text):
+                counts["fullmatch"] += 1
+                return pattern.fullmatch(text)
+
+        monkeypatch.setattr(words, "IDENT_RE", CountingPattern())
+        for cls in (Letter, ReducedWord, HeapWord):
+
+            def counting(self, check=cls.__post_init__, name=cls.__name__):
+                counts[name] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    @staticmethod
+    def long_words():
+        rng = random.Random(8)
+        gens = ("a", "b", "c", "d")
+        return tuple(
+            HeapWord(reduce([Letter(rng.choice(gens), 1 - 2 * (i % 2)) for i in range(20001)]))
+            for _ in range(3)
+        )
+
+    def test_engine_never_rechecks_words(self, checks):
+        a, b, c = self.long_words()
+        assert min(map(len, (a, b, c))) > 10**4
+        checks.clear()
+        product = fg_mul(a.word, fg_inv(b.word))
+        heap = heap_mu(a, b, c)
+        group = heap_group_ops(c)
+        group.mul(a, group.inv(b))
+        assert checks == Counter()
+        assert product == reference_fg_mul(a.word, reference_fg_inv(b.word))
+        assert heap == reference_heap_mu(a, b, c)
+
+    def test_hom_to_group_checks_each_generator_once(self, checks):
+        # x, then mu(t, b, c) with b never the last letter of t: no letter
+        # cancels, so the image has 2 * 5001 + 1 letters.
+        t = Var("x")
+        for i in range(5001):
+            b, c = (("y", "z"), ("x", "y"), ("z", "x"))[i % 3]
+            t = mu(t, Var(b), Var(c))
+        checks.clear()
+        word = hom_to_group(t)
+        assert len(word) == 10003
+        assert checks == Counter({"fullmatch": 3, "Letter": 3})
+
+    def test_checks_run_at_the_boundary(self, checks):
+        assert len(reduce(parse_letters("x y^-1 z"))) == 3
+        assert checks["fullmatch"] == 6  # parse_letters and Letter, per letter
+        assert checks["Letter"] == 3
+        HeapWord(ReducedWord((Letter("x", 1),)))
+        assert checks["ReducedWord"] == 1 and checks["HeapWord"] == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Letter("1x", 1),
+            lambda: Letter("x", 0),
+            lambda: ReducedWord((Letter("x", 1), Letter("x", -1))),
+            lambda: HeapWord(reduce(parse_letters("x y"))),
+            lambda: HeapWord(reduce(parse_letters("x^-1"))),
+            lambda: hom_to_group(mu(Var("x"), Var("y"), Var("x")), {"x": "a", "y": "b c"}),
+        ],
+    )
+    def test_invalid_public_constructions_raise(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_invalid_letter_text_raises(self):
+        with pytest.raises(TermSyntaxError):
+            parse_letters("x y^-2")
