@@ -4,7 +4,8 @@ quasigroups and retractions of the free algebra.
 
 Carriers are always {0..n-1}; named elements are a document-level aliasing
 concern.  Tables are flat and row-major with the last argument varying
-fastest.
+fastest; OperationTable's methods are the only code that turns arguments
+into a flat index or back.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import add
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     ArityMismatchError,
@@ -22,7 +23,6 @@ from .errors import (
 )
 from .rewriting import enumerate_normal_forms, normalize
 from .terms import (
-    IDENT_RE,
     App,
     MU,
     Signature,
@@ -42,15 +42,49 @@ class OperationTable:
     entries: tuple[int, ...]
 
     def apply(self, size: int, *args: int) -> int:
-        self.require_arity(len(args))
+        if len(args) != self.arity:
+            raise ArityMismatchError(
+                f"table of arity {self.arity} applied to {len(args)} argument(s)"
+            )
         index = 0
         for a in args:
             index = index * size + a
         return self.entries[index]
 
-    def require_arity(self, count: int) -> None:
-        if count != self.arity:
-            raise ArityMismatchError(f"table of arity {self.arity} applied to {count} argument(s)")
+    def columns(self, size: int, *columns: Iterable[int], width: int) -> tuple[int, ...]:
+        """The values at ``width`` argument tuples at once, columns[i][j] being
+        argument i of tuple j: every flat index is built at once and the table
+        read once per tuple, so a constant is its entry repeated."""
+        if len(columns) != self.arity:
+            raise ArityMismatchError(
+                f"table of arity {self.arity} applied to {len(columns)} argument(s)"
+            )
+        index = (0,) * width
+        for column in columns:
+            index = map(add, map(size.__mul__, index), column)
+        return tuple(map(self.entries.__getitem__, index))
+
+    def translations(self, size: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """(position, index, values) per basic translation x -> f(..., x at
+        position, ...), by position, then fixed arguments: ``index`` is the
+        flat index of the fixed arguments with 0 at position, ``values`` the
+        stride slice entries[index : index + n*stride : stride], stride =
+        n**(k-1-position)."""
+        for position in range(self.arity):
+            stride = size ** (self.arity - 1 - position)
+            span = size * stride
+            for start in range(0, len(self.entries), span):
+                for index in range(start, start + stride):
+                    yield position, index, self.entries[index : index + span : stride]
+
+    def arguments(self, size: int, index: int) -> tuple[int, ...]:
+        """The argument tuple at flat index ``index``."""
+        return tuple(index // size**i % size for i in reversed(range(self.arity)))
+
+
+def tuple_columns(size: int, arity: int) -> list[tuple[int, ...]]:
+    """Column i holds argument i of every arity-tuple, in flat-index order."""
+    return list(zip(*itertools.product(range(size), repeat=arity)))
 
 
 def table_from_function(size: int, arity: int, fn) -> OperationTable:
@@ -191,22 +225,11 @@ def evaluate(alg: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
 def evaluate_columns(
     alg: FiniteAlgebra, t: Term, columns: Mapping[str, tuple[int, ...]], width: int
 ) -> tuple[int, ...]:
-    """The values of t at ``width`` assignments at once: columns[v][i] is
-    the value of variable v in assignment i.  An application builds the flat
-    table index of every coordinate at once and reads the table once per
-    coordinate, so a constant is its entry repeated.  Raises what evaluate
-    raises, for the same first failing node."""
+    """The values of t at ``width`` assignments at once, by
+    OperationTable.columns: columns[v][i] is the value of variable v in
+    assignment i.  Raises what evaluate raises, for the same first failing node."""
     n = alg.size
-
-    def apply(symbol: str, *args: tuple[int, ...]) -> tuple[int, ...]:
-        tab = alg.table(symbol)
-        tab.require_arity(len(args))
-        index = (0,) * width
-        for column in args:
-            index = map(add, map(n.__mul__, index), column)
-        return tuple(map(tab.entries.__getitem__, index))
-
-    return interpret(t, columns, apply)
+    return interpret(t, columns, lambda sym, *args: alg.table(sym).columns(n, *args, width=width))
 
 
 # The most assignments check_identity evaluates in one vector.
@@ -225,7 +248,7 @@ def check_identity(alg: FiniteAlgebra, ident: Identity) -> dict[str, int] | None
     while n**tail > CHUNK:
         tail -= 1
     width = n**tail
-    trailing = list(zip(*itertools.product(range(n), repeat=tail)))
+    trailing = tuple_columns(n, tail)
     for leading in itertools.product(range(n), repeat=len(names) - tail):
         columns = dict(zip(names, [(v,) * width for v in leading] + trailing))
         lhs = evaluate_columns(alg, ident.lhs, columns, width)
@@ -242,11 +265,8 @@ def is_maltsev_operation(alg: FiniteAlgebra, symbol: str) -> bool:
     if tab.arity != 3:
         raise ArityMismatchError(f"{symbol!r} has arity {tab.arity}, need 3")
     n = alg.size
-    for x in range(n):
-        for y in range(n):
-            if tab.apply(n, x, y, y) != x or tab.apply(n, y, y, x) != x:
-                return False
-    return True
+    x, y = tuple_columns(n, 2)
+    return tab.columns(n, x, y, y, width=n * n) == x == tab.columns(n, y, y, x, width=n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -279,80 +299,60 @@ QUASIGROUP_AXIOMS = (
 )
 
 
-def _derive(
-    alg: FiniteAlgebra, axioms: tuple[str, ...], term: str, names: dict[str, str]
-) -> OperationTable:
+def _derive(alg: FiniteAlgebra, axioms: tuple[str, ...], term: str) -> OperationTable:
     """The ternary operation of term in x, y, z, by one vector evaluation over
-    every triple, after checking the axioms; both with symbols renamed."""
-    # Single simultaneous pass over whole identifiers; naive str.replace would
-    # corrupt names that occur inside other names.
-    *axioms, term = [IDENT_RE.sub(lambda m: names.get(m[0], m[0]), s) for s in axioms + (term,)]
+    every triple, after checking the axioms."""
     for text in axioms:
         failure = check_identity(alg, parse_identity(text, alg.signature))
         if failure is not None:
             raise AxiomError(f"axiom {text!r} fails at {failure}")
     n = alg.size
-    columns = dict(zip("xyz", zip(*itertools.product(range(n), repeat=3))))
+    columns = dict(zip("xyz", tuple_columns(n, 3)))
     return OperationTable(3, evaluate_columns(alg, parse_term(term, alg.signature), columns, n**3))
 
 
-def maltsev_from_group(
-    alg: FiniteAlgebra, mul: str = "mul", inv: str = "inv", unit: str = "e"
-) -> OperationTable:
+def maltsev_from_group(alg: FiniteAlgebra) -> OperationTable:
     """x * y^-1 * z, after verifying the group axioms."""
-    return _derive(alg, GROUP_AXIOMS, "mul(x,mul(inv(y),z))", {"mul": mul, "inv": inv, "e": unit})
+    return _derive(alg, GROUP_AXIOMS, "mul(x,mul(inv(y),z))")
 
 
-def maltsev_from_left_loop(
-    alg: FiniteAlgebra, star: str = "star", ldiv: str = "ldiv", unit: str = "e"
-) -> OperationTable:
+def maltsev_from_left_loop(alg: FiniteAlgebra) -> OperationTable:
     """x * (y \\ z), after verifying the left-loop axioms."""
-    names = {"star": star, "ldiv": ldiv, "e": unit}
-    return _derive(alg, LEFT_LOOP_AXIOMS, "star(x,ldiv(y,z))", names)
+    return _derive(alg, LEFT_LOOP_AXIOMS, "star(x,ldiv(y,z))")
 
 
-def maltsev_from_quasigroup(
-    alg: FiniteAlgebra, star: str = "star", rdiv: str = "rdiv", ldiv: str = "ldiv"
-) -> OperationTable:
+def maltsev_from_quasigroup(alg: FiniteAlgebra) -> OperationTable:
     """(x / (y \\ y)) * (y \\ z), after verifying the quasigroup axioms.
 
     Either division may be omitted from the input; omitted divisions are
     solved from the Latin square of star.
     """
-    alg = _with_solved_divisions(alg, star, rdiv, ldiv)
-    names = {"star": star, "rdiv": rdiv, "ldiv": ldiv}
-    return _derive(alg, QUASIGROUP_AXIOMS, "star(rdiv(x,ldiv(y,y)),ldiv(y,z))", names)
+    alg = _with_solved_divisions(alg)
+    return _derive(alg, QUASIGROUP_AXIOMS, "star(rdiv(x,ldiv(y,y)),ldiv(y,z))")
 
 
 def is_latin_square(alg: FiniteAlgebra, symbol: str) -> bool:
+    """Binary, with every translation (each row and each column) a permutation."""
     tab, n = alg.table(symbol), alg.size
-    full = set(range(n))
-    return tab.arity == 2 and all(
-        {tab.apply(n, i, j) for j in range(n)} == full == {tab.apply(n, j, i) for j in range(n)}
-        for i in range(n)
-    )
+    return tab.arity == 2 and all(len(set(t)) == n for _, _, t in tab.translations(n))
 
 
-def _with_solved_divisions(
-    alg: FiniteAlgebra, star: str, rdiv: str, ldiv: str
-) -> FiniteAlgebra:
+def _with_solved_divisions(alg: FiniteAlgebra) -> FiniteAlgebra:
     have = {sym for sym, _ in alg.tables}
-    if rdiv in have and ldiv in have:
+    if "rdiv" in have and "ldiv" in have:
         return alg
-    if not is_latin_square(alg, star):
-        raise AxiomError(f"{star!r} is not a Latin square; divisions are not solvable")
-    n = alg.size
+    if not is_latin_square(alg, "star"):
+        raise AxiomError("'star' is not a Latin square; divisions are not solvable")
+    n, star = alg.size, alg.table("star")
+    # The inverse permutations of the columns a -> a * x, then of the rows b -> x * b.
+    inverses = [sorted(range(n), key=t.__getitem__) for _, _, t in star.translations(n)]
     ops = dict(alg.tables)
-    if ldiv not in have:
+    if "ldiv" not in have:
         # x \ y: the unique b with x * b = y.
-        ops[ldiv] = table_from_function(
-            n, 2, lambda x, y: next(b for b in range(n) if alg.apply(star, x, b) == y)
-        )
-    if rdiv not in have:
+        ops["ldiv"] = table_from_function(n, 2, lambda x, y: inverses[n + x][y])
+    if "rdiv" not in have:
         # y / x: the unique a with a * x = y.
-        ops[rdiv] = table_from_function(
-            n, 2, lambda y, x: next(a for a in range(n) if alg.apply(star, a, x) == y)
-        )
+        ops["rdiv"] = table_from_function(n, 2, lambda y, x: inverses[x][y])
     return make_algebra(alg.name, n, ops)
 
 
@@ -395,15 +395,11 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product; element (i, j) is encoded as i * b.size + j."""
     if a.signature != b.signature:
         raise ValueError("product requires identical signatures")
-    n = a.size * b.size
+    n, m = a.size * b.size, b.size
     ops: dict[str, OperationTable] = {}
     for sym, tab in a.tables:
-        arity = tab.arity
-
-        def fn(*args, sym=sym):
-            lefts = tuple(x // b.size for x in args)
-            rights = tuple(x % b.size for x in args)
-            return a.apply(sym, *lefts) * b.size + b.apply(sym, *rights)
-
-        ops[sym] = table_from_function(n, arity, fn)
+        columns, width = tuple_columns(n, tab.arity), n**tab.arity
+        lefts = tab.columns(a.size, *([x // m for x in c] for c in columns), width=width)
+        rights = b.table(sym).columns(m, *([x % m for x in c] for c in columns), width=width)
+        ops[sym] = OperationTable(tab.arity, tuple(x * m + y for x, y in zip(lefts, rights)))
     return make_algebra(f"{a.name}x{b.name}", n, ops)

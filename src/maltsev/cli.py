@@ -185,9 +185,15 @@ def cmd_equal(args, rep: Report) -> int:
 )
 def cmd_count_m(args, rep: Report) -> int:
     m, n = args.generators, args.level
-    value = rewriting.count_M(
-        m, n, oracle=args.oracle, budget=_budget(args, ENUM_BUDGET)
-    )
+    budget = _budget(args, ENUM_BUDGET)
+    if args.oracle or m < 1 or n < 0:  # the budget bounds the oracle; count_M rejects the rest
+        value = rewriting.count_M(m, n, oracle=args.oracle, budget=budget)
+    else:  # stop at the first level too long for str(), before computing the next one
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before Python 3.10.7
+        too_long = 10**limit if limit else float("inf")
+        for level, value in zip(range(n + 1), rewriting.count_M_levels(m)):
+            if value >= too_long:
+                raise MaltsevError(f"the count at level {level} has more than {limit} digits")
     rep.text(str(value))
     rep.emit(generators=m, level=n, oracle=args.oracle, count=str(value))
     return 0

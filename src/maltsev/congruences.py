@@ -2,8 +2,6 @@
 translation closure, lattices from joins with principal congruences,
 permutability by blocks, quotients and kernels.
 
-A translation x -> f(..., x at pos, ...) of a k-ary table is its stride
-slice entries[base : base + n*stride : stride], stride = n**(k-1-pos), and
 Cg(a,b) closes {a,b} under (c,d) -> (t[c], t[d]) over the distinct
 non-constant translations t.  Every congruence is the join of the Cg(a,b)
 of its pairs, so join-irreducibles are principal, and the identity and the
@@ -26,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebras import FiniteAlgebra, make_algebra, table_from_function
+from .algebras import FiniteAlgebra, OperationTable, make_algebra, tuple_columns
 from .errors import (
     BudgetExceededError,
     NotACongruenceError,
@@ -36,8 +34,10 @@ from .errors import (
 
 Labels = tuple[int, ...]
 
-# Largest carrier whose congruence lattice is computed without force=True.
+# Largest carrier whose congruence lattice is computed by default.
 LATTICE_GUARD = 8
+
+ISOMORPHISM_GUARD = 6
 
 
 @dataclass(frozen=True)
@@ -175,22 +175,23 @@ def format_partition(p: Partition) -> str:
 
 def find_compatibility_violation(alg: FiniteAlgebra, p: Partition):
     """First (symbol, args, position, replacement) whose single-coordinate
-    change breaks compatibility, or None.  Single-coordinate compatibility
-    suffices for full compatibility."""
+    change breaks compatibility, or None; single-coordinate compatibility
+    suffices.  A translation mapping every block into one block holds none;
+    the first is the least over the others of their least breaking pair."""
     if p.size != alg.size:
         raise ValueError("partition size does not match carrier")
-    n = alg.size
+    n, label, blocks = alg.size, p.block_of, p.num_blocks
+    pairs = [(x, y) for x, y in itertools.permutations(range(n), 2) if label[x] == label[y]]
     for sym, tab in alg.tables:
-        k = tab.arity
-        for args in itertools.product(range(n), repeat=k):
-            base = tab.apply(n, *args)
-            for pos in range(k):
-                for rep in range(n):
-                    if rep == args[pos] or not p.relates(args[pos], rep):
-                        continue
-                    changed = args[:pos] + (rep,) + args[pos + 1 :]
-                    if not p.relates(base, tab.apply(n, *changed)):
-                        return (sym, args, pos, rep)
+        found = []
+        for pos, index, values in tab.translations(n):
+            image = [label[v] for v in values]
+            if len(set(zip(label, image))) > blocks:
+                x, rep = next((x, y) for x, y in pairs if image[x] != image[y])
+                args = tab.arguments(n, index)
+                found.append((args[:pos] + (x,) + args[pos + 1 :], pos, rep))
+        if found:
+            return (sym, *min(found))
     return None
 
 
@@ -223,13 +224,7 @@ def _translations(alg: FiniteAlgebra) -> list[Labels]:
     """The distinct non-constant basic translations, each as its n values,
     in first-seen order (operation, position, fixed arguments)."""
     n = alg.size
-    slices = (
-        tab.entries[base : base + n * stride : stride]
-        for _, tab in alg.tables
-        for stride in [n**i for i in reversed(range(tab.arity))]
-        for base in range(len(tab.entries))
-        if base // stride % n == 0
-    )
+    slices = (values for _, tab in alg.tables for _, _, values in tab.translations(n))
     return [t for t in dict.fromkeys(slices) if min(t) != max(t)]
 
 
@@ -262,13 +257,11 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     return _closed(alg, Partition(_closure(images, a, b)))
 
 
-def all_congruences(
-    alg: FiniteAlgebra, max_size: int = LATTICE_GUARD, force: bool = False
-) -> list[Congruence]:
+def all_congruences(alg: FiniteAlgebra, max_size: int = LATTICE_GUARD) -> list[Congruence]:
     """Every congruence, as the identity and the distinct principal
     congruences closed under joins with the principal ones, sorted finest
     to coarsest (identity first, total last)."""
-    if alg.size > max_size and not force:
+    if alg.size > max_size:
         raise BudgetExceededError(
             f"carrier size {alg.size} exceeds the lattice guard {max_size};"
             " raise the limit to override"
@@ -305,17 +298,14 @@ def quotient(alg: FiniteAlgebra, theta: Congruence) -> FiniteAlgebra:
     least element of each block.  The choice of representative does not
     matter because theta is a congruence."""
     p = theta.partition
-    blocks = p.blocks()
-    reps = [block[0] for block in blocks]
-    n = alg.size
+    reps = [block[0] for block in p.blocks()]
+    m = len(reps)
     ops = {}
     for sym, tab in alg.tables:
-
-        def fn(*bargs, tab=tab):
-            return p.block_of[tab.apply(n, *(reps[b] for b in bargs))]
-
-        ops[sym] = table_from_function(len(blocks), tab.arity, fn)
-    return make_algebra(f"{alg.name}/{format_partition(p)}", len(blocks), ops)
+        columns = ([reps[b] for b in c] for c in tuple_columns(m, tab.arity))
+        values = tab.columns(alg.size, *columns, width=m**tab.arity)
+        ops[sym] = OperationTable(tab.arity, tuple(map(p.block_of.__getitem__, values)))
+    return make_algebra(f"{alg.name}/{format_partition(p)}", m, ops)
 
 
 def check_homomorphism(
@@ -336,9 +326,11 @@ def check_homomorphism(
 def _hom_violation(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]):
     """First (symbol, args) at which f does not commute with the operation, or None."""
     for sym, tab in src.tables:
-        for args in itertools.product(range(src.size), repeat=tab.arity):
-            if f[tab.apply(src.size, *args)] != dst.apply(sym, *(f[x] for x in args)):
-                return sym, args
+        columns = ([f[x] for x in c] for c in tuple_columns(src.size, tab.arity))
+        images = dst.table(sym).columns(dst.size, *columns, width=len(tab.entries))
+        for i, (x, y) in enumerate(zip(tab.entries, images)):
+            if f[x] != y:
+                return sym, tab.arguments(src.size, i)
     return None
 
 
@@ -348,12 +340,12 @@ def kernel(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> Congruen
     return _closed(src, Partition.from_labels(list(f)))
 
 
-def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra, max_size: int = 6):
+def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     """Exhaustive isomorphism search; returns a bijection as a tuple or None."""
     if a.size != b.size or a.signature != b.signature:
         return None
-    if a.size > max_size:
-        raise BudgetExceededError(f"isomorphism search limited to size {max_size}")
+    if a.size > ISOMORPHISM_GUARD:
+        raise BudgetExceededError(f"isomorphism search limited to size {ISOMORPHISM_GUARD}")
     for perm in itertools.permutations(range(a.size)):
         if _hom_violation(a, b, perm) is None:
             return perm

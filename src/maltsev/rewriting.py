@@ -10,7 +10,9 @@ element identity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BudgetExceededError
 from .terms import (
@@ -212,13 +214,18 @@ def count_M(m: int, n: int, oracle: bool = False, budget: int = 10**6) -> int:
         raise ValueError("need m >= 1 and n >= 0")
     if oracle:
         return _count_M_oracle(m, n, budget)
+    return next(itertools.islice(count_M_levels(m), n, None))
+
+
+def count_M_levels(m: int) -> Iterator[int]:
+    """count_M(m, 0), count_M(m, 1), ... in fast mode, without end, for m >= 1."""
     # t_d: irreducible terms of depth exactly d; c_d cumulative.
     t_d = m
     c_prev, c_cur = 0, m
-    for _ in range(n):
+    while True:
+        yield c_cur
         t_d = (c_cur**3 - c_prev**3) - 2 * (c_cur**2 - c_prev**2) + t_d
         c_prev, c_cur = c_cur, c_cur + t_d
-    return c_cur
 
 
 def _count_M_oracle(m: int, n: int, budget: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Literal
 
-from .algebras import FiniteAlgebra, evaluate_columns, product_algebra
+from .algebras import FiniteAlgebra, evaluate_columns, product_algebra, tuple_columns
 from .congruences import LATTICE_GUARD, all_congruences, permute, quotient
 from .errors import EvaluationError, MaltsevError
 from .terms import App, Term, Var, variables
@@ -40,8 +40,7 @@ class SearchOutcome:
 
 
 def _generators(n: int) -> dict[str, PairVector]:
-    firsts = tuple(i // n for i in range(n * n))
-    seconds = tuple(i % n for i in range(n * n))
+    firsts, seconds = tuple_columns(n, 2)
     return {
         "x": firsts + seconds,
         "y": seconds + seconds,
@@ -50,7 +49,7 @@ def _generators(n: int) -> dict[str, PairVector]:
 
 
 def _target(n: int) -> PairVector:
-    firsts = tuple(i // n for i in range(n * n))
+    firsts, _ = tuple_columns(n, 2)
     return firsts + firsts
 
 
@@ -165,18 +164,16 @@ def verify_maltsev_term(alg: FiniteAlgebra, t: Term) -> bool:
     return replay_vector(alg, t) == _target(alg.size)
 
 
-def permutability_audit(
-    alg: FiniteAlgebra, square_limit: int = 36, lattice_guard: int = LATTICE_GUARD
-) -> list[str]:
+def permutability_audit(alg: FiniteAlgebra) -> list[str]:
     """Check that all congruence pairs permute for the algebra, each of its
-    quotients, and its square (when within the size limit).  Returns a list
+    quotients, and its square (when of at most 36 elements).  Returns a list
     of human-readable failures; empty means the audit passed."""
-    base = all_congruences(alg, max_size=lattice_guard)
+    base = all_congruences(alg)
     subjects = [quotient(alg, theta) for theta in base]
-    if alg.size * alg.size <= square_limit:
+    if alg.size * alg.size <= 36:
         subjects.append(product_algebra(alg, alg))
     lattices = [(alg, base)] + [
-        (s, all_congruences(s, max_size=max(lattice_guard, s.size))) for s in subjects
+        (s, all_congruences(s, max_size=max(LATTICE_GUARD, s.size))) for s in subjects
     ]
     return [
         f"{subject.name}: congruences do not permute"

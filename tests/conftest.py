@@ -4,7 +4,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from maltsev.algebras import dump_algebra
+from maltsev.algebras import OperationTable, dump_algebra, make_algebra
 from maltsev.catalog import bundled_algebras
 from maltsev.terms import App, MU, Var
 from maltsev.words import HeapWord, Letter, reduce
@@ -67,6 +67,22 @@ def random_signature_term(rng, sig, names, depth):
         return rng.choice(leaves)
     symbol, arity = rng.choice(ops)
     return App(symbol, tuple(random_signature_term(rng, sig, names, depth - 1) for _ in range(arity)))
+
+
+@st.composite
+def small_algebras(
+    draw, sizes=st.integers(2, 4), arities=st.lists(st.integers(0, 3), min_size=1, max_size=3)
+):
+    """An algebra with operations f0, f1, ... of the drawn arities (by
+    default one to three of arity 0-3) and random tables."""
+    n = draw(sizes)
+    tables = {
+        f"f{i}": OperationTable(
+            k, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+        )
+        for i, k in enumerate(draw(arities))
+    }
+    return make_algebra("drawn", n, tables)
 
 
 def letter_strategy(gens=("a", "b", "c")):

@@ -2,12 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maltsev.algebras import (
     GROUP_AXIOMS,
     Identity,
     OperationTable,
     CHUNK,
+    _with_solved_divisions,
     check_identity,
     dump_algebra,
     evaluate,
@@ -23,6 +26,7 @@ from maltsev.algebras import (
     parse_identity,
     product_algebra,
     table_from_function,
+    tuple_columns,
     with_operation,
 )
 from maltsev.catalog import (
@@ -36,7 +40,7 @@ from maltsev.errors import ArityMismatchError, AxiomError, EvaluationError, Sche
 from maltsev.homomorphisms import eval_term
 from maltsev.terms import App, Var, mu, parse_term
 
-from conftest import random_signature_term
+from conftest import random_signature_term, small_algebras
 
 
 class TestLoadAlgebra:
@@ -392,6 +396,138 @@ class TestLatinSquare:
     def test_constant_is_not(self):
         alg = make_algebra("c", 2, {"star": table_from_function(2, 2, lambda a, b: 0)})
         assert not is_latin_square(alg, "star")
+
+
+def naive_is_maltsev_operation(alg, symbol):
+    tab, n = alg.table(symbol), alg.size
+    for x in range(n):
+        for y in range(n):
+            if tab.apply(n, x, y, y) != x or tab.apply(n, y, y, x) != x:
+                return False
+    return True
+
+
+def naive_is_latin_square(alg, symbol):
+    tab, n = alg.table(symbol), alg.size
+    full = set(range(n))
+    return tab.arity == 2 and all(
+        {tab.apply(n, i, j) for j in range(n)} == full == {tab.apply(n, j, i) for j in range(n)}
+        for i in range(n)
+    )
+
+
+def naive_divisions(alg):
+    """(ldiv, rdiv) entries of the Latin square star, each entry found by
+    searching its row or column."""
+    n = alg.size
+    ldiv = table_from_function(
+        n, 2, lambda x, y: next(b for b in range(n) if alg.apply("star", x, b) == y)
+    )
+    rdiv = table_from_function(
+        n, 2, lambda y, x: next(a for a in range(n) if alg.apply("star", a, x) == y)
+    )
+    return ldiv.entries, rdiv.entries
+
+
+def naive_product_algebra(a, b):
+    n = a.size * b.size
+    ops = {}
+    for sym, tab in a.tables:
+
+        def fn(*args, sym=sym):
+            lefts = tuple(x // b.size for x in args)
+            rights = tuple(x % b.size for x in args)
+            return a.apply(sym, *lefts) * b.size + b.apply(sym, *rights)
+
+        ops[sym] = table_from_function(n, tab.arity, fn)
+    return make_algebra(f"{a.name}x{b.name}", n, ops)
+
+
+def naive_translations(tab, n):
+    """(position, index, values) of every basic translation by position, then
+    fixed arguments, the index found in the lexicographic list of tuples."""
+    order = {args: i for i, args in enumerate(itertools.product(range(n), repeat=tab.arity))}
+    return [
+        (
+            pos,
+            order[fixed[:pos] + (0,) + fixed[pos:]],
+            tuple(tab.apply(n, *fixed[:pos], x, *fixed[pos:]) for x in range(n)),
+        )
+        for pos in range(tab.arity)
+        for fixed in itertools.product(range(n), repeat=tab.arity - 1)
+    ]
+
+
+@st.composite
+def latin_squares(draw):
+    """star on 1-5 elements: a cyclic-group table with its rows, columns and
+    symbols permuted, and one entry then overwritten when ``broken``."""
+    n = draw(st.integers(1, 5))
+    rows, cols, symbols = (draw(st.permutations(range(n))) for _ in range(3))
+    entries = [symbols[(rows[a] + cols[b]) % n] for a in range(n) for b in range(n)]
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, n * n - 1))] = draw(st.integers(0, n - 1))
+    return make_algebra("drawn", n, {"star": OperationTable(2, tuple(entries))})
+
+
+@st.composite
+def ternary_operations(draw):
+    """m on 1-4 elements: a random table, made to satisfy both cancellation
+    equations when ``cancel`` and one entry then overwritten when ``broken``."""
+    n = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.integers(0, n - 1), min_size=n**3, max_size=n**3))
+    if draw(st.booleans()):
+        for x, y in itertools.product(range(n), repeat=2):
+            entries[(x * n + y) * n + y] = entries[(y * n + y) * n + x] = x
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, n**3 - 1))] = draw(st.integers(0, n - 1))
+    return make_algebra("drawn", n, {"m": OperationTable(3, tuple(entries))})
+
+
+class TestWholeTableScans:
+    """The scans over columns and translations against the per-entry scans
+    they replaced, and the table readers against apply."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_algebras(st.integers(1, 4)), st.lists(st.integers(0, 3), max_size=24))
+    def test_readers_match_apply(self, alg, picks):
+        n = alg.size
+        for _, tab in alg.tables:
+            k = tab.arity
+            every = list(itertools.product(range(n), repeat=k))
+            assert tuple_columns(n, k) == list(zip(*every))
+            assert tab.columns(n, *tuple_columns(n, k), width=n**k) == tab.entries
+            assert [tab.arguments(n, i) for i in range(n**k)] == every
+            assert list(tab.translations(n)) == naive_translations(tab, n)
+            chosen = [every[i % len(every)] for i in picks]
+            columns = [[args[i] for args in chosen] for i in range(k)]
+            got = tab.columns(n, *columns, width=len(chosen))
+            assert got == tuple(tab.apply(n, *args) for args in chosen)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ternary_operations())
+    def test_maltsev_check(self, alg):
+        assert is_maltsev_operation(alg, "m") == naive_is_maltsev_operation(alg, "m")
+
+    @settings(max_examples=100, deadline=None)
+    @given(latin_squares())
+    @example(subtraction_quasigroup_3())
+    def test_latin_squares_and_divisions(self, alg):
+        latin = is_latin_square(alg, "star")
+        assert latin == naive_is_latin_square(alg, "star")
+        if latin:
+            solved = _with_solved_divisions(alg)
+            expected = naive_divisions(alg)
+            assert (solved.table("ldiv").entries, solved.table("rdiv").entries) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_algebras(st.integers(1, 4)), st.data())
+    def test_products(self, a, data):
+        arities = [tab.arity for _, tab in a.tables]
+        b = data.draw(small_algebras(st.integers(1, 3), st.just(arities)))
+        assert product_algebra(a, b) == naive_product_algebra(a, b)
+        for sym, _ in a.tables:
+            assert is_latin_square(a, sym) == naive_is_latin_square(a, sym)
 
 
 class TestMaltsevFromRetraction:

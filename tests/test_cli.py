@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maltsev.cli import build_parser, main, run
+from maltsev.rewriting import count_M
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Z3_FILE = SRC.parent / "algebras" / "z3.json"
@@ -126,6 +127,21 @@ class TestCountM:
             ["count-m", "--generators", "2", "--level", "2", "--oracle", "--budget", "5"]
         )
         assert code == 2
+
+    def test_stops_before_a_count_too_long_to_print(self, monkeypatch):
+        # the count's digits roughly triple per level: level 9 has 3439 of
+        # them, level 10 more than the 4300 str() accepts by default, and
+        # level 30 would not fit in memory, so the command must stop at 10
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        code, out = run(["--format", "json", "count-m", "--generators", "2", "--level", "9"])
+        assert code == 0
+        assert json.loads(out)["count"] == str(count_M(2, 9))
+        for level in ("10", "30"):
+            code, out = run(["--format", "json", "count-m", "--generators", "2", "--level", level])
+            assert (code, json.loads(out)) == (
+                2,
+                {"command": "count-m", "error": "the count at level 10 has more than 4300 digits"},
+            )
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("MW_BUDGET", "5")

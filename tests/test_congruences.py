@@ -12,6 +12,7 @@ from maltsev.congruences import (
     Partition,
     all_congruences,
     all_partitions,
+    check_homomorphism,
     find_compatibility_violation,
     find_isomorphism,
     first_iso_check,
@@ -32,6 +33,8 @@ from maltsev.errors import (
 )
 from maltsev.termsearch import permutability_audit
 
+from conftest import small_algebras
+
 
 def naive_compatible(alg, p):
     """Independent compatibility oracle: check every pair of related tuples."""
@@ -44,6 +47,57 @@ def naive_compatible(alg, p):
                     if not p.relates(tab.apply(n, *xs), tab.apply(n, *ys)):
                         return False
     return True
+
+
+def naive_violation(alg, p):
+    """The per-entry compatibility scan: every argument tuple, position and
+    related replacement in lexicographic order, one table read each."""
+    n = alg.size
+    for sym, tab in alg.tables:
+        k = tab.arity
+        for args in itertools.product(range(n), repeat=k):
+            base = tab.apply(n, *args)
+            for pos in range(k):
+                for rep in range(n):
+                    if rep == args[pos] or not p.relates(args[pos], rep):
+                        continue
+                    changed = args[:pos] + (rep,) + args[pos + 1 :]
+                    if not p.relates(base, tab.apply(n, *changed)):
+                        return (sym, args, pos, rep)
+    return None
+
+
+def naive_quotient(alg, theta):
+    """The quotient built one entry at a time through block representatives."""
+    p = theta.partition
+    reps = [block[0] for block in p.blocks()]
+    ops = {}
+    for sym, tab in alg.tables:
+
+        def fn(*bargs, tab=tab):
+            return p.block_of[tab.apply(alg.size, *(reps[b] for b in bargs))]
+
+        ops[sym] = table_from_function(len(reps), tab.arity, fn)
+    return make_algebra(f"{alg.name}/{format_partition(p)}", len(reps), ops)
+
+
+def naive_hom_error(src, dst, f):
+    """check_homomorphism's message for the first (symbol, args), in table
+    order, at which f does not commute with the operation, one entry at a
+    time; None for a homomorphism."""
+    for sym, tab in src.tables:
+        for args in itertools.product(range(src.size), repeat=tab.arity):
+            if f[tab.apply(src.size, *args)] != dst.apply(sym, *(f[x] for x in args)):
+                return f"not compatible with {sym!r} at {args}"
+    return None
+
+
+def hom_error(src, dst, f):
+    try:
+        check_homomorphism(src, dst, f)
+    except NotAHomomorphismError as exc:
+        return str(exc)
+    return None
 
 
 def relation_of(p):
@@ -65,20 +119,6 @@ def permute_oracle(theta, phi):
 
 def lattice_order(p):
     return (-p.num_blocks, p.block_of)
-
-
-@st.composite
-def small_algebras(draw, sizes=st.integers(2, 4)):
-    """An algebra with one to three operations of arity 0-3 and random tables."""
-    n = draw(sizes)
-    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    tables = {
-        f"f{i}": OperationTable(
-            k, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
-        )
-        for i, k in enumerate(arities)
-    }
-    return make_algebra("drawn", n, tables)
 
 
 NULLARY_ONLY = make_algebra("nullary", 3, {"c": OperationTable(0, (2,)), "d": OperationTable(0, (0,))})
@@ -387,7 +427,7 @@ class TestAllCongruences:
             all_congruences(cyclic_group(9))
 
     def test_guard_override(self):
-        assert len(all_congruences(cyclic_group(9), force=True)) == 3
+        assert len(all_congruences(cyclic_group(9), max_size=9)) == 3
 
     def test_every_result_passes_the_naive_oracle(self, algebras):
         # all_congruences returns its joins unchecked; the oracle checks them
@@ -533,7 +573,38 @@ class TestFirstIso:
     def test_iso_search_guard(self):
         z9 = cyclic_group(9)
         with pytest.raises(BudgetExceededError):
-            find_isomorphism(z9, z9, max_size=6)
+            find_isomorphism(z9, z9)
+
+
+class TestWholeTableScans:
+    """The scans over translations and columns against the per-entry scans
+    they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_algebras(st.integers(1, 5)),
+        st.lists(st.lists(st.integers(0, 2), min_size=5, max_size=5), max_size=3),
+    )
+    @example(NULLARY_ONLY, [])
+    @example(ONE_ELEMENT, [])
+    def test_violations_and_quotients(self, alg, labellings):
+        drawn = [Partition.from_labels(labels[: alg.size]) for labels in labellings]
+        for p in drawn + [Partition.identity(alg.size), Partition.total(alg.size)]:
+            assert find_compatibility_violation(alg, p) == naive_violation(alg, p), p
+        for theta in all_congruences(alg):
+            assert quotient(alg, theta) == naive_quotient(alg, theta), theta.partition
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_algebras(st.integers(1, 4)), st.data())
+    def test_homomorphism_messages(self, src, data):
+        arities = [tab.arity for _, tab in src.tables]
+        dst = data.draw(small_algebras(st.integers(1, 4), st.just(arities)))
+        f = data.draw(st.lists(st.integers(0, dst.size - 1), min_size=src.size, max_size=src.size))
+        assert hom_error(src, dst, f) == naive_hom_error(src, dst, f)
+        for theta in all_congruences(src):
+            q, to_q = quotient(src, theta), theta.partition.block_of
+            assert hom_error(src, q, to_q) is None is naive_hom_error(src, q, to_q)
+        assert hom_error(src, src, tuple(range(src.size))) is None
 
 
 class TestTrustBoundary:

@@ -32,6 +32,31 @@ def test_no_per_assignment_evaluation():
     assert found == []
 
 
+def _calls(node, scope):
+    """(qualified name of the innermost enclosing def or class, call node)
+    for every call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Call):
+            yield scope, child
+        yield from _calls(child, inner)
+
+
+def test_no_per_entry_table_reads():
+    # Whole-table code reads OperationTable.columns and .translations;
+    # OperationTable.apply stays public as the per-assignment oracle, and
+    # only FiniteAlgebra.apply, which evaluate passes along, calls it.
+    found = [
+        scope
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+        if getattr(call.func, "attr", None) == "apply"
+    ]
+    assert found == ["algebras.FiniteAlgebra.apply"]
+
+
 MUTABLE_BUILDERS = {"dict", "set", "defaultdict", "OrderedDict", "Counter"}
 
 

@@ -321,7 +321,7 @@ class TestTheoremShadow:
     def test_audit_covers_square_within_limit(self):
         z2 = cyclic_group(2)
         # square has size 4 <= 36, so the audit includes it; failure list empty
-        assert permutability_audit(z2, square_limit=36) == []
+        assert permutability_audit(z2) == []
 
     def test_audit_flags_the_semilattice(self):
         assert permutability_audit(chain_semilattice(3)) != []
