@@ -55,6 +55,10 @@ class OperationTable:
         """The values at ``width`` argument tuples at once, columns[i][j] being
         argument i of tuple j: every flat index is built at once and the table
         read once per tuple, so a constant is its entry repeated."""
+        return tuple(self.iter_columns(size, *columns, width=width))
+
+    def iter_columns(self, size: int, *columns: Iterable[int], width: int) -> Iterator[int]:
+        """``columns`` as a lazy iterator, for a caller that may stop early."""
         if len(columns) != self.arity:
             raise ArityMismatchError(
                 f"table of arity {self.arity} applied to {len(columns)} argument(s)"
@@ -62,7 +66,7 @@ class OperationTable:
         index = (0,) * width
         for column in columns:
             index = map(add, map(size.__mul__, index), column)
-        return tuple(map(self.entries.__getitem__, index))
+        return map(self.entries.__getitem__, index)
 
     def translations(self, size: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """(position, index, values) per basic translation x -> f(..., x at

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import ne
 from typing import Iterator, Sequence
 
 from .algebras import FiniteAlgebra, OperationTable, make_algebra, tuple_columns
@@ -317,21 +318,34 @@ def check_homomorphism(
         raise NotAHomomorphismError("map is not a function into the codomain")
     if src.signature != dst.signature:
         raise NotAHomomorphismError("signatures differ")
-    violation = _hom_violation(src, dst, f)
+    violation = _hom_violations(src, dst)(f)
     if violation is not None:
         sym, args = violation
         raise NotAHomomorphismError(f"not compatible with {sym!r} at {args}")
 
 
-def _hom_violation(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]):
-    """First (symbol, args) at which f does not commute with the operation, or None."""
-    for sym, tab in src.tables:
-        columns = ([f[x] for x in c] for c in tuple_columns(src.size, tab.arity))
-        images = dst.table(sym).columns(dst.size, *columns, width=len(tab.entries))
-        for i, (x, y) in enumerate(zip(tab.entries, images)):
-            if f[x] != y:
+def _hom_violations(src: FiniteAlgebra, dst: FiniteAlgebra):
+    """The function taking f to the first (symbol, args) at which f does not
+    commute with the operation, or None.  The argument columns and tables,
+    which do not depend on f, are built once; each table is read lazily and
+    the scan stops at the first mismatch."""
+    plans = [
+        (sym, tab, tuple_columns(src.size, tab.arity), dst.table(sym)) for sym, tab in src.tables
+    ]
+
+    def violation(f: Sequence[int]):
+        image = f.__getitem__
+        for sym, tab, columns, dst_tab in plans:
+            images = dst_tab.iter_columns(
+                dst.size, *(map(image, c) for c in columns), width=len(tab.entries)
+            )
+            mismatches = map(ne, map(image, tab.entries), images)
+            i = next(itertools.compress(itertools.count(), mismatches), None)
+            if i is not None:
                 return sym, tab.arguments(src.size, i)
-    return None
+        return None
+
+    return violation
 
 
 def kernel(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> Congruence:
@@ -346,8 +360,9 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
         return None
     if a.size > ISOMORPHISM_GUARD:
         raise BudgetExceededError(f"isomorphism search limited to size {ISOMORPHISM_GUARD}")
+    violation = _hom_violations(a, b)
     for perm in itertools.permutations(range(a.size)):
-        if _hom_violation(a, b, perm) is None:
+        if violation(perm) is None:
             return perm
     return None
 

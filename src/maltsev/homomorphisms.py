@@ -62,14 +62,25 @@ def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWo
 
 def _generator_letters(t: Term, name: str, gen_map, by_gen: dict) -> tuple:
     gen = name if gen_map is None else gen_map.get(name)
-    if gen is None:
-        first = next(v for v in variables(t) if gen_map.get(v) is None)
-        raise EvaluationError(f"unmapped variable {first!r}")
     if gen not in by_gen:
-        letter = Letter(gen, 1)
+        try:
+            letter = _letter(name, gen_map)
+        except (EvaluationError, ValueError):
+            # The walk visits inverted subterms right to left, so fail on the
+            # leftmost variable that fails, whether unmapped or invalid.
+            for v in variables(t):
+                _letter(v, gen_map)
+            raise
         inverse = letter.inverse()
         by_gen[gen] = ((letter, inverse), (inverse, letter))
     return by_gen[gen]
+
+
+def _letter(name: str, gen_map) -> Letter:
+    gen = name if gen_map is None else gen_map.get(name)
+    if gen is None:
+        raise EvaluationError(f"unmapped variable {name!r}")
+    return Letter(gen, 1)
 
 
 def separating_hom(t: Term, witness: str) -> int:

@@ -214,17 +214,23 @@ def count_M(m: int, n: int, oracle: bool = False, budget: int = 10**6) -> int:
         raise ValueError("need m >= 1 and n >= 0")
     if oracle:
         return _count_M_oracle(m, n, budget)
-    return next(itertools.islice(count_M_levels(m), n, None))
+    for count in itertools.islice(count_M_levels(m), n + 1):
+        pass
+    return count
 
 
 def count_M_levels(m: int) -> Iterator[int]:
-    """count_M(m, 0), count_M(m, 1), ... in fast mode, without end, for m >= 1."""
+    """count_M(m, 0), count_M(m, 1), ... in fast mode, for m >= 1.  It ends
+    only where no new irreducible term appears, since the count then holds
+    at every later level: m = 1 ends after level 0, and no m > 1 ends."""
     # t_d: irreducible terms of depth exactly d; c_d cumulative.
     t_d = m
     c_prev, c_cur = 0, m
     while True:
         yield c_cur
         t_d = (c_cur**3 - c_prev**3) - 2 * (c_cur**2 - c_prev**2) + t_d
+        if t_d == 0:  # then c_cur and t_d stay put at every later level
+            return
         c_prev, c_cur = c_cur, c_cur + t_d
 
 

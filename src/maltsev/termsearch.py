@@ -14,20 +14,35 @@ at the first target or at the budget as each vector is stored.  The budget
 counts stored vectors.  When the closure completes without reaching the
 target the answer is a definitive "none"; exhausting the budget is reported
 as a distinct third outcome.
+
+A pair vector has 2n^2 coordinates.  When every value and every flat table
+index fits a byte (n <= 256, and n**arity <= 256 for every table), the search
+stores it as one int that packs the coordinates one byte each: the prefix
+sum of flat indices along an argument tuple is int arithmetic, carrying
+across no byte, and each candidate vector is one ``bytes.translate`` of that
+sum through the table's entries.  Larger algebras keep tuples of ints.  Both
+forms run the same loop in the same order, so they give the same outcome.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import add
 from typing import Literal
 
-from .algebras import FiniteAlgebra, evaluate_columns, product_algebra, tuple_columns
+from .algebras import (
+    FiniteAlgebra,
+    OperationTable,
+    evaluate_columns,
+    product_algebra,
+    tuple_columns,
+)
 from .congruences import LATTICE_GUARD, all_congruences, permute, quotient
 from .errors import EvaluationError, MaltsevError
 from .terms import App, Term, Var, variables
 
-PairVector = tuple[int, ...]
+PairVector = int | tuple[int, ...]
 
 Status = Literal["found", "none", "budget-exhausted"]
 
@@ -39,7 +54,7 @@ class SearchOutcome:
     visited: int
 
 
-def _generators(n: int) -> dict[str, PairVector]:
+def _generators(n: int) -> dict[str, tuple[int, ...]]:
     firsts, seconds = tuple_columns(n, 2)
     return {
         "x": firsts + seconds,
@@ -48,9 +63,61 @@ def _generators(n: int) -> dict[str, PairVector]:
     }
 
 
-def _target(n: int) -> PairVector:
+def _target(n: int) -> tuple[int, ...]:
     firsts, _ = tuple_columns(n, 2)
     return firsts + firsts
+
+
+@dataclass(frozen=True)
+class _Form:
+    """How the search stores pair vectors.  ``pack`` turns coordinates into
+    a stored vector and ``zero`` is the all-zero one.  Along an argument
+    tuple the search keeps the prefix sum of flat table indices:
+    ``scale(scaled, e)`` adds one argument vector and multiplies by n, and
+    ``reader(tab)(scaled, row)`` yields the table's value vector at
+    ``scaled + e`` for each e in row, lazily."""
+
+    pack: Callable[[tuple[int, ...]], PairVector]
+    zero: PairVector
+    scale: Callable[[PairVector, PairVector], PairVector]
+    reader: Callable[[OperationTable], Callable[[PairVector, list], Iterator[PairVector]]]
+
+
+def _vector_form(alg: FiniteAlgebra) -> _Form:
+    """Ints that pack the coordinates one byte each, big-endian, when every
+    value and every flat table index fits a byte: n <= 256 and n**arity <=
+    256 for every table.  Each coordinate of a prefix sum then stays below
+    256, so int arithmetic carries across no byte, and a read is one
+    ``bytes.translate`` through the table's entries padded to 256 bytes.
+    Larger algebras keep tuples, one int per coordinate."""
+    n = alg.size
+    width = 2 * n * n
+    if n <= 256 and all(n**tab.arity <= 256 for _, tab in alg.tables):
+
+        def packed_reader(tab):
+            image = bytes(tab.entries).ljust(256, b"\0")
+            return lambda scaled, row: (
+                int.from_bytes((scaled + e).to_bytes(width, "big").translate(image), "big")
+                for e in row
+            )
+
+        return _Form(
+            lambda coordinates: int.from_bytes(bytes(coordinates), "big"),
+            0,
+            lambda scaled, e: (scaled + e) * n,
+            packed_reader,
+        )
+
+    def tuple_reader(tab):
+        lookup = tab.entries.__getitem__
+        return lambda scaled, row: (tuple(map(lookup, map(add, scaled, e))) for e in row)
+
+    return _Form(
+        tuple,
+        (0,) * width,
+        lambda scaled, e: tuple(map(n.__mul__, map(add, scaled, e))),
+        tuple_reader,
+    )
 
 
 def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
@@ -62,14 +129,19 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
     are deterministic.  A level generates only the tuples that touch the
     newest level, in that same order.  Each new vector is stored at once;
     the search stops when more than ``budget`` vectors are stored (checked
-    first) or the target is.  Any returned term is re-verified by one vector
-    evaluation of its pair vector.
+    first) or the target is.  Vectors are stored as ints packing one
+    coordinate per byte when the algebra has at most 256 elements and every
+    table at most 256 entries, and as tuples otherwise; the two forms give
+    the same status, witness and ``visited``.  Any returned term is
+    re-verified by one vector evaluation of its pair vector, on tuples.
     """
     n = alg.size
-    target = _target(n)
+    form = _vector_form(alg)
+    target = form.pack(_target(n))
     index: dict[PairVector, int] = {}
     parents: list[tuple] = []
     for name, vec in _generators(n).items():
+        vec = form.pack(vec)
         if vec not in index:
             index[vec] = len(parents)
             parents.append(("gen", name))
@@ -77,16 +149,17 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
     if target in index:
         return _found(alg, elements, parents, index[target])
 
+    readers = [(sym, tab, form.reader(tab)) for sym, tab in alg.tables]
     level_start = 0
     while True:
         # Arguments come from range(level_end) only, so storing at once finds
         # what storing after the whole level would find, in the same order.
         level_end = len(elements)
-        for sym, tab in alg.tables:
+        for sym, tab, read in readers:
             if tab.arity:
-                made = _applications(tab, n, elements, level_start, level_end)
+                made = _applications(form, tab.arity, read, elements, level_start, level_end)
             elif level_start == 0:
-                made = [((tab.entries[0],) * len(target), ())]
+                made = [(form.pack(tab.entries * 2 * n * n), ())]
             else:
                 continue
             for vec, idxs in made:
@@ -104,23 +177,23 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
         level_start = level_end
 
 
-def _applications(tab, n, elements, level_start, level_end):
+def _applications(form, arity, read, elements, level_start, level_end):
     """Yield (vector, argument indices) for each k-tuple over range(level_end)
     with max >= level_start, in lexicographic order.  The flat table index of
-    each coordinate is summed along the tuple's prefix, once per prefix."""
-    lookup = tab.entries.__getitem__
+    each coordinate is summed along the tuple's prefix, once per prefix, and
+    ``read`` looks up the last argument's row against it."""
 
     def prefixes(prefix, scaled, start):
-        if len(prefix) == tab.arity - 1:
+        if len(prefix) == arity - 1:
             yield prefix, scaled, start
             return
         for i in range(level_end):
-            scaled_i = tuple(map(n.__mul__, map(add, scaled, elements[i])))
+            scaled_i = form.scale(scaled, elements[i])
             yield from prefixes(prefix + (i,), scaled_i, 0 if i >= level_start else start)
 
-    for prefix, scaled, start in prefixes((), (0,) * len(elements[0]), level_start):
-        for i in range(start, level_end):
-            yield tuple(map(lookup, map(add, scaled, elements[i]))), prefix + (i,)
+    for prefix, scaled, start in prefixes((), form.zero, level_start):
+        for i, vec in enumerate(read(scaled, elements[start:level_end]), start):
+            yield vec, prefix + (i,)
 
 
 def _found(alg, elements, parents, target_index) -> SearchOutcome:
@@ -148,7 +221,7 @@ def rebuild_term(parents: list[tuple], i: int) -> Term:
     return built[i]
 
 
-def replay_vector(alg: FiniteAlgebra, t: Term) -> PairVector:
+def replay_vector(alg: FiniteAlgebra, t: Term) -> tuple[int, ...]:
     """The pair vector of a term, t(a,b,b) then t(b,b,a) for each (a,b), by
     one vector evaluation of t on the generator vectors."""
     n = alg.size

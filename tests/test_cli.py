@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,12 @@ class TestCountM:
                 2,
                 {"command": "count-m", "error": "the count at level 10 has more than 4300 digits"},
             )
+
+    def test_one_generator_at_a_huge_level(self):
+        start = time.perf_counter()
+        code, out = run(["count-m", "--generators", "1", "--level", "1000000000"])
+        assert (code, out) == (0, "1")
+        assert time.perf_counter() - start < 1.0
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("MW_BUDGET", "5")

@@ -141,6 +141,20 @@ class TestAgainstReferenceHom:
         # variable as the reference does.
         assert hom_outcome(hom_to_group, t, gen_map) == hom_outcome(reference_hom_to_group, t, gen_map)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("mu(x,mu(x,y,z),x)", (ValueError, "invalid generator name '1a'")),
+            ("mu(x,mu(x,z,y),x)", (EvaluationError, "unmapped variable 'z'")),
+        ],
+    )
+    def test_leftmost_failing_variable_inside_an_inverted_subterm(self, text, error):
+        # The middle argument's image is inverted, so the walk meets z
+        # before y there; the error must still be the leftmost one.
+        gen_map = {"x": "a", "y": "1a"}
+        t = parse_term(text)
+        assert hom_outcome(hom_to_group, t, gen_map) == hom_outcome(reference_hom_to_group, t, gen_map) == error
+
 
 class TestSeparatingHom:
     def test_indicator_of_witness(self):

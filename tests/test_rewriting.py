@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import defaultdict
 
@@ -11,6 +12,7 @@ from maltsev.rewriting import (
     RewriteSystem,
     check_confluence,
     count_M,
+    count_M_levels,
     critical_pairs,
     enumerate_normal_forms,
     equal_in_free,
@@ -297,6 +299,13 @@ class TestCountM:
         for n in range(4):
             assert count_M(1, n) == 1
             assert count_M(1, n, oracle=True) == 1
+
+    def test_one_generator_stops_at_its_fixed_point(self):
+        # t_1 = 0 for m = 1, so the levels end after level 0 instead of
+        # repeating 1 without end; count_M must not walk a billion levels
+        assert list(count_M_levels(1)) == [1]
+        assert count_M(1, 10**9) == 1
+        assert list(itertools.islice(count_M_levels(2), 3)) == [2, 4, 38]
 
     def test_level_zero_is_the_generators(self):
         assert count_M(2, 0) == 2

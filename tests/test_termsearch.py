@@ -130,6 +130,11 @@ def random_binary_3(seed):
     return make_algebra(f"r3-{seed}", 3, {"f": OperationTable(2, tuple(rng.randrange(3) for _ in range(9)))})
 
 
+def random_ternary(n):
+    rng = random.Random(n)
+    return make_algebra(f"t{n}", n, {"f": OperationTable(3, tuple(rng.randrange(n) for _ in range(n**3)))})
+
+
 class TestGenerators:
     def test_pair_vectors_of_the_three_variables(self):
         n = 2
@@ -373,6 +378,24 @@ class TestAgainstReference:
     def test_random_three_element_algebra(self, budget):
         self.assert_same(random_binary_3(2), budget)
 
+    @pytest.mark.parametrize(
+        "alg, packed, budgets",
+        [
+            # 16**2 = 256 table entries; a witness after 43 vectors
+            (cyclic_group(16), True, (4, 25, 60)),
+            (cyclic_group(17), False, (4, 25, 60)),  # 17**2 = 289
+            (random_ternary(6), True, (4, 12, 25)),  # 6**3 = 216
+            (random_ternary(7), False, (4, 12, 25)),  # 7**3 = 343
+            # only a nullary table, so n**arity = 1, but 299 fits no byte
+            (make_algebra("c300", 300, {"c": OperationTable(0, (299,))}), False, (10,)),
+        ],
+        ids=["z16", "z17", "ternary6", "ternary7", "constant300"],
+    )
+    def test_both_sides_of_the_byte_limit(self, alg, packed, budgets):
+        assert isinstance(termsearch._vector_form(alg).zero, int) == packed
+        for budget in budgets:
+            self.assert_same(alg, budget)
+
 
 class TestWorkBound:
     @pytest.fixture()
@@ -395,9 +418,12 @@ class TestWorkBound:
         assert outcome.status == "budget-exhausted"
         assert len(applications) <= 2 * 300
 
-    def test_each_argument_tuple_is_applied_once(self, applications):
+    @pytest.mark.parametrize("n", [3, 17], ids=["packed", "tuples"])
+    def test_each_argument_tuple_is_applied_once(self, applications, n):
         # A completed closure has applied its one binary operation to every
         # pair of its vectors, and to none twice.
-        outcome = find_maltsev_term(chain_semilattice(3))
+        alg = chain_semilattice(n)
+        assert isinstance(termsearch._vector_form(alg).zero, int) == (n * n <= 256)
+        outcome = find_maltsev_term(alg)
         assert outcome.status == "none"
         assert sorted(applications) == list(itertools.product(range(outcome.visited), repeat=2))
