@@ -91,6 +91,15 @@ def tuple_columns(size: int, arity: int) -> list[tuple[int, ...]]:
     return list(zip(*itertools.product(range(size), repeat=arity)))
 
 
+def maltsev_columns(size: int) -> tuple[tuple[int, ...], ...]:
+    """The columns x, y, z and target over the 2n^2 coordinates of a pair:
+    (a, b, b) at each pair (a, b) in flat-index order, then (b, b, a), and a
+    at both.  A ternary t satisfies t(x,y,y) = x = t(y,y,x) exactly when t
+    of the x, y, z columns is the target column."""
+    firsts, seconds = tuple_columns(size, 2)
+    return firsts + seconds, seconds + seconds, seconds + firsts, firsts + firsts
+
+
 def table_from_function(size: int, arity: int, fn) -> OperationTable:
     entries = tuple(
         fn(*args) for args in itertools.product(range(size), repeat=arity)
@@ -268,9 +277,8 @@ def is_maltsev_operation(alg: FiniteAlgebra, symbol: str) -> bool:
     tab = alg.table(symbol)
     if tab.arity != 3:
         raise ArityMismatchError(f"{symbol!r} has arity {tab.arity}, need 3")
-    n = alg.size
-    x, y = tuple_columns(n, 2)
-    return tab.columns(n, x, y, y, width=n * n) == x == tab.columns(n, y, y, x, width=n * n)
+    *columns, target = maltsev_columns(alg.size)
+    return tab.columns(alg.size, *columns, width=len(target)) == target
 
 
 # ---------------------------------------------------------------------------

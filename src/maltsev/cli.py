@@ -129,10 +129,13 @@ def _parse_map(text: str | None) -> dict[str, str] | None:
     for chunk in text.split(","):
         if not chunk:
             continue
-        if "=" not in chunk:
+        var_name, eq, gen = chunk.partition("=")
+        var_name = var_name.strip()
+        if not (eq and var_name):
             raise MaltsevError(f"bad mapping entry {chunk!r}, expected var=gen")
-        var_name, gen = chunk.split("=", 1)
-        out[var_name.strip()] = gen.strip()
+        if var_name in out:
+            raise MaltsevError(f"bad mapping entry {chunk!r}: {var_name!r} is already mapped")
+        out[var_name] = gen.strip()
     return out
 
 
@@ -254,15 +257,17 @@ def cmd_heap_member(args, rep: Report) -> int:
 
 @command("heap group-ops", option("--base", required=True), option("--u"), option("--v"))
 def cmd_heap_group_ops(args, rep: Report) -> int:
+    if args.v is not None and args.u is None:
+        raise MaltsevError("--v needs --u: the product u * v has no u")
     group = words.heap_group_ops(_heap_word(args.base))
     rep.text(f"identity: {format_word(group.identity)}")
     rep.emit(identity=format_word(group.identity))
-    if args.u:
+    if args.u is not None:
         u = _heap_word(args.u)
         inverse = format_word(group.inv(u))
         rep.text(f"inv(u): {inverse}")
         rep.emit(inverse_u=inverse)
-        if args.v:
+        if args.v is not None:
             product = format_word(group.mul(u, _heap_word(args.v)))
             rep.text(f"u * v: {product}")
             rep.emit(product_uv=product)

@@ -14,7 +14,7 @@ theta v phi every theta-block meets every phi-block, iff the distinct
 
 Compatibility is checked once, where a partition comes from outside (the
 Congruence constructor; check_homomorphism for kernel).  What the engine
-builds is a congruence by construction: _closed wraps it unchecked.
+builds is a congruence by construction and is wrapped unchecked.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     NotAHomomorphismError,
     SchemaError,
 )
+from .words import _trusted
 
 Labels = tuple[int, ...]
 
@@ -213,14 +214,6 @@ class Congruence:
             raise NotACongruenceError(violation)
 
 
-def _closed(alg: FiniteAlgebra, p: Partition) -> Congruence:
-    """A partition the engine built as a congruence, wrapped unchecked."""
-    theta = object.__new__(Congruence)
-    object.__setattr__(theta, "algebra", alg)
-    object.__setattr__(theta, "partition", p)
-    return theta
-
-
 def _translations(alg: FiniteAlgebra) -> list[Labels]:
     """The distinct non-constant basic translations, each as its n values,
     in first-seen order (operation, position, fixed arguments)."""
@@ -255,7 +248,7 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"pair ({a},{b}) outside the carrier 0..{n - 1}")
     images = list(zip(range(n), *_translations(alg)))
-    return _closed(alg, Partition(_closure(images, a, b)))
+    return _trusted(Congruence, algebra=alg, partition=Partition(_closure(images, a, b)))
 
 
 def all_congruences(alg: FiniteAlgebra, max_size: int = LATTICE_GUARD) -> list[Congruence]:
@@ -278,7 +271,7 @@ def all_congruences(alg: FiniteAlgebra, max_size: int = LATTICE_GUARD) -> list[C
                 known.add(j)
                 lattice.append(j)
     ordered = sorted(known, key=lambda p: (-max(p), p))
-    return [_closed(alg, Partition(p)) for p in ordered]
+    return [_trusted(Congruence, algebra=alg, partition=Partition(p)) for p in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +344,7 @@ def _hom_violations(src: FiniteAlgebra, dst: FiniteAlgebra):
 def kernel(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> Congruence:
     """Fiber partition of a verified homomorphism."""
     check_homomorphism(src, dst, f)
-    return _closed(src, Partition.from_labels(list(f)))
+    return _trusted(Congruence, algebra=src, partition=Partition.from_labels(list(f)))
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):

@@ -14,7 +14,7 @@ from typing import Callable, Mapping, TypeVar
 
 from .algebras import Identity, check_identity, make_algebra, table_from_function
 from .errors import BudgetExceededError, EvaluationError
-from .rewriting import enumerate_normal_forms, normalize
+from .rewriting import enumerate_normal_forms
 from .terms import MU, Term, Var, default_generators, interpret, variables
 from .words import Letter, ReducedWord, _trusted, is_heap_word, reduce
 
@@ -127,14 +127,3 @@ def distinguish_in_small_groups(t: Term, s: Term) -> bool:
         if check_identity(make_algebra(f"Z{m}", m, {MU: heap}), ident) is not None:
             return True
     return False
-
-
-def factors_through_normalization(
-    t: Term,
-    assignment: Mapping[str, T],
-    mu_impl: Callable[[T, T, T], T],
-) -> bool:
-    """Well-definedness of the universal extension for this carrier."""
-    return eval_term(t, assignment, mu_impl) == eval_term(
-        normalize(t), assignment, mu_impl
-    )

@@ -141,9 +141,7 @@ def subterms(t: Term) -> Iterator[Term]:
 
 def interpret(t: Term, env: Mapping[str, T], apply: Callable[..., T]) -> T:
     """The value of t with each variable read from env and each application
-    computed by apply(symbol, *argument values), in post-order, left to right.
-    The one evaluator of eval_term, algebras.evaluate, the vector evaluator
-    algebras.evaluate_columns, term_depth and substitute."""
+    computed by apply(symbol, *argument values), in post-order, left to right."""
     order = []  # subterms in right-to-left pre-order, the reverse of post-order
     stack = [t]
     while stack:
@@ -362,25 +360,20 @@ def default_generators(m: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(m))
 
 
-def _check_generators(gens: tuple[str, ...]) -> None:
+def enumerate_up_to(gens: tuple[str, ...], n: int, budget: int = 10**6) -> Iterator[Term]:
+    """Terms of depth <= n, level by level, each level in enumeration order;
+    the levels are built once, each over the terms of the ones below.  A
+    level past the budget raises BudgetExceededError after the levels below
+    it have been yielded."""
     if sorted(gens) != list(gens) or len(set(gens)) != len(gens):
         raise ValueError("generators must be distinct and sorted")
-
-
-def _check_budget(m: int, n: int, budget: int) -> None:
-    if count_W_up_to(m, n) > budget:
-        raise BudgetExceededError(
-            f"enumerating W_{n} over {m} generators needs "
-            f"{count_W_up_to(m, n)} terms > budget {budget}"
-        )
-
-
-def _levels(gens: tuple[str, ...], n: int, budget: int) -> Iterator[list[Term]]:
-    """Levels 0 to n in turn, each built once over the objects of the levels
-    below, and each checked against the budget before it is built."""
     below: list[tuple[Term, int]] = []  # every term built, with its depth
     for d in range(n + 1):
-        _check_budget(len(gens), d, budget)
+        if count_W_up_to(len(gens), d) > budget:
+            raise BudgetExceededError(
+                f"enumerating W_{d} over {len(gens)} generators needs "
+                f"{count_W_up_to(len(gens), d)} terms > budget {budget}"
+            )
         if d == 0:
             level: list[Term] = [Var(g) for g in gens]
         else:
@@ -390,26 +383,4 @@ def _levels(gens: tuple[str, ...], n: int, budget: int) -> Iterator[list[Term]]:
                 if max(da, db, dc) == d - 1
             ]
         below += ((t, d) for t in level)
-        yield level
-
-
-def enumerate_level(gens: tuple[str, ...], n: int, budget: int = 10**6) -> list[Term]:
-    """All terms of depth exactly n over the given generators, in enumeration
-    order.  Raises BudgetExceededError before materializing oversized levels.
-    """
-    _check_generators(gens)
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    _check_budget(len(gens), n, budget)
-    *_, level = _levels(gens, n, budget)
-    return level
-
-
-def enumerate_up_to(gens: tuple[str, ...], n: int, budget: int = 10**6) -> Iterator[Term]:
-    """Terms of depth <= n, level by level, each level in enumeration order;
-    the levels are built once, each over the terms of the ones below.  A
-    level past the budget raises BudgetExceededError after the levels below
-    it have been yielded."""
-    _check_generators(gens)
-    for level in _levels(gens, n, budget):
         yield from level

@@ -7,13 +7,9 @@ closure over pairs of such functions.  The variable generators are
     x -> (first projection, second projection)
     y -> (second projection, second projection)
     z -> (second projection, first projection)
-and a term is a witness exactly when its pair is (first, first).  Each level
-applies the operations only to argument tuples that touch the newest level,
-in the same lexicographic order as the full product, and the search stops
-at the first target or at the budget as each vector is stored.  The budget
-counts stored vectors.  When the closure completes without reaching the
-target the answer is a definitive "none"; exhausting the budget is reported
-as a distinct third outcome.
+and a term is a witness exactly when its pair is (first, first).  When the
+closure completes without reaching the target the answer is a definitive
+"none"; exhausting the budget is reported as a distinct third outcome.
 
 A pair vector has 2n^2 coordinates.  When every value and every flat table
 index fits a byte (n <= 256, and n**arity <= 256 for every table), the search
@@ -35,8 +31,8 @@ from .algebras import (
     FiniteAlgebra,
     OperationTable,
     evaluate_columns,
+    maltsev_columns,
     product_algebra,
-    tuple_columns,
 )
 from .congruences import LATTICE_GUARD, all_congruences, permute, quotient
 from .errors import EvaluationError, MaltsevError
@@ -52,20 +48,6 @@ class SearchOutcome:
     status: Status
     term: Term | None
     visited: int
-
-
-def _generators(n: int) -> dict[str, tuple[int, ...]]:
-    firsts, seconds = tuple_columns(n, 2)
-    return {
-        "x": firsts + seconds,
-        "y": seconds + seconds,
-        "z": seconds + firsts,
-    }
-
-
-def _target(n: int) -> tuple[int, ...]:
-    firsts, _ = tuple_columns(n, 2)
-    return firsts + firsts
 
 
 @dataclass(frozen=True)
@@ -84,12 +66,9 @@ class _Form:
 
 
 def _vector_form(alg: FiniteAlgebra) -> _Form:
-    """Ints that pack the coordinates one byte each, big-endian, when every
-    value and every flat table index fits a byte: n <= 256 and n**arity <=
-    256 for every table.  Each coordinate of a prefix sum then stays below
-    256, so int arithmetic carries across no byte, and a read is one
-    ``bytes.translate`` through the table's entries padded to 256 bytes.
-    Larger algebras keep tuples, one int per coordinate."""
+    """Packed big-endian ints when every coordinate fits a byte, with each
+    table's entries padded to 256 bytes as the ``translate`` image; tuples
+    otherwise."""
     n = alg.size
     width = 2 * n * n
     if n <= 256 and all(n**tab.arity <= 256 for _, tab in alg.tables):
@@ -129,19 +108,15 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
     are deterministic.  A level generates only the tuples that touch the
     newest level, in that same order.  Each new vector is stored at once;
     the search stops when more than ``budget`` vectors are stored (checked
-    first) or the target is.  Vectors are stored as ints packing one
-    coordinate per byte when the algebra has at most 256 elements and every
-    table at most 256 entries, and as tuples otherwise; the two forms give
-    the same status, witness and ``visited``.  Any returned term is
-    re-verified by one vector evaluation of its pair vector, on tuples.
+    first) or the target is.  Any returned term is re-verified by one vector
+    evaluation of its pair vector, on tuples.
     """
     n = alg.size
     form = _vector_form(alg)
-    target = form.pack(_target(n))
+    *columns, target = map(form.pack, maltsev_columns(n))
     index: dict[PairVector, int] = {}
     parents: list[tuple] = []
-    for name, vec in _generators(n).items():
-        vec = form.pack(vec)
+    for name, vec in zip("xyz", columns):
         if vec not in index:
             index[vec] = len(parents)
             parents.append(("gen", name))
@@ -224,8 +199,8 @@ def rebuild_term(parents: list[tuple], i: int) -> Term:
 def replay_vector(alg: FiniteAlgebra, t: Term) -> tuple[int, ...]:
     """The pair vector of a term, t(a,b,b) then t(b,b,a) for each (a,b), by
     one vector evaluation of t on the generator vectors."""
-    n = alg.size
-    return evaluate_columns(alg, t, _generators(n), 2 * n * n)
+    *columns, target = maltsev_columns(alg.size)
+    return evaluate_columns(alg, t, dict(zip("xyz", columns)), len(target))
 
 
 def verify_maltsev_term(alg: FiniteAlgebra, t: Term) -> bool:
@@ -234,7 +209,8 @@ def verify_maltsev_term(alg: FiniteAlgebra, t: Term) -> bool:
     foreign = set(variables(t)) - {"x", "y", "z"}
     if foreign:
         raise EvaluationError(f"foreign variables {sorted(foreign)}")
-    return replay_vector(alg, t) == _target(alg.size)
+    *_, target = maltsev_columns(alg.size)
+    return replay_vector(alg, t) == target
 
 
 def permutability_audit(alg: FiniteAlgebra) -> list[str]:

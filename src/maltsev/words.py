@@ -16,6 +16,7 @@ results reduced (and heap-shaped) by construction and wrap them unchecked.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -59,8 +60,8 @@ EMPTY_WORD = ReducedWord(())
 
 
 def _trusted(cls, **values):
-    """An instance of one of this module's frozen classes from values the
-    engine built valid, without the constructor's check."""
+    """An instance of a frozen dataclass from values the engine built valid,
+    without the constructor's check."""
     obj = object.__new__(cls)
     for name, value in values.items():
         object.__setattr__(obj, name, value)
@@ -97,11 +98,6 @@ def fg_inv(a: ReducedWord) -> ReducedWord:
     return _trusted(ReducedWord, letters=tuple(map(inverse.__getitem__, reversed(ids))))
 
 
-def in_F_k(a: ReducedWord, k: int) -> bool:
-    """Membership in the k-th length stratum of the free group."""
-    return len(a) <= k
-
-
 _sign = attrgetter("sign")
 
 
@@ -127,10 +123,6 @@ class HeapWord:
     @property
     def stratum(self) -> int:
         return (len(self.word) - 1) // 2
-
-
-def generator_word(gen: str) -> HeapWord:
-    return HeapWord(ReducedWord((Letter(gen, 1),)))
 
 
 def heap_mu(a: HeapWord, b: HeapWord, c: HeapWord) -> HeapWord:
@@ -168,13 +160,14 @@ def heap_group_ops(base: HeapWord) -> HeapGroup:
 
 def parse_letters(text: str) -> tuple[Letter, ...]:
     letters = []
-    for chunk in text.split():
+    for match in re.finditer(r"\S+", text):
+        chunk = match.group()
         if chunk.endswith("^-1"):
             name, sign = chunk[:-3], -1
         else:
             name, sign = chunk, 1
         if not IDENT_RE.fullmatch(name):
-            raise TermSyntaxError(f"invalid letter {chunk!r}", text.find(chunk))
+            raise TermSyntaxError(f"invalid letter {chunk!r}", match.start())
         letters.append(Letter(name, sign))
     return tuple(letters)
 
@@ -183,22 +176,3 @@ def format_word(w: ReducedWord | HeapWord) -> str:
     if isinstance(w, HeapWord):
         w = w.word
     return " ".join(l.gen if l.sign == 1 else f"{l.gen}^-1" for l in w.letters)
-
-
-def heap_closure(gens: Sequence[str], max_len: int) -> set[ReducedWord]:
-    """Breadth-first closure of the generators under the heap operation,
-    keeping only words of length <= max_len.  Oracle for is_heap_word."""
-    current = {generator_word(g).word for g in gens}
-    frontier = set(current)
-    while frontier:
-        new: set[ReducedWord] = set()
-        pool = [_trusted(HeapWord, word=w) for w in current]
-        for a in pool:
-            for b in pool:
-                for c in pool:
-                    w = heap_mu(a, b, c).word
-                    if len(w) <= max_len and w not in current:
-                        new.add(w)
-        current |= new
-        frontier = new
-    return current

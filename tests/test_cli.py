@@ -550,6 +550,8 @@ class TestExitCodeContract:
         ),
         "map entry without =": (["hom", "group", "--term", "mu(x,y,z)", "--map", "x=a,yb"], None, None),
         "non-heap u": (["heap", "group-ops", "--base", "x", "--u", "x y", "--v", "x"], None, None),
+        "empty u": (["heap", "group-ops", "--base", "x", "--u", ""], None, "not a heap word"),
+        "empty v": (["heap", "group-ops", "--base", "x", "--u", "x", "--v", ""], None, "not a heap word"),
     }
 
     @staticmethod

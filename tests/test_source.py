@@ -1,7 +1,14 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "maltsev"
 
@@ -151,3 +158,108 @@ def test_no_recursion_limit_changes():
         if path != Path(__file__).resolve()
         and "setrecursionlimit" in path.read_text(encoding="utf-8")
     ] == []
+
+
+# Private names imported across modules.  Each is a deliberate coupling: a
+# new one fails here until it is added on purpose.
+PRIVATE_IMPORTS = {
+    ("congruences", "words._trusted"),
+    ("homomorphisms", "words._trusted"),
+    ("sampling", "rewriting._root_step"),
+}
+
+
+def _private_imports(tree, importer):
+    """(importer, module.name) for every `from .module import _name` under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield importer, f"{node.module}.{alias.name}" if node.module else alias.name
+
+
+def test_private_imports_are_the_allowed_ones():
+    found = {
+        pair
+        for path in sorted(PACKAGE.glob("*.py"))
+        for pair in _private_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found == PRIVATE_IMPORTS
+
+
+def test_private_imports_are_found():
+    tree = ast.parse("from .a import _b, c\nfrom .d import e\ndef f():\n    from . import _g\n")
+    assert sorted(_private_imports(tree, "m")) == [("m", "_g"), ("m", "a._b")]
+
+
+# ---------------------------------------------------------------------------
+# The public surface of the package.
+
+PUBLIC_NAMES = [
+    "App", "Congruence", "FiniteAlgebra", "HeapWord", "Identity", "Letter",
+    "MALTSEV_SIGNATURE", "MALTSEV_SYSTEM", "OperationTable", "Partition",
+    "ReducedWord", "Signature", "Term", "Var", "algebras", "all_congruences",
+    "check_confluence", "check_identity", "check_injectivity_on_M1",
+    "congruences", "count_M", "count_W", "equal_in_free", "errors", "eval_term",
+    "fg_inv", "fg_mul", "find_maltsev_term", "first_iso_check", "format_term",
+    "heap_group_ops", "heap_mu", "hom_to_group", "homomorphisms",
+    "is_congruence", "is_heap_word", "is_maltsev_operation", "kernel", "level",
+    "load_algebra", "maltsev_from_group", "maltsev_from_left_loop",
+    "maltsev_from_quasigroup", "maltsev_from_retraction", "mu", "normalize",
+    "parse_term", "permute", "principal_congruence", "quotient", "reduce",
+    "rewrite_once", "rewriting", "separating_hom", "substitute", "term_depth",
+    "terms", "termsearch", "verify_maltsev_term", "words",
+]
+
+
+def test_public_names_are_pinned():
+    import maltsev
+
+    assert maltsev.__all__ == PUBLIC_NAMES
+
+
+def test_each_public_name_is_the_object_of_its_defining_module():
+    import maltsev
+
+    for name in PUBLIC_NAMES:
+        value = getattr(maltsev, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"maltsev.{name}")
+        else:
+            assert value.__module__.startswith("maltsev.")
+            assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from maltsev import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_unknown_attribute_raises():
+    import maltsev
+
+    with pytest.raises(AttributeError, match="no attribute 'in_F_k'"):
+        maltsev.in_F_k
+    assert not hasattr(maltsev, "nosuch")
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """The maltsev modules in sys.modules after statement, in a fresh interpreter."""
+    script = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.startswith('maltsev')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return ast.literal_eval(done.stdout)
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import maltsev") == ["maltsev"]
+
+
+def test_words_import_loads_no_engine_above_it():
+    loaded = _loaded_after("import maltsev.words")
+    assert "maltsev.words" in loaded
+    engines = ("rewriting", "algebras", "congruences", "homomorphisms", "termsearch")
+    assert [m for m in loaded if m.removeprefix("maltsev.") in engines] == []

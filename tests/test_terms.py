@@ -17,7 +17,6 @@ from maltsev.terms import (
     Var,
     count_W,
     count_W_up_to,
-    enumerate_level,
     enumerate_up_to,
     format_term,
     mu,
@@ -35,6 +34,16 @@ from conftest import term_strategy
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
 GROUP_SIGNATURE = Signature((("mul", 2), ("inv", 1), ("e", 0)))
+
+
+def enumerate_level(gens: tuple[str, ...], n: int, budget: int = 10**6) -> list:
+    """Oracle: the terms of depth exactly n, in enumeration order, after
+    checking the generators and then W_n against the budget."""
+    if sorted(gens) != list(gens) or len(set(gens)) != len(gens):
+        raise ValueError("generators must be distinct and sorted")
+    if count_W_up_to(len(gens), n) > budget:
+        raise BudgetExceededError(f"enumerating W_{n} over {len(gens)} generators")
+    return [t for t in enumerate_up_to(gens, n, budget) if term_depth(t) == n]
 
 
 # ---------------------------------------------------------------------------

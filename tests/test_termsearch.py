@@ -8,6 +8,7 @@ from maltsev.algebras import (
     evaluate,
     is_maltsev_operation,
     make_algebra,
+    maltsev_columns,
     table_from_function,
 )
 from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
@@ -21,8 +22,6 @@ from maltsev.termsearch import (
     rebuild_term,
     replay_vector,
     verify_maltsev_term,
-    _generators,
-    _target,
 )
 
 from conftest import random_signature_term
@@ -34,8 +33,8 @@ def reference_search(alg, budget=10**7):
     coordinate by coordinate through ``OperationTable.apply``, and buffers
     the whole level before checking the budget and the target."""
     n = alg.size
-    gens = _generators(n)
-    target = _target(n)
+    *columns, target = maltsev_columns(n)
+    gens = dict(zip("xyz", columns))
     elements, parents, index = [], [], {}
 
     def add(vec, parent):
@@ -138,18 +137,19 @@ def random_ternary(n):
 class TestGenerators:
     def test_pair_vectors_of_the_three_variables(self):
         n = 2
-        gens = _generators(n)
+        x, y, z, target = maltsev_columns(n)
         # index i encodes (a, b) = (i // n, i % n)
-        assert gens["x"] == (0, 0, 1, 1) + (0, 1, 0, 1)
-        assert gens["y"] == (0, 1, 0, 1) + (0, 1, 0, 1)
-        assert gens["z"] == (0, 1, 0, 1) + (0, 0, 1, 1)
-        assert _target(n) == (0, 0, 1, 1) + (0, 0, 1, 1)
+        assert x == (0, 0, 1, 1) + (0, 1, 0, 1)
+        assert y == (0, 1, 0, 1) + (0, 1, 0, 1)
+        assert z == (0, 1, 0, 1) + (0, 0, 1, 1)
+        assert target == (0, 0, 1, 1) + (0, 0, 1, 1)
 
     def test_replay_matches_generator_encoding(self):
         z3 = cyclic_group(3)
-        assert replay_vector(z3, Var("x")) == _generators(3)["x"]
-        assert replay_vector(z3, Var("y")) == _generators(3)["y"]
-        assert replay_vector(z3, Var("z")) == _generators(3)["z"]
+        x, y, z, _ = maltsev_columns(3)
+        assert replay_vector(z3, Var("x")) == x
+        assert replay_vector(z3, Var("y")) == y
+        assert replay_vector(z3, Var("z")) == z
 
 
 class TestSearch:
@@ -191,7 +191,8 @@ class TestSearch:
         for alg in (cyclic_group(2), cyclic_group(3), bundled_algebras()["qg3"]):
             outcome = find_maltsev_term(alg)
             assert outcome.status == "found"
-            assert replay_vector(alg, outcome.term) == _target(alg.size)
+            *_, target = maltsev_columns(alg.size)
+            assert replay_vector(alg, outcome.term) == target
 
     def test_decision_invariant_under_operation_reordering(self):
         for name in ("z2", "z3", "chain3", "qg3", "loop5"):

@@ -19,10 +19,8 @@ from maltsev.words import (
     fg_inv,
     fg_mul,
     format_word,
-    heap_closure,
     heap_group_ops,
     heap_mu,
-    in_F_k,
     is_heap_word,
     parse_letters,
     reduce,
@@ -37,6 +35,30 @@ def w(text: str) -> ReducedWord:
 
 def hw(text: str) -> HeapWord:
     return HeapWord(w(text))
+
+
+def in_F_k(a: ReducedWord, k: int) -> bool:
+    """Membership in the k-th length stratum of the free group."""
+    return len(a) <= k
+
+
+def heap_closure(gens, max_len: int) -> set[ReducedWord]:
+    """Breadth-first closure of the generators under the heap operation,
+    keeping only words of length <= max_len.  Oracle for is_heap_word."""
+    current = {ReducedWord((Letter(g, 1),)) for g in gens}
+    frontier = set(current)
+    while frontier:
+        new: set[ReducedWord] = set()
+        pool = [HeapWord(w) for w in current]
+        for a in pool:
+            for b in pool:
+                for c in pool:
+                    w = heap_mu(a, b, c).word
+                    if len(w) <= max_len and w not in current:
+                        new.add(w)
+        current |= new
+        frontier = new
+    return current
 
 
 def random_order_reduction(rng, raw):
@@ -251,6 +273,12 @@ class TestWordSyntax:
 
         with pytest.raises(TermSyntaxError):
             parse_letters("x ^-1")
+
+    def test_bad_letter_position_is_its_own_offset(self):
+        # '1' occurs first inside the valid letter x1; the bad letter starts at 3.
+        with pytest.raises(TermSyntaxError, match=r"invalid letter '1' \(at position 3\)") as info:
+            parse_letters("x1 1")
+        assert info.value.position == 3
 
     def test_empty_text_is_empty_word(self):
         assert reduce(parse_letters("")) == EMPTY_WORD
