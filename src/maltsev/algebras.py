@@ -128,29 +128,9 @@ class FiniteAlgebra:
 def make_algebra(
     name: str, size: int, operations: Mapping[str, OperationTable]
 ) -> FiniteAlgebra:
+    """An algebra from tables built valid; documents are checked by load_algebra."""
     sig = Signature(tuple((sym, tab.arity) for sym, tab in operations.items()))
-    alg = FiniteAlgebra(name, size, sig, tuple(operations.items()))
-    _validate_tables(alg)
-    return alg
-
-
-def _validate_tables(alg: FiniteAlgebra) -> None:
-    if alg.size < 1:
-        raise SchemaError("size must be positive", "size")
-    for i, (sym, tab) in enumerate(alg.tables):
-        where = f"operations[{i}] ({sym!r})"
-        expected = alg.size**tab.arity
-        if len(tab.entries) != expected:
-            raise SchemaError(
-                f"table has {len(tab.entries)} entries, expected {expected}",
-                where + ".table",
-            )
-        for k, e in enumerate(tab.entries):
-            if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < alg.size:
-                raise SchemaError(
-                    f"entry {e!r} out of range 0..{alg.size - 1}",
-                    f"{where}.table[{k}]",
-                )
+    return FiniteAlgebra(name, size, sig, tuple(operations.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +169,18 @@ def load_algebra(document: dict) -> FiniteAlgebra:
             raise SchemaError("table must be a list", where + ".table")
         operations[sym] = OperationTable(arity, tuple(table))
     try:
-        return make_algebra(name, size, operations)
+        alg = make_algebra(name, size, operations)
     except ValueError as exc:
         raise SchemaError(str(exc), "operations") from exc
+    for i, (sym, tab) in enumerate(alg.tables):
+        where = f"operations[{i}] ({sym!r}).table"
+        expected = size**tab.arity
+        if len(tab.entries) != expected:
+            raise SchemaError(f"table has {len(tab.entries)} entries, expected {expected}", where)
+        for k, e in enumerate(tab.entries):
+            if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < size:
+                raise SchemaError(f"entry {e!r} out of range 0..{size - 1}", f"{where}[{k}]")
+    return alg
 
 
 def dump_algebra(alg: FiniteAlgebra) -> dict:

@@ -33,7 +33,7 @@ from .algebras import (
     with_operation,
 )
 from .errors import MaltsevError, NotACongruenceError
-from .terms import MALTSEV_SIGNATURE, format_term, parse_term
+from .terms import IDENT_RE, MALTSEV_SIGNATURE, format_term, parse_term
 from .termsearch import find_maltsev_term
 from .words import HeapWord, format_word, parse_letters, reduce
 
@@ -282,6 +282,8 @@ def cmd_hom_group(args, rep: Report) -> int:
 
 @command("hom separate", *required("--term", "--witness"))
 def cmd_hom_separate(args, rep: Report) -> int:
+    if not IDENT_RE.fullmatch(args.witness) or args.witness in MALTSEV_SIGNATURE:
+        raise MaltsevError(f"--witness must be a variable name, got {args.witness!r}")
     value = homs.separating_hom(parse_term(args.term, MALTSEV_SIGNATURE), args.witness)
     rep.text(str(value))
     rep.emit(value=value, witness=args.witness)
@@ -421,6 +423,8 @@ def cmd_maltsev_term(args, rep: Report) -> int:
 )
 def cmd_selftest(args, rep: Report) -> int:
     """Randomized invariants at a quick desk scale, reproducible by seed."""
+    if args.iterations < 1:
+        raise MaltsevError(f"--iterations must be a positive integer, got {args.iterations}")
     rng = random.Random(args.seed)
     gens = ("x", "y", "z")
 

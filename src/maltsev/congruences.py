@@ -12,9 +12,9 @@ it is symmetric, and its converse is phi o theta), iff in each block J of
 theta v phi every theta-block meets every phi-block, iff the distinct
 (theta, phi) label pairs number the sum over J of #theta(J) * #phi(J).
 
-Compatibility is checked once, where a partition comes from outside (the
-Congruence constructor; check_homomorphism for kernel).  What the engine
-builds is a congruence by construction and is wrapped unchecked.
+Canonical labels and compatibility are checked once, where a partition comes
+from outside (the Partition and Congruence constructors, check_homomorphism
+for kernel); what the engine builds has both by construction, unchecked.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Partition:
 
     @staticmethod
     def from_labels(labels: Sequence[int]) -> "Partition":
-        return Partition(_canonical(tuple(labels)))
+        return _trusted(Partition, block_of=_canonical(tuple(labels)))
 
     @staticmethod
     def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> "Partition":
@@ -78,11 +78,11 @@ class Partition:
 
     @staticmethod
     def identity(n: int) -> "Partition":
-        return Partition(tuple(range(n)))
+        return _trusted(Partition, block_of=tuple(range(n)))
 
     @staticmethod
     def total(n: int) -> "Partition":
-        return Partition((0,) * n)
+        return _trusted(Partition, block_of=(0,) * n)
 
     @property
     def size(self) -> int:
@@ -102,7 +102,7 @@ class Partition:
         return self.block_of[a] == self.block_of[b]
 
     def join(self, other: "Partition") -> "Partition":
-        return Partition(_join(self.block_of, other.block_of))
+        return _trusted(Partition, block_of=_join(self.block_of, other.block_of))
 
     def meet(self, other: "Partition") -> "Partition":
         return Partition.from_labels(list(zip(self.block_of, other.block_of)))
@@ -144,7 +144,7 @@ def all_partitions(n: int) -> Iterator[Partition]:
     while stack:
         prefix = stack.pop()
         if len(prefix) == n:
-            yield Partition(prefix)
+            yield _trusted(Partition, block_of=prefix)
         else:
             stack.extend(prefix + (b,) for b in reversed(range(max(prefix, default=-1) + 2)))
 
@@ -248,7 +248,8 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"pair ({a},{b}) outside the carrier 0..{n - 1}")
     images = list(zip(range(n), *_translations(alg)))
-    return _trusted(Congruence, algebra=alg, partition=Partition(_closure(images, a, b)))
+    partition = _trusted(Partition, block_of=_closure(images, a, b))
+    return _trusted(Congruence, algebra=alg, partition=partition)
 
 
 def all_congruences(alg: FiniteAlgebra, max_size: int = LATTICE_GUARD) -> list[Congruence]:
@@ -271,7 +272,8 @@ def all_congruences(alg: FiniteAlgebra, max_size: int = LATTICE_GUARD) -> list[C
                 known.add(j)
                 lattice.append(j)
     ordered = sorted(known, key=lambda p: (-max(p), p))
-    return [_trusted(Congruence, algebra=alg, partition=Partition(p)) for p in ordered]
+    partitions = [_trusted(Partition, block_of=p) for p in ordered]
+    return [_trusted(Congruence, algebra=alg, partition=p) for p in partitions]
 
 
 # ---------------------------------------------------------------------------

@@ -248,12 +248,10 @@ def _count_M_oracle(m: int, n: int, budget: int) -> int:
     return len({id(_normalize(t, forms)) for t in enumerate_up_to(gens, n, budget=budget)})
 
 
-def enumerate_normal_forms(
-    gens: tuple[str, ...], n: int, budget: int = 10**6
-) -> list[Term]:
+def enumerate_normal_forms(gens: tuple[str, ...], n: int) -> list[Term]:
     """All normal forms of depth <= n over the given generators, in term
     enumeration order."""
-    return [t for t in enumerate_up_to(gens, n, budget=budget) if is_normal_form(t)]
+    return [t for t in enumerate_up_to(gens, n) if is_normal_form(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,10 @@ from .terms import App, MU, Term, Var, positions, replace_at
 from .words import HeapWord, Letter, reduce
 
 
-def random_term(
-    rng: random.Random,
-    gens: Sequence[str],
-    max_depth: int,
-    branch: float = 0.6,
-) -> Term:
-    if max_depth == 0 or rng.random() > branch:
+def random_term(rng: random.Random, gens: Sequence[str], max_depth: int) -> Term:
+    if max_depth == 0 or rng.random() > 0.6:
         return Var(rng.choice(gens))
-    return App(
-        MU,
-        tuple(random_term(rng, gens, max_depth - 1, branch) for _ in range(3)),
-    )
+    return App(MU, tuple(random_term(rng, gens, max_depth - 1) for _ in range(3)))
 
 
 def random_normal_form(rng: random.Random, gens: Sequence[str], max_depth: int) -> Term:

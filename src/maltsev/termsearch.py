@@ -157,16 +157,15 @@ def _applications(form, arity, read, elements, level_start, level_end):
     with max >= level_start, in lexicographic order.  The flat table index of
     each coordinate is summed along the tuple's prefix, once per prefix, and
     ``read`` looks up the last argument's row against it."""
-
-    def prefixes(prefix, scaled, start):
-        if len(prefix) == arity - 1:
-            yield prefix, scaled, start
-            return
-        for i in range(level_end):
-            scaled_i = form.scale(scaled, elements[i])
-            yield from prefixes(prefix + (i,), scaled_i, 0 if i >= level_start else start)
-
-    for prefix, scaled, start in prefixes((), form.zero, level_start):
+    stack = [((), form.zero, level_start)]  # depth first, so lexicographic
+    while stack:
+        prefix, scaled, start = stack.pop()
+        if len(prefix) < arity - 1:
+            stack.extend(
+                (prefix + (i,), form.scale(scaled, elements[i]), 0 if i >= level_start else start)
+                for i in reversed(range(level_end))
+            )
+            continue
         for i, vec in enumerate(read(scaled, elements[start:level_end]), start):
             yield vec, prefix + (i,)
 

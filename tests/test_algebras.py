@@ -82,6 +82,31 @@ class TestLoadAlgebra:
             load_algebra(doc)
         assert "expected 4" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "operations, message",
+        [
+            ([("f", 1, [0, 2])], "operations[0] ('f').table[1]: entry 2 out of range 0..1"),
+            ([("f", 1, [0, True])], "operations[0] ('f').table[1]: entry True out of range 0..1"),
+            ([("f", 2, [0, 1, 0])], "operations[0] ('f').table: table has 3 entries, expected 4"),
+            # The symbol names are checked before any table.
+            ([("f", 1, [5]), ("1g", 0, [0])], "operations: invalid symbol name '1g'"),
+            # Tables are checked in document order.
+            (
+                [("f", 0, [0]), ("g", 1, [0]), ("h", 0, [9])],
+                "operations[1] ('g').table: table has 1 entries, expected 2",
+            ),
+        ],
+    )
+    def test_table_errors_name_their_location(self, operations, message):
+        doc = {
+            "name": "bad",
+            "size": 2,
+            "operations": [{"symbol": s, "arity": k, "table": t} for s, k, t in operations],
+        }
+        with pytest.raises(SchemaError) as exc:
+            load_algebra(doc)
+        assert str(exc.value) == message
+
     def test_missing_size(self):
         with pytest.raises(SchemaError):
             load_algebra({"name": "x", "operations": []})

@@ -552,6 +552,21 @@ class TestExitCodeContract:
         "non-heap u": (["heap", "group-ops", "--base", "x", "--u", "x y", "--v", "x"], None, None),
         "empty u": (["heap", "group-ops", "--base", "x", "--u", ""], None, "not a heap word"),
         "empty v": (["heap", "group-ops", "--base", "x", "--u", "x", "--v", ""], None, "not a heap word"),
+        "no iterations": (
+            ["selftest", "--iterations", "0"],
+            None,
+            "--iterations must be a positive integer, got 0",
+        ),
+        "negative iterations": (
+            ["selftest", "--iterations", "-3"],
+            None,
+            "--iterations must be a positive integer, got -3",
+        ),
+        "witness is the operation symbol": (
+            ["hom", "separate", "--term", "mu(x,y,z)", "--witness", "mu"],
+            None,
+            "--witness must be a variable name, got 'mu'",
+        ),
     }
 
     @staticmethod

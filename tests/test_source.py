@@ -104,10 +104,7 @@ def test_module_level_mutables_are_found():
 # Recursion is allowed only where a parameter bounds its depth: the
 # operation's arity and max_depth.  Terms can be of any depth, so every walk
 # over a term must be a loop.
-BOUNDED_RECURSION = {
-    "termsearch._applications.prefixes",
-    "sampling.random_term",
-}
+BOUNDED_RECURSION = {"sampling.random_term"}
 
 
 def _calls_itself(fn):
@@ -158,6 +155,34 @@ def test_no_recursion_limit_changes():
         if path != Path(__file__).resolve()
         and "setrecursionlimit" in path.read_text(encoding="utf-8")
     ] == []
+
+
+# Documents and user input are checked where they enter; the engine does
+# not re-check what it builds, so only these functions make a SchemaError.
+SCHEMA_CHECKS = {
+    "algebras.load_algebra",
+    "algebras.parse_identity",
+    "congruences.parse_partition",
+}
+
+
+def test_schema_errors_are_raised_only_at_the_boundary():
+    found = {
+        scope
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if getattr(call.func, "id", None) == "SchemaError"
+    }
+    assert found == SCHEMA_CHECKS
+
+
+def test_calls_are_found_in_their_scope():
+    tree = ast.parse(
+        "def f():\n    raise E('a')\n"
+        "class C:\n    def g(self):\n        if x:\n            raise E(h('b'))\n"
+    )
+    found = [(scope, call.func.id) for scope, call in _calls(tree, "m")]
+    assert found == [("m.f", "E"), ("m.C.g", "E"), ("m.C.g", "h")]
 
 
 # Private names imported across modules.  Each is a deliberate coupling: a
