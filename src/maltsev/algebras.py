@@ -11,7 +11,6 @@ into a flat index or back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -21,10 +20,10 @@ from .errors import (
     SchemaError,
     UnknownSymbolError,
 )
-from .rewriting import enumerate_normal_forms, normalize
 from .terms import (
     App,
     MU,
+    Record,
     Signature,
     Term,
     Var,
@@ -36,10 +35,12 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class OperationTable:
-    arity: int
-    entries: tuple[int, ...]
+class OperationTable(Record):
+    __slots__ = ("arity", "entries")
+
+    def __init__(self, arity: int, entries: tuple[int, ...]):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "entries", entries)
 
     def apply(self, size: int, *args: int) -> int:
         if len(args) != self.arity:
@@ -107,12 +108,20 @@ def table_from_function(size: int, arity: int, fn) -> OperationTable:
     return OperationTable(arity, entries)
 
 
-@dataclass(frozen=True, eq=True)
-class FiniteAlgebra:
-    name: str
-    size: int
-    signature: Signature
-    tables: tuple[tuple[str, OperationTable], ...]
+class FiniteAlgebra(Record):
+    __slots__ = ("name", "size", "signature", "tables")
+
+    def __init__(
+        self,
+        name: str,
+        size: int,
+        signature: Signature,
+        tables: tuple[tuple[str, OperationTable], ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "tables", tables)
 
     def table(self, symbol: str) -> OperationTable:
         for sym, tab in self.tables:
@@ -174,9 +183,14 @@ def load_algebra(document: dict) -> FiniteAlgebra:
         raise SchemaError(str(exc), "operations") from exc
     for i, (sym, tab) in enumerate(alg.tables):
         where = f"operations[{i}] ({sym!r}).table"
-        expected = size**tab.arity
-        if len(tab.entries) != expected:
-            raise SchemaError(f"table has {len(tab.entries)} entries, expected {expected}", where)
+        length, arity = len(tab.entries), tab.arity
+        # With size >= 2, size**arity exceeds the length once the arity passes
+        # the length's bit count, or once size passes it with arity >= 2: the
+        # power is then neither built nor printed.
+        if size > 1 and (arity > length.bit_length() or (arity > 1 and size > length)):
+            raise SchemaError(f"table has {length} entries, expected {size}**{arity}", where)
+        if length != size**arity:
+            raise SchemaError(f"table has {length} entries, expected {size**arity}", where)
         for k, e in enumerate(tab.entries):
             if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < size:
                 raise SchemaError(f"entry {e!r} out of range 0..{size - 1}", f"{where}[{k}]")
@@ -198,16 +212,15 @@ def dump_algebra(alg: FiniteAlgebra) -> dict:
 # Identity checking.
 
 
-@dataclass(frozen=True)
-class Identity:
-    lhs: Term
-    rhs: Term
-    variables: tuple[str, ...]
+class Identity(Record):
+    __slots__ = ("lhs", "rhs", "variables")
 
-    def __post_init__(self):
-        used = set(variables(self.lhs)) | set(variables(self.rhs))
-        if not used <= set(self.variables):
+    def __init__(self, lhs: Term, rhs: Term, names: tuple[str, ...]):
+        if not set(variables(lhs)) | set(variables(rhs)) <= set(names):
             raise ValueError("identity quantifies fewer variables than used")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "variables", names)
 
 
 def parse_identity(text: str, sig: Signature) -> Identity:
@@ -366,6 +379,8 @@ def maltsev_from_retraction(
     The retraction must be total on the depth <= 1 normal forms and fix
     every generator.
     """
+    from .rewriting import enumerate_normal_forms, normalize
+
     m = len(gens)
     index = {g: i for i, g in enumerate(gens)}
     forms = enumerate_normal_forms(tuple(sorted(gens)), 1)

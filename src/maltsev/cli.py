@@ -7,6 +7,9 @@ keys, so identical configurations (including --seed) produce byte-identical
 output.  The MW_BUDGET environment variable overrides the default
 enumeration (10**6) and search (10**7) budgets; explicit --budget flags win
 over it.  Either must be a positive integer.
+
+The module imports only the standard library and the error types; each
+handler imports the engine it runs, so a command loads nothing else.
 """
 
 from __future__ import annotations
@@ -15,27 +18,9 @@ import argparse
 import itertools
 import json
 import os
-import random
 import sys
 
-from . import congruences as cong
-from . import homomorphisms as homs
-from . import rewriting, sampling, words
-from .algebras import (
-    check_identity,
-    dump_algebra,
-    is_maltsev_operation,
-    load_algebra,
-    maltsev_from_group,
-    maltsev_from_left_loop,
-    maltsev_from_quasigroup,
-    parse_identity,
-    with_operation,
-)
 from .errors import MaltsevError, NotACongruenceError
-from .terms import IDENT_RE, MALTSEV_SIGNATURE, format_term, parse_term
-from .termsearch import find_maltsev_term
-from .words import HeapWord, format_word, parse_letters, reduce
 
 ENUM_BUDGET = 10**6
 SEARCH_BUDGET = 10**7
@@ -118,6 +103,8 @@ def _budget(args: argparse.Namespace, default: int) -> int:
 
 
 def _read_algebra(path: str):
+    from .algebras import load_algebra
+
     with open(path, "r", encoding="utf-8") as fh:
         return load_algebra(json.load(fh))
 
@@ -139,15 +126,21 @@ def _parse_map(text: str | None) -> dict[str, str] | None:
     return out
 
 
-def _word(text: str) -> words.ReducedWord:
+def _word(text: str):
+    from .words import parse_letters, reduce
+
     return reduce(parse_letters(text))
 
 
-def _heap_word(text: str) -> HeapWord:
+def _heap_word(text: str):
+    from .words import HeapWord
+
     return HeapWord(_word(text))
 
 
 def _emit_word(rep: Report, w) -> int:
+    from .words import format_word
+
     rep.text(format_word(w))
     rep.emit(word=format_word(w), length=len(w))
     return 0
@@ -155,6 +148,9 @@ def _emit_word(rep: Report, w) -> int:
 
 @command("normalize", option("--term", required=True), help="normal form of a term")
 def cmd_normalize(args, rep: Report) -> int:
+    from . import rewriting
+    from .terms import MALTSEV_SIGNATURE, format_term, parse_term
+
     t = parse_term(args.term, MALTSEV_SIGNATURE)
     nf = rewriting.normalize(t)
     rep.text(format_term(nf))
@@ -164,6 +160,9 @@ def cmd_normalize(args, rep: Report) -> int:
 
 @command("equal", *required("--lhs", "--rhs"), help="word problem for two terms")
 def cmd_equal(args, rep: Report) -> int:
+    from . import rewriting
+    from .terms import MALTSEV_SIGNATURE, format_term, parse_term
+
     lhs = parse_term(args.lhs, MALTSEV_SIGNATURE)
     rhs = parse_term(args.rhs, MALTSEV_SIGNATURE)
     # Normal forms are canonical and format_term is injective, so equal
@@ -187,6 +186,8 @@ def cmd_equal(args, rep: Report) -> int:
     help="count free-algebra elements by stratum",
 )
 def cmd_count_m(args, rep: Report) -> int:
+    from . import rewriting
+
     m, n = args.generators, args.level
     budget = _budget(args, ENUM_BUDGET)
     if args.oracle or m < 1 or n < 0:  # the budget bounds the oracle; count_M rejects the rest
@@ -204,6 +205,9 @@ def cmd_count_m(args, rep: Report) -> int:
 
 @command("confluence-report", help="critical pairs and joinability")
 def cmd_confluence_report(args, rep: Report) -> int:
+    from . import rewriting
+    from .terms import format_term
+
     report = rewriting.check_confluence()
     pairs = []
     for pair, joinable in report.entries:
@@ -230,28 +234,36 @@ def cmd_fg_reduce(args, rep: Report) -> int:
 
 @command("fg mul", *required("--a", "--b"))
 def cmd_fg_mul(args, rep: Report) -> int:
+    from . import words
+
     return _emit_word(rep, words.fg_mul(_word(args.a), _word(args.b)))
 
 
 @command("fg inv", option("--a", required=True))
 def cmd_fg_inv(args, rep: Report) -> int:
+    from . import words
+
     return _emit_word(rep, words.fg_inv(_word(args.a)))
 
 
 @command("heap mu", *required("--a", "--b", "--c"))
 def cmd_heap_mu(args, rep: Report) -> int:
+    from . import words
+
     w = words.heap_mu(_heap_word(args.a), _heap_word(args.b), _heap_word(args.c))
-    rep.text(format_word(w))
-    rep.emit(word=format_word(w), stratum=w.stratum)
+    rep.text(words.format_word(w))
+    rep.emit(word=words.format_word(w), stratum=w.stratum)
     return 0
 
 
 @command("heap member", option("--word", required=True))
 def cmd_heap_member(args, rep: Report) -> int:
+    from . import words
+
     w = _word(args.word)
     member = words.is_heap_word(w)
     rep.text("true" if member else "false")
-    rep.emit(word=format_word(w), member=member)
+    rep.emit(word=words.format_word(w), member=member)
     return 0 if member else 1
 
 
@@ -259,7 +271,9 @@ def cmd_heap_member(args, rep: Report) -> int:
 def cmd_heap_group_ops(args, rep: Report) -> int:
     if args.v is not None and args.u is None:
         raise MaltsevError("--v needs --u: the product u * v has no u")
-    group = words.heap_group_ops(_heap_word(args.base))
+    from .words import format_word, heap_group_ops
+
+    group = heap_group_ops(_heap_word(args.base))
     rep.text(f"identity: {format_word(group.identity)}")
     rep.emit(identity=format_word(group.identity))
     if args.u is not None:
@@ -276,15 +290,21 @@ def cmd_heap_group_ops(args, rep: Report) -> int:
 
 @command("hom group", option("--term", required=True), option("--map"))
 def cmd_hom_group(args, rep: Report) -> int:
+    from .homomorphisms import hom_to_group
+    from .terms import MALTSEV_SIGNATURE, parse_term
+
     t = parse_term(args.term, MALTSEV_SIGNATURE)
-    return _emit_word(rep, homs.hom_to_group(t, _parse_map(args.map)))
+    return _emit_word(rep, hom_to_group(t, _parse_map(args.map)))
 
 
 @command("hom separate", *required("--term", "--witness"))
 def cmd_hom_separate(args, rep: Report) -> int:
+    from .homomorphisms import separating_hom
+    from .terms import IDENT_RE, MALTSEV_SIGNATURE, parse_term
+
     if not IDENT_RE.fullmatch(args.witness) or args.witness in MALTSEV_SIGNATURE:
         raise MaltsevError(f"--witness must be a variable name, got {args.witness!r}")
-    value = homs.separating_hom(parse_term(args.term, MALTSEV_SIGNATURE), args.witness)
+    value = separating_hom(parse_term(args.term, MALTSEV_SIGNATURE), args.witness)
     rep.text(str(value))
     rep.emit(value=value, witness=args.witness)
     return 0
@@ -292,6 +312,8 @@ def cmd_hom_separate(args, rep: Report) -> int:
 
 @command("algebra check-identity", FILE, option("--identity", required=True))
 def cmd_check_identity(args, rep: Report) -> int:
+    from .algebras import check_identity, parse_identity
+
     alg = _read_algebra(args.file)
     failure = check_identity(alg, parse_identity(args.identity, alg.signature))
     if failure is None:
@@ -305,16 +327,19 @@ def cmd_check_identity(args, rep: Report) -> int:
 
 @command("algebra maltsev-check", FILE, option("--symbol", default="mu"))
 def cmd_maltsev_check(args, rep: Report) -> int:
+    from .algebras import is_maltsev_operation
+
     ok = is_maltsev_operation(_read_algebra(args.file), args.symbol)
     rep.text("true" if ok else "false")
     rep.emit(symbol=args.symbol, maltsev=ok)
     return 0 if ok else 1
 
 
+# --from choice -> the deriving function of maltsev.algebras.
 DERIVATIONS = {
-    "group": maltsev_from_group,
-    "left-loop": maltsev_from_left_loop,
-    "quasigroup": maltsev_from_quasigroup,
+    "group": "maltsev_from_group",
+    "left-loop": "maltsev_from_left_loop",
+    "quasigroup": "maltsev_from_quasigroup",
 }
 
 
@@ -324,10 +349,13 @@ DERIVATIONS = {
     option("--from", dest="source", choices=DERIVATIONS, required=True),
 )
 def cmd_derive_maltsev(args, rep: Report) -> int:
+    from . import algebras
+
     alg = _read_algebra(args.file)
-    derived = with_operation(alg, "mu", DERIVATIONS[args.source](alg))
-    verified = is_maltsev_operation(derived, "mu")
-    doc = dump_algebra(derived)
+    derive = getattr(algebras, DERIVATIONS[args.source])
+    derived = algebras.with_operation(alg, "mu", derive(alg))
+    verified = algebras.is_maltsev_operation(derived, "mu")
+    doc = algebras.dump_algebra(derived)
     rep.text(json.dumps(doc, indent=2, sort_keys=True))
     rep.text(f"verified maltsev: {'true' if verified else 'false'}")
     rep.emit(algebra=doc, verified=verified)
@@ -338,17 +366,20 @@ def cmd_derive_maltsev(args, rep: Report) -> int:
     "algebra congruences",
     FILE,
     option("--check-permutability", action="store_true"),
-    option("--max-size", type=int, default=cong.LATTICE_GUARD),
+    option("--max-size", type=int, default=None),
 )
 def cmd_congruences(args, rep: Report) -> int:
+    from . import congruences as cong
+
     alg = _read_algebra(args.file)
-    if cong.LATTICE_GUARD < alg.size <= args.max_size:
+    max_size = cong.LATTICE_GUARD if args.max_size is None else args.max_size
+    if cong.LATTICE_GUARD < alg.size <= max_size:
         rep.text(
             f"warning: carrier size {alg.size} above the default guard of {cong.LATTICE_GUARD};"
             " principal-congruence generation scans all element pairs and"
             " may be slow"
         )
-    lattice = cong.all_congruences(alg, max_size=args.max_size)
+    lattice = cong.all_congruences(alg, max_size=max_size)
     partitions = [cong.format_partition(c.partition) for c in lattice]
     for p in partitions:
         rep.text(p)
@@ -372,6 +403,8 @@ def cmd_congruences(args, rep: Report) -> int:
 
 @command("algebra principal", FILE, option("--pair", required=True))
 def cmd_principal(args, rep: Report) -> int:
+    from . import congruences as cong
+
     alg = _read_algebra(args.file)
     try:
         a, b = (int(x) for x in args.pair.split(","))
@@ -387,6 +420,9 @@ def cmd_principal(args, rep: Report) -> int:
 
 @command("algebra quotient", FILE, option("--partition", required=True))
 def cmd_quotient(args, rep: Report) -> int:
+    from . import congruences as cong
+    from .algebras import dump_algebra
+
     alg = _read_algebra(args.file)
     p = cong.parse_partition(args.partition, alg.size)
     try:
@@ -403,6 +439,9 @@ def cmd_quotient(args, rep: Report) -> int:
 
 @command("algebra maltsev-term", FILE, BUDGET)
 def cmd_maltsev_term(args, rep: Report) -> int:
+    from .terms import format_term
+    from .termsearch import find_maltsev_term
+
     alg = _read_algebra(args.file)
     outcome = find_maltsev_term(alg, budget=_budget(args, SEARCH_BUDGET))
     rep.emit(status=outcome.status, visited=outcome.visited)
@@ -425,49 +464,11 @@ def cmd_selftest(args, rep: Report) -> int:
     """Randomized invariants at a quick desk scale, reproducible by seed."""
     if args.iterations < 1:
         raise MaltsevError(f"--iterations must be a positive integer, got {args.iterations}")
-    rng = random.Random(args.seed)
-    gens = ("x", "y", "z")
+    import random
 
-    def strategy_independence():
-        t = sampling.random_term(rng, gens, 6)
-        inner = _strategy_fixpoint(t, rewriting.rewrite_once)
-        outer = _strategy_fixpoint(t, rewriting.rewrite_once_outermost)
-        return inner == outer == rewriting.normalize(t)
+    from .sampling import selftest
 
-    def axiom_walk_equivalence():
-        t = sampling.random_term(rng, gens, 4)
-        return rewriting.equal_in_free(t, sampling.axiom_walk(rng, t, 8, gens))
-
-    def reduction_order_independence():
-        raw = list(sampling.random_letters(rng, gens, 12))
-        expected = words.reduce(raw)
-        # A list, not a generator: all three deletions draw from rng.
-        return all([_random_deletion(rng, raw) == expected for _ in range(3)])
-
-    def heap_para_associativity():
-        a, b, c, d, e = (sampling.random_heap_word(rng, gens, 3) for _ in range(5))
-        lhs = words.heap_mu(words.heap_mu(a, b, c), d, e)
-        mid = words.heap_mu(a, words.heap_mu(d, c, b), e)
-        rhs = words.heap_mu(a, b, words.heap_mu(c, d, e))
-        return lhs == mid == rhs
-
-    def hom_normalization_invariance():
-        t = sampling.random_term(rng, gens, 5)
-        return homs.hom_to_group(t) == homs.hom_to_group(rewriting.normalize(t))
-
-    # The checks run in this order on one rng; each stops at its first
-    # failing trial.
-    checks = [
-        (name, all(trial() for _ in range(args.iterations)))
-        for name, trial in (
-            ("strategy-independence", strategy_independence),
-            ("axiom-walk-equivalence", axiom_walk_equivalence),
-            ("reduction-order-independence", reduction_order_independence),
-            ("heap-para-associativity", heap_para_associativity),
-            ("hom-normalization-invariance", hom_normalization_invariance),
-        )
-    ]
-
+    checks = selftest(random.Random(args.seed), args.iterations)
     all_ok = all(flag for _, flag in checks)
     for name, flag in checks:
         rep.text(f"{'PASS' if flag else 'FAIL'} {name}")
@@ -479,30 +480,6 @@ def cmd_selftest(args, rep: Report) -> int:
         passed=all_ok,
     )
     return 0 if all_ok else 1
-
-
-def _strategy_fixpoint(t, step):
-    while True:
-        r = step(t)
-        if r is None:
-            return t
-        t = r
-
-
-def _random_deletion(rng, raw):
-    """Cancel adjacent inverse pairs in random order until none remain."""
-    letters = list(raw)
-    while True:
-        sites = [
-            i
-            for i in range(len(letters) - 1)
-            if letters[i].gen == letters[i + 1].gen
-            and letters[i].sign == -letters[i + 1].sign
-        ]
-        if not sites:
-            return words.ReducedWord(tuple(letters))
-        i = rng.choice(sites)
-        del letters[i : i + 2]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from operator import ne
 from typing import Iterator, Sequence
 
@@ -32,7 +31,7 @@ from .errors import (
     NotAHomomorphismError,
     SchemaError,
 )
-from .words import _trusted
+from .terms import Record, _trusted
 
 Labels = tuple[int, ...]
 
@@ -42,16 +41,24 @@ LATTICE_GUARD = 8
 ISOMORPHISM_GUARD = 6
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Block index per element, with blocks numbered by least element in
     ascending order (canonical form)."""
 
-    block_of: tuple[int, ...]
+    __slots__ = ("block_of",)
 
-    def __post_init__(self):
-        if self.block_of != _canonical(self.block_of):
+    def __init__(self, block_of: tuple[int, ...]):
+        if block_of != _canonical(block_of):
             raise ValueError("partition encoding is not canonical")
+        object.__setattr__(self, "block_of", block_of)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Partition:
+            return self.block_of == other.block_of
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.block_of,))
 
     @staticmethod
     def from_labels(labels: Sequence[int]) -> "Partition":
@@ -201,17 +208,17 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
     return find_compatibility_violation(alg, p) is None
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """A partition compatible with every operation, checked on construction."""
 
-    algebra: FiniteAlgebra
-    partition: Partition
+    __slots__ = ("algebra", "partition")
 
-    def __post_init__(self):
-        violation = find_compatibility_violation(self.algebra, self.partition)
+    def __init__(self, algebra: FiniteAlgebra, partition: Partition):
+        violation = find_compatibility_violation(algebra, partition)
         if violation is not None:
             raise NotACongruenceError(violation)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "partition", partition)
 
 
 def _translations(alg: FiniteAlgebra) -> list[Labels]:

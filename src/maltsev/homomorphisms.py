@@ -12,11 +12,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Mapping, TypeVar
 
-from .algebras import Identity, check_identity, make_algebra, table_from_function
 from .errors import BudgetExceededError, EvaluationError
-from .rewriting import enumerate_normal_forms
-from .terms import MU, Term, Var, default_generators, interpret, variables
-from .words import Letter, ReducedWord, _trusted, is_heap_word, reduce
+from .terms import MU, Term, Var, _trusted, default_generators, interpret, variables
+from .words import Letter, ReducedWord, is_heap_word, reduce
 
 T = TypeVar("T")
 
@@ -97,6 +95,8 @@ def check_injectivity_on_M1(m: int) -> bool:
     <= 3 over m generators."""
     if m > 4:
         raise BudgetExceededError("injectivity check limited to m <= 4")
+    from .rewriting import enumerate_normal_forms
+
     gens = default_generators(m)
     forms = enumerate_normal_forms(gens, 1)
     images = [hom_to_group(t) for t in forms]
@@ -121,6 +121,8 @@ def distinguish_in_small_groups(t: Term, s: Term) -> bool:
     """Search the evaluation homomorphisms into the two- and three-element
     cyclic groups, with mu(a,b,c) = a - b + c, for one separating t from s
     (all assignments tried, as vectors)."""
+    from .algebras import Identity, check_identity, make_algebra, table_from_function
+
     ident = Identity(t, s, tuple(sorted(set(variables(t)) | set(variables(s)))))
     for m in (2, 3):
         heap = table_from_function(m, 3, lambda a, b, c: (a - b + c) % m)

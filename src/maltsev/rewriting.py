@@ -11,13 +11,13 @@ element identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceededError
 from .terms import (
     MU,
     App,
+    Record,
     Term,
     Var,
     count_W_up_to,
@@ -33,24 +33,24 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class RewriteSystem:
+class RewriteSystem(Record):
     """Ordered rewrite rules (lhs, rhs).
 
     Construction enforces the termination witness: each rhs is strictly
     smaller than its lhs and introduces no new variables.
     """
 
-    rules: tuple[tuple[Term, Term], ...]
+    __slots__ = ("rules",)
 
-    def __post_init__(self):
-        for lhs, rhs in self.rules:
+    def __init__(self, rules: tuple[tuple[Term, Term], ...]):
+        for lhs, rhs in rules:
             if not isinstance(lhs, App):
                 raise ValueError("rule lhs must be an application")
             if not set(variables(rhs)) <= set(variables(lhs)):
                 raise ValueError("rule rhs introduces new variables")
             if term_size(rhs) >= term_size(lhs):
                 raise ValueError("rule rhs must be strictly smaller than lhs")
+        object.__setattr__(self, "rules", rules)
 
 
 _x, _y = Var("x"), Var("y")
@@ -263,17 +263,23 @@ def enumerate_normal_forms(gens: tuple[str, ...], n: int) -> list[Term]:
 # root overlaps of distinct rules are deduplicated modulo renaming and swap.
 
 
-@dataclass(frozen=True)
-class CriticalPair:
-    peak: Term
-    left_result: Term
-    right_result: Term
-    position: tuple[int, ...]
+class CriticalPair(Record):
+    __slots__ = ("peak", "left_result", "right_result", "position")
+
+    def __init__(
+        self, peak: Term, left_result: Term, right_result: Term, position: tuple[int, ...]
+    ):
+        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "left_result", left_result)
+        object.__setattr__(self, "right_result", right_result)
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    entries: tuple[tuple[CriticalPair, bool], ...]
+class ConfluenceReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[CriticalPair, bool], ...]):
+        object.__setattr__(self, "entries", entries)
 
     @property
     def locally_confluent(self) -> bool:

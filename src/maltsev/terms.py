@@ -5,13 +5,16 @@ enumeration.
 A term is either a variable or an application of an operation symbol to a
 tuple of argument terms.  The layer is signature-generic; the ternary symbol
 ``mu`` is merely a convention used by the rewriting and homomorphism layers.
+
+Every layer imports this module, so it also holds ``Record``, the base of
+the package's read-only records, and ``_trusted``, which builds one
+unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, TypeVar
 
 from .errors import (
@@ -29,15 +32,56 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 MU = "mu"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Record:
+    """Base of the package's read-only records.  A subclass names its fields
+    in ``__slots__``; its ``__init__`` checks the values, where the class has
+    a check, and sets them with object.__setattr__.  After that no field can
+    be assigned or deleted.  ``_trusted`` builds a record without the check.
+    Records of one class are equal when their fields are, and hash as the
+    tuple of their fields; the hot ones write both by hand."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor; the
+        # default would set each slot with the refused __setattr__.
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {self.__class__.__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {self.__class__.__name__}.{name}")
+
+
+def _trusted(cls, **values):
+    """A record of class cls from values the engine built valid, without
+    the checks of its constructor."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class Signature(Record):
     """An ordered list of (name, arity) pairs with pairwise-distinct names."""
 
-    symbols: tuple[tuple[str, int], ...]
+    __slots__ = ("symbols",)
 
-    def __post_init__(self):
+    def __init__(self, symbols: tuple[tuple[str, int], ...]):
         seen = set()
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if not name or not IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid symbol name {name!r}")
             if name in seen:
@@ -45,6 +89,7 @@ class Signature:
             if arity < 0:
                 raise ValueError(f"negative arity for {name!r}")
             seen.add(name)
+        object.__setattr__(self, "symbols", symbols)
 
     def arity(self, name: str) -> int:
         return dict(self.symbols)[name]

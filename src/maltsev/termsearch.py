@@ -23,7 +23,6 @@ forms run the same loop in the same order, so they give the same outcome.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from operator import add
 from typing import Literal
 
@@ -34,24 +33,24 @@ from .algebras import (
     maltsev_columns,
     product_algebra,
 )
-from .congruences import LATTICE_GUARD, all_congruences, permute, quotient
 from .errors import EvaluationError, MaltsevError
-from .terms import App, Term, Var, variables
+from .terms import App, Record, Term, Var, variables
 
 PairVector = int | tuple[int, ...]
 
 Status = Literal["found", "none", "budget-exhausted"]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: Status
-    term: Term | None
-    visited: int
+class SearchOutcome(Record):
+    __slots__ = ("status", "term", "visited")
+
+    def __init__(self, status: Status, term: Term | None, visited: int):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "visited", visited)
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(Record):
     """How the search stores pair vectors.  ``pack`` turns coordinates into
     a stored vector and ``zero`` is the all-zero one.  Along an argument
     tuple the search keeps the prefix sum of flat table indices:
@@ -59,10 +58,19 @@ class _Form:
     ``reader(tab)(scaled, row)`` yields the table's value vector at
     ``scaled + e`` for each e in row, lazily."""
 
-    pack: Callable[[tuple[int, ...]], PairVector]
-    zero: PairVector
-    scale: Callable[[PairVector, PairVector], PairVector]
-    reader: Callable[[OperationTable], Callable[[PairVector, list], Iterator[PairVector]]]
+    __slots__ = ("pack", "zero", "scale", "reader")
+
+    def __init__(
+        self,
+        pack: Callable[[tuple[int, ...]], PairVector],
+        zero: PairVector,
+        scale: Callable[[PairVector, PairVector], PairVector],
+        reader: Callable[[OperationTable], Callable[[PairVector, list], Iterator[PairVector]]],
+    ):
+        object.__setattr__(self, "pack", pack)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "reader", reader)
 
 
 def _vector_form(alg: FiniteAlgebra) -> _Form:
@@ -216,6 +224,8 @@ def permutability_audit(alg: FiniteAlgebra) -> list[str]:
     """Check that all congruence pairs permute for the algebra, each of its
     quotients, and its square (when of at most 36 elements).  Returns a list
     of human-readable failures; empty means the audit passed."""
+    from .congruences import LATTICE_GUARD, all_congruences, permute, quotient
+
     base = all_congruences(alg)
     subjects = [quotient(alg, theta) for theta in base]
     if alg.size * alg.size <= 36:

@@ -17,55 +17,61 @@ results reduced (and heap-shaped) by construction and wrap them unchecked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import TermSyntaxError
-from .terms import IDENT_RE
+from .terms import IDENT_RE, Record, _trusted
 
 
-@dataclass(frozen=True)
-class Letter:
-    gen: str
-    sign: int
+class Letter(Record):
+    __slots__ = ("gen", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, gen: str, sign: int):
+        if sign not in (1, -1):
             raise ValueError("letter sign must be +1 or -1")
-        if not IDENT_RE.fullmatch(self.gen):
-            raise ValueError(f"invalid generator name {self.gen!r}")
+        if not IDENT_RE.fullmatch(gen):
+            raise ValueError(f"invalid generator name {gen!r}")
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Letter:
+            return self.gen == other.gen and self.sign == other.sign
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gen, self.sign))
 
     def inverse(self) -> "Letter":
         return _trusted(Letter, gen=self.gen, sign=-self.sign)
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Record):
     """A word with no adjacent pair of equal generators with opposite signs.
     The empty word is the group identity."""
 
-    letters: tuple[Letter, ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for a, b in zip(self.letters, self.letters[1:]):
+    def __init__(self, letters: tuple[Letter, ...]):
+        for a, b in zip(letters, letters[1:]):
             if a.gen == b.gen and a.sign == -b.sign:
                 raise ValueError(f"word is not reduced at {a.gen!r}")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is ReducedWord:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
 EMPTY_WORD = ReducedWord(())
-
-
-def _trusted(cls, **values):
-    """An instance of a frozen dataclass from values the engine built valid,
-    without the constructor's check."""
-    obj = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def reduce(raw: Sequence[Letter] | Iterable[Letter]) -> ReducedWord:
@@ -109,13 +115,21 @@ def is_heap_word(a: ReducedWord) -> bool:
     return len(signs) % 2 == 1 and -1 not in signs[::2] and 1 not in signs[1::2]
 
 
-@dataclass(frozen=True)
-class HeapWord:
-    word: ReducedWord
+class HeapWord(Record):
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        if not is_heap_word(self.word):
+    def __init__(self, word: ReducedWord):
+        if not is_heap_word(word):
             raise ValueError("not a heap word (odd alternating +,-,...,+)")
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is HeapWord:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -132,12 +146,14 @@ def heap_mu(a: HeapWord, b: HeapWord, c: HeapWord) -> HeapWord:
     return _trusted(HeapWord, word=fg_mul(a.word, fg_mul(fg_inv(b.word), c.word)))
 
 
-@dataclass(frozen=True)
-class HeapGroup:
+class HeapGroup(Record):
     """The group derived from the heap by fixing a basepoint as identity:
     u * v = mu(u, base, v), inverse u -> mu(base, u, base)."""
 
-    base: HeapWord
+    __slots__ = ("base",)
+
+    def __init__(self, base: HeapWord):
+        object.__setattr__(self, "base", base)
 
     @property
     def identity(self) -> HeapWord:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -122,6 +123,49 @@ class TestLoadAlgebra:
         }
         with pytest.raises(SchemaError):
             load_algebra(doc)
+
+    @staticmethod
+    def one_table(size, arity, table):
+        return {"size": size, "operations": [{"symbol": "f", "arity": arity, "table": table}]}
+
+    @pytest.mark.parametrize(
+        "size, arity, table, expected",
+        [
+            (10, 100_000_000, [0], "10**100000000"),
+            (10, 5000, [0], "10**5000"),
+            # 3 entries have 2 bits: past arity 2 the power is not built
+            (2, 3, [0, 0, 0], "2**3"),
+            # a size of 4001 digits, squared, could not be printed
+            (10**4000, 2, [0, 0], f"{10**4000}**2"),
+        ],
+    )
+    def test_a_length_that_cannot_match_is_rejected_without_the_power(
+        self, size, arity, table, expected
+    ):
+        start = time.perf_counter()
+        with pytest.raises(SchemaError) as exc:
+            load_algebra(self.one_table(size, arity, table))
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.location == "operations[0] ('f').table"
+        assert str(exc.value) == (
+            f"operations[0] ('f').table: table has {len(table)} entries, expected {expected}"
+        )
+
+    def test_any_arity_over_one_element(self):
+        alg = load_algebra(self.one_table(1, 100_000_000, [0]))
+        assert alg.table("f").arity == 100_000_000
+
+    def test_length_check_agrees_with_the_power(self):
+        for size, arity, length in itertools.product(range(1, 6), range(7), range(40)):
+            doc = self.one_table(size, arity, [0] * length)
+            if length == size**arity:
+                load_algebra(doc)
+                continue
+            with pytest.raises(SchemaError) as exc:
+                load_algebra(doc)
+            assert str(exc.value).endswith(
+                (f"expected {size**arity}", f"expected {size}**{arity}")
+            )
 
 
 class TestOperationTable:

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import itertools
 import json
@@ -422,6 +423,22 @@ class TestAlgebraCommands:
         assert code == 2
         assert "table[1]" in out
 
+    def test_huge_arity_is_a_located_schema_error(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"size": 10, "operations": [{"symbol": "f", "arity": 100000000, "table": [0]}]}
+        ))
+        argv = ["algebra", "congruences", "--file", str(path)]
+        message = "error: operations[0] ('f').table: table has 1 entries, expected 10**100000000"
+        start = time.perf_counter()
+        assert run(argv) == (2, message)
+        assert time.perf_counter() - start < 1.0
+        done = subprocess.run(
+            [sys.executable, "-m", "maltsev.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert (done.returncode, done.stdout) == (2, message + "\n")
+
 
 class TestSelftest:
     def test_passes_and_is_deterministic(self):
@@ -683,3 +700,35 @@ class TestDeepTerms:
             if (x + self.DEPTH * y) % 3 != x
         )
         assert (code, record["holds"], record["counterexample"]) == (1, False, {"x": x, "y": y})
+
+
+class TestParserIsPinned:
+    """Help texts and argparse usage errors, as recorded in
+    ``cli_parser_golden.json``: the golden cases go through main() and
+    capture stdout, so they cover neither."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "cli_parser_golden.json").read_text())
+
+    @staticmethod
+    def parsers(parser, name=""):
+        """(command name, parser) for the top-level parser, every group and
+        every leaf."""
+        yield name, parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for leaf, sub in action.choices.items():
+                    yield from TestParserIsPinned.parsers(sub, f"{name} {leaf}".strip())
+
+    def test_help_texts(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        found = {name: p.format_help() for name, p in self.parsers(build_parser())}
+        assert found == self.GOLDEN["help"]
+
+    @pytest.mark.parametrize("case", GOLDEN["usage_errors"], ids=lambda c: " ".join(c["argv"]))
+    def test_usage_errors(self, case, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(SRC.parent)
+        with pytest.raises(SystemExit) as stop:
+            main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (stop.value.code, out, err) == (case["code"], case["stdout"], case["stderr"])

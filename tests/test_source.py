@@ -188,9 +188,10 @@ def test_calls_are_found_in_their_scope():
 # Private names imported across modules.  Each is a deliberate coupling: a
 # new one fails here until it is added on purpose.
 PRIVATE_IMPORTS = {
-    ("congruences", "words._trusted"),
-    ("homomorphisms", "words._trusted"),
+    ("congruences", "terms._trusted"),
+    ("homomorphisms", "terms._trusted"),
     ("sampling", "rewriting._root_step"),
+    ("words", "terms._trusted"),
 }
 
 
@@ -269,14 +270,19 @@ def test_unknown_attribute_raises():
     assert not hasattr(maltsev, "nosuch")
 
 
-def _loaded_after(statement: str) -> list[str]:
-    """The maltsev modules in sys.modules after statement, in a fresh interpreter."""
-    script = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.startswith('maltsev')))"
+def _modules_after(statement: str) -> list[str]:
+    """The modules in sys.modules after statement, in a fresh interpreter."""
+    script = f"import sys\n{statement}\nprint(sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    return ast.literal_eval(done.stdout)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """The maltsev modules in sys.modules after statement, in a fresh interpreter."""
+    return [m for m in _modules_after(statement) if m.startswith("maltsev")]
 
 
 def test_package_import_loads_no_submodule():
@@ -288,3 +294,82 @@ def test_words_import_loads_no_engine_above_it():
     assert "maltsev.words" in loaded
     engines = ("rewriting", "algebras", "congruences", "homomorphisms", "termsearch")
     assert [m for m in loaded if m.removeprefix("maltsev.") in engines] == []
+
+
+# A command imports the engines it runs and nothing else: the word problem,
+# the free group and the homomorphisms never load the finite-algebra layers.
+FINITE_ALGEBRA_MODULES = [
+    "dataclasses",
+    "maltsev.algebras",
+    "maltsev.congruences",
+    "maltsev.sampling",
+    "maltsev.termsearch",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--term", "mu(x,y,y)"],
+        ["fg", "reduce", "--word", "x y y^-1"],
+        ["hom", "group", "--term", "mu(x,y,z)"],
+    ],
+    ids=" ".join,
+)
+def test_command_loads_only_its_engine(argv):
+    run_cli = (
+        f"import runpy\nsys.argv = ['maltsev', *{argv!r}]\n"
+        "try:\n    runpy.run_module('maltsev.cli', run_name='__main__')\n"
+        "except SystemExit as stop:\n    assert stop.code == 0, stop.code\n"
+    )
+    loaded = set(_modules_after(run_cli)) - set(_modules_after("pass"))
+    assert "maltsev.terms" in loaded  # the command ran
+    assert sorted(loaded.intersection(FINITE_ALGEBRA_MODULES)) == []
+
+
+def _module_level_imports(node):
+    """The import statements under node outside any function or class body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _module_level_imports(child)
+
+
+def test_no_module_imports_dataclasses():
+    # Records are __slots__ classes (terms.Record): defining a dataclass
+    # costs the import of dataclasses and inspect, and a class body per field.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_cli_imports_only_the_standard_library_and_errors_at_module_level():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for node in _module_level_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [] if node.module == "errors" else [f".{node.module or ''}"]
+        else:
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                names = [alias.name for alias in node.names]
+            found += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_module_level_imports_are_found():
+    tree = ast.parse(
+        "import a\nif x:\n    from .b import c\ndef f():\n    import d\n"
+        "class C:\n    import e\ntry:\n    import g\nexcept E:\n    pass\n"
+    )
+    found = [ast.unparse(node) for node in _module_level_imports(tree)]
+    assert found == ["import a", "from .b import c", "import g"]

@@ -12,7 +12,7 @@ from maltsev.algebras import (
     table_from_function,
 )
 from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
-from maltsev import termsearch
+from maltsev import congruences, termsearch
 from maltsev.errors import EvaluationError, MaltsevError
 from maltsev.terms import App, Var, format_term, parse_term, variables
 from maltsev.termsearch import (
@@ -333,15 +333,16 @@ class TestTheoremShadow:
         assert permutability_audit(chain_semilattice(3)) != []
 
     def test_one_lattice_per_subject(self, monkeypatch):
-        # subjects: Z4, its three quotients and its square
+        # subjects: Z4, its three quotients and its square; the audit
+        # imports all_congruences when it runs
         subjects = []
-        real = termsearch.all_congruences
+        real = congruences.all_congruences
 
         def counting(alg, **kwargs):
             subjects.append(alg)
             return real(alg, **kwargs)
 
-        monkeypatch.setattr(termsearch, "all_congruences", counting)
+        monkeypatch.setattr(congruences, "all_congruences", counting)
         assert permutability_audit(cyclic_group(4)) == []
         assert [alg.size for alg in subjects] == [4, 4, 2, 1, 16]
 
