@@ -38,10 +38,6 @@ from .terms import (
 class OperationTable(Record):
     __slots__ = ("arity", "entries")
 
-    def __init__(self, arity: int, entries: tuple[int, ...]):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "entries", entries)
-
     def apply(self, size: int, *args: int) -> int:
         if len(args) != self.arity:
             raise ArityMismatchError(
@@ -110,18 +106,6 @@ def table_from_function(size: int, arity: int, fn) -> OperationTable:
 
 class FiniteAlgebra(Record):
     __slots__ = ("name", "size", "signature", "tables")
-
-    def __init__(
-        self,
-        name: str,
-        size: int,
-        signature: Signature,
-        tables: tuple[tuple[str, OperationTable], ...],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "tables", tables)
 
     def table(self, symbol: str) -> OperationTable:
         for sym, tab in self.tables:
@@ -218,9 +202,7 @@ class Identity(Record):
     def __init__(self, lhs: Term, rhs: Term, names: tuple[str, ...]):
         if not set(variables(lhs)) | set(variables(rhs)) <= set(names):
             raise ValueError("identity quantifies fewer variables than used")
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "variables", names)
+        super().__init__(lhs, rhs, names)
 
 
 def parse_identity(text: str, sig: Signature) -> Identity:

@@ -516,8 +516,9 @@ def dispatch(args: argparse.Namespace) -> tuple[int, str]:
         code = args.handler(args, rep)
     except Exception as exc:
         code, rep = 2, Report(args.format)
-        rep.text(f"error: {exc}")
-        rep.emit(error=str(exc))
+        message = str(exc) or type(exc).__name__  # MemoryError() has no message
+        rep.text(f"error: {message}")
+        rep.emit(error=message)
     rep.emit(command=args.name)
     return code, rep.render()
 

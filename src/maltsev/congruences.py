@@ -50,19 +50,11 @@ class Partition(Record):
     def __init__(self, block_of: tuple[int, ...]):
         if block_of != _canonical(block_of):
             raise ValueError("partition encoding is not canonical")
-        object.__setattr__(self, "block_of", block_of)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is Partition:
-            return self.block_of == other.block_of
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.block_of,))
+        super().__init__(block_of)
 
     @staticmethod
     def from_labels(labels: Sequence[int]) -> "Partition":
-        return _trusted(Partition, block_of=_canonical(tuple(labels)))
+        return _trusted(Partition, _canonical(tuple(labels)))
 
     @staticmethod
     def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> "Partition":
@@ -85,11 +77,11 @@ class Partition(Record):
 
     @staticmethod
     def identity(n: int) -> "Partition":
-        return _trusted(Partition, block_of=tuple(range(n)))
+        return _trusted(Partition, tuple(range(n)))
 
     @staticmethod
     def total(n: int) -> "Partition":
-        return _trusted(Partition, block_of=(0,) * n)
+        return _trusted(Partition, (0,) * n)
 
     @property
     def size(self) -> int:
@@ -109,7 +101,7 @@ class Partition(Record):
         return self.block_of[a] == self.block_of[b]
 
     def join(self, other: "Partition") -> "Partition":
-        return _trusted(Partition, block_of=_join(self.block_of, other.block_of))
+        return _trusted(Partition, _join(self.block_of, other.block_of))
 
     def meet(self, other: "Partition") -> "Partition":
         return Partition.from_labels(list(zip(self.block_of, other.block_of)))
@@ -151,7 +143,7 @@ def all_partitions(n: int) -> Iterator[Partition]:
     while stack:
         prefix = stack.pop()
         if len(prefix) == n:
-            yield _trusted(Partition, block_of=prefix)
+            yield _trusted(Partition, prefix)
         else:
             stack.extend(prefix + (b,) for b in reversed(range(max(prefix, default=-1) + 2)))
 
@@ -217,8 +209,7 @@ class Congruence(Record):
         violation = find_compatibility_violation(algebra, partition)
         if violation is not None:
             raise NotACongruenceError(violation)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "partition", partition)
+        super().__init__(algebra, partition)
 
 
 def _translations(alg: FiniteAlgebra) -> list[Labels]:
@@ -255,8 +246,8 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"pair ({a},{b}) outside the carrier 0..{n - 1}")
     images = list(zip(range(n), *_translations(alg)))
-    partition = _trusted(Partition, block_of=_closure(images, a, b))
-    return _trusted(Congruence, algebra=alg, partition=partition)
+    partition = _trusted(Partition, _closure(images, a, b))
+    return _trusted(Congruence, alg, partition)
 
 
 def all_congruences(alg: FiniteAlgebra, max_size: int = LATTICE_GUARD) -> list[Congruence]:
@@ -279,8 +270,8 @@ def all_congruences(alg: FiniteAlgebra, max_size: int = LATTICE_GUARD) -> list[C
                 known.add(j)
                 lattice.append(j)
     ordered = sorted(known, key=lambda p: (-max(p), p))
-    partitions = [_trusted(Partition, block_of=p) for p in ordered]
-    return [_trusted(Congruence, algebra=alg, partition=p) for p in partitions]
+    partitions = [_trusted(Partition, p) for p in ordered]
+    return [_trusted(Congruence, alg, p) for p in partitions]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +344,7 @@ def _hom_violations(src: FiniteAlgebra, dst: FiniteAlgebra):
 def kernel(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> Congruence:
     """Fiber partition of a verified homomorphism."""
     check_homomorphism(src, dst, f)
-    return _trusted(Congruence, algebra=src, partition=Partition.from_labels(list(f)))
+    return _trusted(Congruence, src, Partition.from_labels(list(f)))
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):

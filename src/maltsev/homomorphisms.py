@@ -55,7 +55,7 @@ def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWo
         else:
             a, b, c = s.args
             stack += ((a, 1), (b, 0), (c, 1)) if inverted else ((c, 0), (b, 1), (a, 0))
-    return _trusted(ReducedWord, letters=tuple(out))
+    return _trusted(ReducedWord, tuple(out))
 
 
 def _generator_letters(t: Term, name: str, gen_map, by_gen: dict) -> tuple:

@@ -20,7 +20,7 @@ from .terms import (
     Record,
     Term,
     Var,
-    count_W_up_to,
+    count_W_levels,
     default_generators,
     enumerate_up_to,
     positions,
@@ -50,7 +50,7 @@ class RewriteSystem(Record):
                 raise ValueError("rule rhs introduces new variables")
             if term_size(rhs) >= term_size(lhs):
                 raise ValueError("rule rhs must be strictly smaller than lhs")
-        object.__setattr__(self, "rules", rules)
+        super().__init__(rules)
 
 
 _x, _y = Var("x"), Var("y")
@@ -235,11 +235,13 @@ def count_M_levels(m: int) -> Iterator[int]:
 
 
 def _count_M_oracle(m: int, n: int, budget: int) -> int:
-    total = count_W_up_to(m, n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"oracle enumeration needs {total} terms > budget {budget}"
-        )
+    # The budget is checked level by level.  The error names the count at
+    # level n, or 2**2000 once a count over budget passes it: counts about
+    # cube per level, and 603 digits print under any int-to-str limit.
+    for d, total in zip(range(n + 1), count_W_levels(m)):
+        if total > budget and (d == n or total >> 2000):
+            shown = "more than 2**2000" if total >> 2000 else total
+            raise BudgetExceededError(f"oracle enumeration needs {shown} terms > budget {budget}")
     # One table for the whole enumeration: each level is built over the
     # objects of the levels below, so every lower term is normalized once,
     # and consed normal forms are equal exactly when they are one object.
@@ -266,20 +268,9 @@ def enumerate_normal_forms(gens: tuple[str, ...], n: int) -> list[Term]:
 class CriticalPair(Record):
     __slots__ = ("peak", "left_result", "right_result", "position")
 
-    def __init__(
-        self, peak: Term, left_result: Term, right_result: Term, position: tuple[int, ...]
-    ):
-        object.__setattr__(self, "peak", peak)
-        object.__setattr__(self, "left_result", left_result)
-        object.__setattr__(self, "right_result", right_result)
-        object.__setattr__(self, "position", position)
-
 
 class ConfluenceReport(Record):
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[CriticalPair, bool], ...]):
-        object.__setattr__(self, "entries", entries)
 
     @property
     def locally_confluent(self) -> bool:

@@ -34,13 +34,22 @@ MU = "mu"
 
 class Record:
     """Base of the package's read-only records.  A subclass names its fields
-    in ``__slots__``; its ``__init__`` checks the values, where the class has
-    a check, and sets them with object.__setattr__.  After that no field can
-    be assigned or deleted.  ``_trusted`` builds a record without the check.
-    Records of one class are equal when their fields are, and hash as the
-    tuple of their fields; the hot ones write both by hand."""
+    in ``__slots__`` and is built with one value per field, by position.  A
+    class with a check defines ``__init__`` to check the values and then
+    passes them to ``Record.__init__``.  After that no field can be assigned
+    or deleted.  ``_trusted`` builds a record without the check.  Records of
+    one class are equal when their fields are, and hash as the tuple of
+    their fields."""
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{self.__class__.__name__}({', '.join(self.__slots__)}) got {len(values)} value(s)"
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -65,11 +74,11 @@ class Record:
         raise AttributeError(f"cannot delete {self.__class__.__name__}.{name}")
 
 
-def _trusted(cls, **values):
-    """A record of class cls from values the engine built valid, without
-    the checks of its constructor."""
+def _trusted(cls, *values):
+    """A record of class cls from its fields in order, which the engine
+    built valid, without the checks of its constructor."""
     obj = object.__new__(cls)
-    for name, value in values.items():
+    for name, value in zip(cls.__slots__, values):
         object.__setattr__(obj, name, value)
     return obj
 
@@ -89,7 +98,7 @@ class Signature(Record):
             if arity < 0:
                 raise ValueError(f"negative arity for {name!r}")
             seen.add(name)
-        object.__setattr__(self, "symbols", symbols)
+        super().__init__(symbols)
 
     def arity(self, name: str) -> int:
         return dict(self.symbols)[name]
@@ -376,24 +385,31 @@ def format_term(t: Term) -> str:
 
 
 def count_W(m: int, n: int) -> int:
-    """Number of mu-terms of depth exactly n over m generators, exactly.
-
-    Level 0 holds the m generators; level n >= 1 holds the triples whose
-    maximal argument level is n - 1, so with S(k) the cumulative count up to
-    level k the answer is S(n-1)**3 - S(n-2)**3.
-    """
+    """Number of mu-terms of depth exactly n over m generators, exactly:
+    S(n) - S(n-1), with S from ``count_W_levels``."""
     if m < 1:
         raise ValueError("need at least one generator")
     if n < 0:
         raise ValueError("level must be nonnegative")
-    previous, cumulative = 0, m  # S(k-1) and S(k), from k = 0
-    for _ in range(n):
-        previous, cumulative = cumulative, cumulative + cumulative**3 - previous**3
+    *_, previous, cumulative = 0, *itertools.islice(count_W_levels(m), n + 1)
     return cumulative - previous
 
 
+def count_W_levels(m: int) -> Iterator[int]:
+    """S(0), S(1), ...: the number of mu-terms of depth <= k over m generators.
+    Level 0 holds the m generators; level k >= 1 the triples whose maximal
+    argument level is k - 1, so S(k) - S(k-1) = S(k-1)**3 - S(k-2)**3."""
+    previous, cumulative = 0, m
+    while True:
+        yield cumulative
+        previous, cumulative = cumulative, cumulative + cumulative**3 - previous**3
+
+
 def count_W_up_to(m: int, n: int) -> int:
-    return sum(count_W(m, i) for i in range(n + 1))
+    """S(n), the number of mu-terms of depth <= n over m generators."""
+    if m < 1:
+        raise ValueError("need at least one generator")
+    return next(itertools.islice(count_W_levels(m), n, None)) if n >= 0 else 0
 
 
 def default_generators(m: int) -> tuple[str, ...]:
@@ -413,11 +429,11 @@ def enumerate_up_to(gens: tuple[str, ...], n: int, budget: int = 10**6) -> Itera
     if sorted(gens) != list(gens) or len(set(gens)) != len(gens):
         raise ValueError("generators must be distinct and sorted")
     below: list[tuple[Term, int]] = []  # every term built, with its depth
-    for d in range(n + 1):
-        if count_W_up_to(len(gens), d) > budget:
+    for d, total in zip(range(n + 1), count_W_levels(len(gens))):
+        if total > budget:
             raise BudgetExceededError(
                 f"enumerating W_{d} over {len(gens)} generators needs "
-                f"{count_W_up_to(len(gens), d)} terms > budget {budget}"
+                f"{total} terms > budget {budget}"
             )
         if d == 0:
             level: list[Term] = [Var(g) for g in gens]

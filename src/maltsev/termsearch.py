@@ -22,13 +22,10 @@ forms run the same loop in the same order, so they give the same outcome.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from operator import add
-from typing import Literal
 
 from .algebras import (
     FiniteAlgebra,
-    OperationTable,
     evaluate_columns,
     maltsev_columns,
     product_algebra,
@@ -38,16 +35,12 @@ from .terms import App, Record, Term, Var, variables
 
 PairVector = int | tuple[int, ...]
 
-Status = Literal["found", "none", "budget-exhausted"]
-
 
 class SearchOutcome(Record):
-    __slots__ = ("status", "term", "visited")
+    """``status`` is "found", with the witness ``term``, "none" or
+    "budget-exhausted"; ``visited`` counts the pair vectors stored."""
 
-    def __init__(self, status: Status, term: Term | None, visited: int):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "visited", visited)
+    __slots__ = ("status", "term", "visited")
 
 
 class _Form(Record):
@@ -59,18 +52,6 @@ class _Form(Record):
     ``scaled + e`` for each e in row, lazily."""
 
     __slots__ = ("pack", "zero", "scale", "reader")
-
-    def __init__(
-        self,
-        pack: Callable[[tuple[int, ...]], PairVector],
-        zero: PairVector,
-        scale: Callable[[PairVector, PairVector], PairVector],
-        reader: Callable[[OperationTable], Callable[[PairVector, list], Iterator[PairVector]]],
-    ):
-        object.__setattr__(self, "pack", pack)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "reader", reader)
 
 
 def _vector_form(alg: FiniteAlgebra) -> _Form:

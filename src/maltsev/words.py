@@ -32,19 +32,10 @@ class Letter(Record):
             raise ValueError("letter sign must be +1 or -1")
         if not IDENT_RE.fullmatch(gen):
             raise ValueError(f"invalid generator name {gen!r}")
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "sign", sign)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is Letter:
-            return self.gen == other.gen and self.sign == other.sign
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gen, self.sign))
+        super().__init__(gen, sign)
 
     def inverse(self) -> "Letter":
-        return _trusted(Letter, gen=self.gen, sign=-self.sign)
+        return _trusted(Letter, self.gen, -self.sign)
 
 
 class ReducedWord(Record):
@@ -57,15 +48,7 @@ class ReducedWord(Record):
         for a, b in zip(letters, letters[1:]):
             if a.gen == b.gen and a.sign == -b.sign:
                 raise ValueError(f"word is not reduced at {a.gen!r}")
-        object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is ReducedWord:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
+        super().__init__(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -82,7 +65,7 @@ def reduce(raw: Sequence[Letter] | Iterable[Letter]) -> ReducedWord:
             stack.pop()
         else:
             stack.append(letter)
-    return _trusted(ReducedWord, letters=tuple(stack))
+    return _trusted(ReducedWord, tuple(stack))
 
 
 def fg_mul(a: ReducedWord, b: ReducedWord) -> ReducedWord:
@@ -93,7 +76,7 @@ def fg_mul(a: ReducedWord, b: ReducedWord) -> ReducedWord:
     k, n = 0, min(len(x), len(y))
     while k < n and x[-1 - k].gen == y[k].gen and x[-1 - k].sign == -y[k].sign:
         k += 1
-    return _trusted(ReducedWord, letters=x[: len(x) - k] + y[k:])
+    return _trusted(ReducedWord, x[: len(x) - k] + y[k:])
 
 
 def fg_inv(a: ReducedWord) -> ReducedWord:
@@ -101,7 +84,7 @@ def fg_inv(a: ReducedWord) -> ReducedWord:
     object is inverted once; the word is then mapped through those."""
     ids = list(map(id, a.letters))
     inverse = {i: l.inverse() for i, l in dict(zip(ids, a.letters)).items()}
-    return _trusted(ReducedWord, letters=tuple(map(inverse.__getitem__, reversed(ids))))
+    return _trusted(ReducedWord, tuple(map(inverse.__getitem__, reversed(ids))))
 
 
 _sign = attrgetter("sign")
@@ -121,15 +104,7 @@ class HeapWord(Record):
     def __init__(self, word: ReducedWord):
         if not is_heap_word(word):
             raise ValueError("not a heap word (odd alternating +,-,...,+)")
-        object.__setattr__(self, "word", word)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is HeapWord:
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.word,))
+        super().__init__(word)
 
     def __len__(self) -> int:
         return len(self.word)
@@ -143,7 +118,7 @@ def heap_mu(a: HeapWord, b: HeapWord, c: HeapWord) -> HeapWord:
     """a b^-1 c, reduced.  Closure holds: cancellation preserves the
     alternating pattern and parity, so the result is again a heap word and
     is wrapped unchecked."""
-    return _trusted(HeapWord, word=fg_mul(a.word, fg_mul(fg_inv(b.word), c.word)))
+    return _trusted(HeapWord, fg_mul(a.word, fg_mul(fg_inv(b.word), c.word)))
 
 
 class HeapGroup(Record):
@@ -151,9 +126,6 @@ class HeapGroup(Record):
     u * v = mu(u, base, v), inverse u -> mu(base, u, base)."""
 
     __slots__ = ("base",)
-
-    def __init__(self, base: HeapWord):
-        object.__setattr__(self, "base", base)
 
     @property
     def identity(self) -> HeapWord:

@@ -151,6 +151,20 @@ class TestCountM:
         assert (code, out) == (0, "1")
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("level", [10, 16, 10**9])
+    def test_oracle_budget_is_checked_before_a_huge_count(self, level):
+        # with one generator the count about cubes per level: level 10 has
+        # more digits than str() prints by default and level 16 takes
+        # seconds to compute, so the check must stop below them
+        start = time.perf_counter()
+        argv = ["count-m", "--generators", "1", "--level", str(level), "--oracle"]
+        code, out = run([*argv, "--budget", "1000000"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (
+            2,
+            "error: oracle enumeration needs more than 2**2000 terms > budget 1000000",
+        )
+
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("MW_BUDGET", "5")
         code, _ = run(["count-m", "--generators", "2", "--level", "2", "--oracle"])
@@ -623,6 +637,19 @@ class TestExitCodeContract:
             path.write_text(document, encoding="utf-8")
             code, out = run(["--format", "json", "algebra", "congruences", "--file", str(path)])
         self.assert_error_record(code, out, "algebra congruences")
+
+    def test_an_error_without_a_message_is_named_by_its_type(self, monkeypatch):
+        def out_of_memory(alg, budget):
+            raise MemoryError()
+
+        monkeypatch.setattr("maltsev.termsearch.find_maltsev_term", out_of_memory)
+        argv = ["algebra", "maltsev-term", "--file", str(Z3_FILE)]
+        assert run(argv) == (2, "error: MemoryError")
+        code, out = run(["--format", "json", *argv])
+        assert (code, json.loads(out)) == (
+            2,
+            {"command": "algebra maltsev-term", "error": "MemoryError"},
+        )
 
     def test_no_traceback_from_a_process(self):
         env = dict(os.environ, PYTHONPATH=str(SRC), MW_BUDGET="abc")

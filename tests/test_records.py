@@ -1,7 +1,7 @@
 """The package's record classes behave as frozen value records: equal
 fields give equal objects with equal hashes, a record never equals one of
 another class, fields cannot be assigned or deleted, the constructors check
-what they are given, and ``words._trusted`` builds a record without that
+what they are given, and ``terms._trusted`` builds a record without that
 check."""
 
 import copy
@@ -12,9 +12,9 @@ import pytest
 from maltsev.algebras import FiniteAlgebra, Identity, OperationTable, make_algebra
 from maltsev.congruences import Congruence, Partition
 from maltsev.rewriting import ConfluenceReport, CriticalPair, RewriteSystem
-from maltsev.terms import Signature, Var, mu
+from maltsev.terms import Signature, Var, _trusted, mu
 from maltsev.termsearch import SearchOutcome, _Form
-from maltsev.words import HeapGroup, HeapWord, Letter, ReducedWord, _trusted
+from maltsev.words import HeapGroup, HeapWord, Letter, ReducedWord
 
 X, Y = Var("x"), Var("y")
 
@@ -110,6 +110,22 @@ def test_equal_fields_give_equal_objects_with_equal_hashes(cls):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_a_record_hashes_as_the_tuple_of_its_fields(cls):
+    names, make, other = RECORDS[cls]
+    for args in (make(), other()):
+        obj = cls(*args)
+        assert hash(obj) == hash(tuple(getattr(obj, name) for name in names)) == hash(args)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_a_wrong_argument_count_raises_type_error(cls):
+    args = RECORDS[cls][1]()
+    for wrong in (args[:-1], (*args, args[-1]), ()):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_objects_of_different_classes_are_unequal(cls):
     names, make, _ = RECORDS[cls]
     obj = cls(*make())
@@ -156,7 +172,7 @@ def test_constructor_checks_reject_bad_input(cls):
 def test_trusted_skips_the_checks(cls):
     names = RECORDS[cls][0]
     args, _ = REJECTED[cls]
-    obj = _trusted(cls, **dict(zip(names, args)))
+    obj = _trusted(cls, *args)
     assert type(obj) is cls
     assert tuple(getattr(obj, name) for name in names) == args
     with pytest.raises(AttributeError):

@@ -338,6 +338,14 @@ class TestCountM:
         with pytest.raises(BudgetExceededError):
             count_M(2, 3, oracle=True, budget=10**6)
 
+    def test_oracle_budget_error_names_the_count_at_the_level(self):
+        # 2 + 8 + 992 + 1006011008 terms up to level 3; past 2**2000 the
+        # error names that bound instead of computing the next levels
+        with pytest.raises(BudgetExceededError, match=r"needs 1006012010 terms > budget 1000$"):
+            count_M(2, 3, oracle=True, budget=1000)
+        with pytest.raises(BudgetExceededError, match=r"needs more than 2\*\*2000 terms"):
+            count_M(2, 10**9, oracle=True, budget=1000)
+
     def test_enumerated_normal_forms_match_count(self):
         forms = enumerate_normal_forms(("x", "y"), 2)
         assert len(forms) == 38

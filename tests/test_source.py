@@ -218,6 +218,75 @@ def test_private_imports_are_found():
     assert sorted(_private_imports(tree, "m")) == [("m", "_g"), ("m", "a._b")]
 
 
+# A record is its __slots__: terms.Record alone sets, compares, hashes,
+# copies and freezes the fields, so no subclass writes one of these and only
+# terms.py calls object.__setattr__.
+RECORD_METHODS = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__"}
+
+
+def _record_layout_breaches(modules):
+    """For modules mapping a module name to its tree: module:line for each
+    object.__setattr__ outside terms, and module.Class.method for each of
+    RECORD_METHODS that a subclass of Record, however indirect, defines."""
+    classes = [
+        (module, node)
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    records: set[str] = set()
+    for _ in classes:  # each pass reaches one more level of subclassing
+        records |= {
+            node.name
+            for _, node in classes
+            if {ast.unparse(base).split(".")[-1] for base in node.bases} & (records | {"Record"})
+        }
+    for module, node in classes:
+        if node.name in records:
+            yield from (
+                f"{module}.{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name in RECORD_METHODS
+            )
+    for module, tree in modules.items():
+        if module != "terms":
+            yield from (
+                f"{module}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and ast.unparse(node.value) == "object"
+            )
+
+
+def test_records_leave_their_layout_to_record():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    defined = {node.name for node in ast.walk(modules["terms"]) if isinstance(node, ast.ClassDef)}
+    assert "Record" in defined
+    assert list(_record_layout_breaches(modules)) == []
+
+
+def test_record_layout_breaches_are_found():
+    modules = {
+        "terms": ast.parse(
+            "class Record:\n    def __eq__(self, o): object.__setattr__(self, 'a', 1)\n"
+            "class Sig(Record):\n    def __hash__(self): return 0\n"
+        ),
+        "m": ast.parse(
+            "class A(terms.Record):\n    def __init__(self, a):\n"
+            "        object.__setattr__(self, 'a', a)\n"
+            "class B(A):\n    def __reduce__(self): pass\n    def f(self): pass\n"
+            "class C:\n    def __eq__(self, o): return True\n"
+            "class D(C):\n    def __setattr__(self, n, v): pass\n"
+        ),
+    }
+    found = sorted(_record_layout_breaches(modules))
+    assert found == ["m.B.__reduce__", "m:3", "terms.Sig.__hash__"]
+
+
 # ---------------------------------------------------------------------------
 # The public surface of the package.
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from maltsev.terms import (
     Signature,
     Var,
     count_W,
+    count_W_levels,
     count_W_up_to,
     enumerate_up_to,
     format_term,
@@ -378,6 +381,14 @@ class TestCounting:
 
     def test_count_up_to(self):
         assert count_W_up_to(2, 2) == 2 + 8 + 992
+
+    def test_count_up_to_is_the_sum_of_the_levels(self):
+        for m in (1, 2, 3):
+            levels = list(itertools.islice(count_W_levels(m), 6))
+            for n in range(6):
+                assert count_W_up_to(m, n) == sum(count_W(m, i) for i in range(n + 1))
+                assert levels[n] == count_W_up_to(m, n)
+        assert count_W_up_to(2, -1) == 0
 
     def test_enumerate_up_to_orders_by_level(self):
         terms = list(enumerate_up_to(("x", "y"), 1))
