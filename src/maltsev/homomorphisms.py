@@ -13,7 +13,7 @@ import itertools
 from typing import Callable, Mapping, TypeVar
 
 from .errors import BudgetExceededError, EvaluationError
-from .terms import MU, Term, Var, _trusted, default_generators, interpret, variables
+from .terms import Term, Var, _trusted, default_generators, interpret, variables
 from .words import Letter, ReducedWord, is_heap_word, reduce
 
 T = TypeVar("T")
@@ -116,16 +116,3 @@ def _all_reduced_words(gens: tuple[str, ...], length: int) -> list[ReducedWord]:
     words = (reduce(w) for w in itertools.product(alphabet, repeat=length))
     return [w for w in words if len(w) == length]
 
-
-def distinguish_in_small_groups(t: Term, s: Term) -> bool:
-    """Search the evaluation homomorphisms into the two- and three-element
-    cyclic groups, with mu(a,b,c) = a - b + c, for one separating t from s
-    (all assignments tried, as vectors)."""
-    from .algebras import Identity, check_identity, make_algebra, table_from_function
-
-    ident = Identity(t, s, tuple(sorted(set(variables(t)) | set(variables(s)))))
-    for m in (2, 3):
-        heap = table_from_function(m, 3, lambda a, b, c: (a - b + c) % m)
-        if check_identity(make_algebra(f"Z{m}", m, {MU: heap}), ident) is not None:
-            return True
-    return False

@@ -116,17 +116,21 @@ _REDUCE = object()  # marks, on the work stack, an application whose arguments a
 def _normalize(t: Term, forms: dict) -> Term:
     """The normal form of t, hash-consed in forms.
 
-    forms maps each variable name to its one Var, the id of each node
-    already seen to its normal form, and each normal form to itself.  A node
-    seen before is not walked again, and a normal form is kept only when no
-    equal one exists, so equal normal forms are one object and a term costs
-    O(distinct nodes).  Seen nodes are found by identity, never by a
-    structural comparison, which could walk a shared term as a tree; normal
-    forms are found by structure, which stops at their consed arguments.
-    Callers may share forms across calls, and then compare results with
-    ``is``, as long as every term passed in stays alive while forms is used
-    (an id is unique only among live objects).  Raises ValueError at the
-    first application, in pre-order, that is not a ternary mu.
+    forms maps each variable name to its one Var, the id of each node seen
+    below a root to its normal form, and the ids of the three arguments of
+    each normal form application, themselves consed, to that application.
+    A node seen before is not walked again, and a normal form is built only
+    when no equal one exists, so equal normal forms are one object and a
+    term costs O(distinct nodes).  Every lookup is by identity: no step
+    compares or hashes a term.
+
+    The root of a call gets no id entry, only its subterms do.  Callers may
+    share forms across calls, and then compare results with ``is``, as long
+    as the subterms of every root passed in stay alive while forms is used
+    (an id is unique only among live objects); a root itself may be dropped
+    right after its call.  The normal forms stay alive in forms, so their
+    ids in the keys stay valid.  Raises ValueError at the first application,
+    in pre-order, that is not a ternary mu.
     """
     done: list[Term] = []
     stack: list = [t]
@@ -141,7 +145,9 @@ def _normalize(t: Term, forms: dict) -> Term:
             done.append(r)
             continue
         elif s.__class__ is Var:
-            r = forms[id(s)] = forms.setdefault(s.name, s)
+            r = forms.setdefault(s.name, s)
+            if stack:
+                forms[id(s)] = r
             done.append(r)
             continue
         elif s.symbol != MU or len(s.args) != 3:
@@ -161,9 +167,12 @@ def _normalize(t: Term, forms: dict) -> Term:
         elif a is b:
             r = c
         else:
-            r = s if a is x and b is y and c is z else App(MU, (a, b, c))
-            r = forms.setdefault(r, r)
-        forms[id(s)] = r
+            key = (id(a), id(b), id(c))
+            r = get(key)
+            if r is None:
+                r = forms[key] = s if a is x and b is y and c is z else App(MU, (a, b, c))
+        if stack:  # s is not the root
+            forms[id(s)] = r
         done.append(r)
     return done[0]
 
@@ -187,7 +196,9 @@ def is_normal_form(t: Term) -> bool:
 def equal_in_free(t: Term, s: Term) -> bool:
     """Word problem: do t and s denote the same element of the free algebra?
     Both sides are normalized over one table, in O(distinct nodes), and the
-    consed normal forms are compared by identity."""
+    consed normal forms are compared by identity.  The table conses by the
+    ids of normal arguments, so the nodes of s that normalize as nodes of t
+    did find t's normal forms and build nothing."""
     forms: dict = {}
     return _normalize(t, forms) is _normalize(s, forms)
 
@@ -235,16 +246,23 @@ def count_M_levels(m: int) -> Iterator[int]:
 
 
 def _count_M_oracle(m: int, n: int, budget: int) -> int:
-    # The budget is checked level by level.  The error names the count at
-    # level n, or 2**2000 once a count over budget passes it: counts about
-    # cube per level, and 603 digits print under any int-to-str limit.
+    """count_M(m, n) by enumerating every term of depth <= n over one
+    normalizer table and counting the distinct consed normal forms.
+
+    The terms below level n are the lists that enumerate_up_to keeps, so
+    the subterms of every root stay alive, as _normalize requires, and each
+    is normalized once.  Each term of level n is built, normalized and
+    dropped in turn, since no root gets an id entry: the table and the
+    lower levels are all that is kept.
+
+    The budget is checked level by level first.  The error names the count
+    at level n, or 2**2000 once a count over budget passes it: counts about
+    cube per level, and 603 digits print under any int-to-str limit.
+    """
     for d, total in zip(range(n + 1), count_W_levels(m)):
         if total > budget and (d == n or total >> 2000):
             shown = "more than 2**2000" if total >> 2000 else total
             raise BudgetExceededError(f"oracle enumeration needs {shown} terms > budget {budget}")
-    # One table for the whole enumeration: each level is built over the
-    # objects of the levels below, so every lower term is normalized once,
-    # and consed normal forms are equal exactly when they are one object.
     forms: dict = {}
     gens = default_generators(m)
     return len({id(_normalize(t, forms)) for t in enumerate_up_to(gens, n, budget=budget)})

@@ -14,8 +14,9 @@ unchecked.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
     ArityMismatchError,
@@ -51,21 +52,25 @@ class Record:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+    def __init_subclass__(cls, **kwargs) -> None:
+        # One C-level reader of the fields per class, giving a tuple even
+        # for a one-field class.
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __reduce__(self):
         # copy and pickle rebuild a record through its constructor; the
         # default would set each slot with the refused __setattr__.
-        return self.__class__, self._fields()
+        return self.__class__, self._fields(self)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {self.__class__.__name__}.{name}")
@@ -287,9 +292,10 @@ def validate_term(t: Term, sig: Signature) -> None:
 # An IDENT is an operation symbol iff declared in the signature, else a
 # variable.  Declared constants (arity 0) are written without parentheses.
 
-# An identifier and the delimiter after it; a delimiter after a ')'.
-_TOKEN = re.compile(rf"\s*({IDENT_RE.pattern})?\s*([(,)]?)")
-_AFTER_CLOSE = re.compile(r"\s*([,)]?)")
+# The tokens of a text are its delimiters and the runs of other characters
+# between whitespace and delimiters.  parse_term reads them from one
+# str.split; this pattern finds where a token starts, on the error path only.
+_TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
 def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
@@ -300,61 +306,96 @@ def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
     collision, and wrong argument counts are arity mismatches (both with the
     offending position in the message).
 
+    The text is cut into tokens in one C-level pass (delimiters padded with
+    spaces, then one split), and the parse walks the token list.  A token
+    records no position: an error finds the position of its token by
+    scanning the text again, so a text that parses pays nothing for it.
+
     Equal subterms come back as one shared object: the parse keeps one table
-    of the subterms it has built, keyed by name and argument objects, so a
-    text that repeats a subterm yields a DAG with one node per distinct
-    subterm.  The table lives for this call only.
+    of the subterms it has built, leaves keyed by name and applications by
+    the name and the ids of their arguments, which are themselves shared
+    objects kept alive by the table.  So a text that repeats a subterm yields
+    a DAG with one node per distinct subterm, and no lookup compares or
+    hashes a term.  The table lives for this call only.
     """
     if not text or text.isspace():
         raise TermSyntaxError("empty term", 0)
     arities = dict(sig.symbols)
-    # Open applications, innermost last: symbol, its position, arguments read.
+    tokens = text.replace("(", " ( ").replace(",", " , ").replace(")", " ) ").split()
+    tokens += ("", "")  # past the end: no identifier and no delimiter
+    # Open applications, innermost last: symbol, its token index, arguments read.
     frames: list[tuple[str, int, list[Term]]] = []
     # Each distinct subterm built so far: leaves by name, applications by
-    # (symbol, argument objects), whose arguments are themselves shared.
+    # (symbol, *argument ids).
     shared: dict = {}
-    pos = 0
+    i = 0
     while True:
-        m = _TOKEN.match(text, pos)
-        (name, delimiter), pos = m.groups(), m.end()
-        if name is None:
-            raise TermSyntaxError("expected an identifier", pos - len(delimiter))
+        name, delimiter = tokens[i], tokens[i + 1]
         if delimiter == "(":
             if name not in arities:
-                raise TermSyntaxError(f"unknown operation symbol {name!r}", m.start(1))
-            frames.append((name, m.start(1), []))
+                raise _identifier_error(text, i, name, arities, True, bool(frames))
+            frames.append((name, i, []))
+            i += 2
             continue
-        if arities.get(name, 0):
-            raise NameCollisionError(
-                f"{name!r} is an operation symbol of arity {arities[name]},"
-                f" not a variable (at position {m.start(1)})"
-            )
         t = shared.get(name)
         if t is None:
+            if arities.get(name, 0) or not IDENT_RE.fullmatch(name):
+                raise _identifier_error(text, i, name, arities, False, bool(frames))
             t = shared[name] = App(name, ()) if name in arities else Var(name)
+        i += 1
         # t ends an argument: read the next one, or close applications.
         while frames:
             frames[-1][2].append(t)
             if delimiter == ",":
+                i += 1
                 break
             if delimiter != ")":
-                raise TermSyntaxError("expected ')'", pos)
+                raise TermSyntaxError("expected ')'", _position(text, i))
             name, start, args = frames.pop()
             if len(args) != arities[name]:
                 raise ArityMismatchError(
                     f"{name!r} expects {arities[name]} argument(s), got {len(args)}"
-                    f" (at position {start})"
+                    f" (at position {_position(text, start)})"
                 )
-            key = (name, tuple(args))
+            key = (name, *map(id, args))
             t = shared.get(key)
             if t is None:
-                t = shared[key] = App(*key)
-            m = _AFTER_CLOSE.match(text, pos)
-            delimiter, pos = m.group(1), m.end()
+                t = shared[key] = App(name, tuple(args))
+            i += 1
+            delimiter = tokens[i]
         else:
-            if pos != len(text) or delimiter:
-                raise TermSyntaxError("trailing input after term", pos - len(delimiter))
+            if delimiter:
+                raise TermSyntaxError("trailing input after term", _position(text, i))
             return t
+
+
+def _position(text: str, i: int) -> int:
+    """Where token i of text starts, or len(text) past its last token."""
+    m = next(itertools.islice(_TOKEN.finditer(text), i, None), None)
+    return len(text) if m is None else m.start()
+
+
+def _identifier_error(text, i, name, arities, opens, nested) -> Exception:
+    """The error at token i, which stands where an identifier belongs and
+    is no symbol (if opens, as "(" follows it) or no leaf, inside an
+    application if nested.  A token that starts with an identifier and goes
+    on with other characters is that identifier, used as a leaf, followed
+    by those characters."""
+    m = IDENT_RE.match(name)
+    if m is None:
+        return TermSyntaxError("expected an identifier", _position(text, i))
+    ident = m.group()
+    if opens and ident == name:
+        return TermSyntaxError(f"unknown operation symbol {name!r}", _position(text, i))
+    if arities.get(ident, 0):
+        return NameCollisionError(
+            f"{ident!r} is an operation symbol of arity {arities[ident]},"
+            f" not a variable (at position {_position(text, i)})"
+        )
+    after = _position(text, i) + m.end()
+    if nested:
+        return TermSyntaxError("expected ')'", after)
+    return TermSyntaxError("trailing input after term", after)
 
 
 def format_term(t: Term) -> str:
@@ -423,12 +464,14 @@ def default_generators(m: int) -> tuple[str, ...]:
 
 def enumerate_up_to(gens: tuple[str, ...], n: int, budget: int = 10**6) -> Iterator[Term]:
     """Terms of depth <= n, level by level, each level in enumeration order;
-    the levels are built once, each over the terms of the ones below.  A
-    level past the budget raises BudgetExceededError after the levels below
-    it have been yielded."""
+    the levels below n are built once, as lists, each over the terms of the
+    ones below it.  Level n is yielded term by term as it is built and kept
+    nowhere, so a caller that drops each term holds only the lower levels.
+    A level past the budget raises BudgetExceededError after the levels
+    below it have been yielded."""
     if sorted(gens) != list(gens) or len(set(gens)) != len(gens):
         raise ValueError("generators must be distinct and sorted")
-    below: list[tuple[Term, int]] = []  # every term built, with its depth
+    below: list[tuple[Term, int]] = []  # every term of the lists, with its depth
     for d, total in zip(range(n + 1), count_W_levels(len(gens))):
         if total > budget:
             raise BudgetExceededError(
@@ -436,12 +479,14 @@ def enumerate_up_to(gens: tuple[str, ...], n: int, budget: int = 10**6) -> Itera
                 f"{total} terms > budget {budget}"
             )
         if d == 0:
-            level: list[Term] = [Var(g) for g in gens]
+            level: Iterable[Term] = (Var(g) for g in gens)
         else:
-            level = [
+            level = (
                 App(MU, (a, b, c))
                 for (a, da), (b, db), (c, dc) in itertools.product(below, repeat=3)
                 if max(da, db, dc) == d - 1
-            ]
-        below += ((t, d) for t in level)
+            )
+        if d < n:
+            level = list(level)
+            below += ((t, d) for t in level)
         yield from level

@@ -31,7 +31,6 @@ from maltsev.congruences import (
 )
 from maltsev.homomorphisms import (
     check_injectivity_on_M1,
-    distinguish_in_small_groups,
     eval_term,
     hom_to_group,
 )
@@ -64,6 +63,8 @@ from maltsev.words import (
     is_heap_word,
     reduce,
 )
+
+from test_homomorphisms import distinguish_in_small_groups
 
 GENS = ("x", "y", "z")
 

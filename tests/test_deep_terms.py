@@ -4,6 +4,7 @@ map into the free group work at any depth.  Each answer is checked against a
 level-by-level computation along the chain that uses the recursive reference
 implementations only on the small fillers."""
 
+import re
 import tracemalloc
 
 from hypothesis import given, settings
@@ -12,14 +13,14 @@ from hypothesis import strategies as st
 from maltsev.algebras import OperationTable, check_identity, evaluate, make_algebra, parse_identity
 from maltsev.catalog import bundled_algebras
 from maltsev.homomorphisms import eval_term, hom_to_group
-from maltsev.rewriting import equal_in_free, normalize
-from maltsev.terms import MU, App, Var, format_term, mu, parse_term, variables
+from maltsev.rewriting import count_M, equal_in_free, normalize
+from maltsev.terms import MALTSEV_SIGNATURE, MU, App, Var, format_term, mu, parse_term, variables
 from maltsev.words import HeapWord
 
 from conftest import GENS3, Chain, chain_strategy
 from test_homomorphisms import reference_hom_to_group
 from test_rewriting import reference_normalize
-from test_terms import reference_format
+from test_terms import parse_outcome, reference_format, reference_parse
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -163,3 +164,47 @@ def test_walkers_use_memory_linear_in_the_term():
     z3 = bundled_algebras()["z3"]
     chain = "mul(" * 20000 + "x" + ",x)" * 20000
     assert peak_bytes(check_identity, z3, parse_identity(f"{chain} = e", z3.signature)) < 1_000_000
+
+
+def test_parse_memory_is_linear_in_the_text():
+    # 160001 characters, 140001 tokens: the token list with its 20000 "mu"
+    # strings takes about 2 MB, the 20000 applications with their argument
+    # tuples about 3 MB, and their cons keys of three ids about 3.5 MB.
+    text = format_term(zigzag(20000))
+    assert peak_bytes(parse_term, text) < 10_000_000
+
+
+def test_count_m_oracle_keeps_only_the_lower_levels():
+    # 27003 terms of depth <= 2 over three generators.  Each level-2 term is
+    # dropped once normalized, so the peak is the 30 lower terms, the 2943
+    # normal forms and the table: about 1.2 MB, where keeping every term
+    # would take about 9 MB.
+    assert peak_bytes(count_M, 3, 2, True) < 3_000_000
+
+
+def balanced(depth):
+    """The full ternary mu-term of the given depth over x, y, z, each level
+    with its arguments in a different order."""
+    t = [X, Y, Z]
+    for d in range(depth):
+        t = [mu(*t), mu(t[1], t[2], t[0]), mu(t[2], t[0], t[1])]
+    return t[0]
+
+
+def test_syntax_error_far_into_a_valid_prefix():
+    # A shallow text, so the recursive reference parser can read it, with
+    # its first error about 100 000 characters in.
+    text = format_term(balanced(10))
+    cut = text.index(",", 100_000)
+    for bad in (
+        text[:cut] + " $" + text[cut:],
+        text[:cut] + text[cut + 1 :],
+        text[:cut] + ",x" + text[cut:],
+        text[:cut] + ")",
+        text[:cut] + "(y)" + text[cut:],
+        text[:cut] + ",mu" + text[cut:],
+    ):
+        outcome = parse_outcome(parse_term, bad, MALTSEV_SIGNATURE)
+        assert outcome == parse_outcome(reference_parse, bad, MALTSEV_SIGNATURE)
+        position = int(re.search(r"at position (\d+)", outcome[1]).group(1))
+        assert 99_900 < position < 100_100

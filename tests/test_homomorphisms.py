@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maltsev.algebras import Identity, check_identity, make_algebra, table_from_function
 from maltsev.errors import BudgetExceededError, EvaluationError
 from maltsev.homomorphisms import (
     check_injectivity_on_M1,
-    distinguish_in_small_groups,
     eval_term,
     hom_to_group,
     separating_hom,
 )
 from maltsev.rewriting import enumerate_normal_forms, normalize
 from maltsev.sampling import random_normal_form, random_term
-from maltsev.terms import Var, mu, parse_term
+from maltsev.terms import MU, Var, mu, parse_term, variables
 from maltsev.words import HeapWord, Letter, ReducedWord, fg_inv, fg_mul, format_word, heap_mu
 
 from conftest import GENS3, term_strategy
@@ -37,6 +37,18 @@ def reference_hom_to_group(t, gen_map=None):
         return ReducedWord((Letter(gen, 1),))
     a, b, c = (reference_hom_to_group(s, gen_map) for s in t.args)
     return fg_mul(a, fg_mul(fg_inv(b), c))
+
+
+def distinguish_in_small_groups(t, s) -> bool:
+    """Search the evaluation homomorphisms into the two- and three-element
+    cyclic groups, with mu(a,b,c) = a - b + c, for one separating t from s
+    (all assignments tried, as vectors)."""
+    ident = Identity(t, s, tuple(sorted(set(variables(t)) | set(variables(s)))))
+    for m in (2, 3):
+        heap = table_from_function(m, 3, lambda a, b, c: (a - b + c) % m)
+        if check_identity(make_algebra(f"Z{m}", m, {MU: heap}), ident) is not None:
+            return True
+    return False
 
 
 def hom_outcome(hom, t, gen_map):

@@ -1,15 +1,18 @@
 import itertools
 import random
 from collections import defaultdict
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from maltsev import rewriting
 from maltsev.errors import BudgetExceededError
 from maltsev.rewriting import (
     MALTSEV_SYSTEM,
     RewriteSystem,
+    _normalize,
     check_confluence,
     count_M,
     count_M_levels,
@@ -156,6 +159,63 @@ class TestSharedTerms:
         assert normalize(t) is t
         assert equal_in_free(t, mu(u, Z, Z))
         assert not equal_in_free(t, mu(u, Z, X))
+
+
+class CountingApp(App):
+    """An App that counts its constructions in ``built``."""
+
+    __slots__ = ()
+    built = 0
+
+    def __init__(self, symbol, args):
+        CountingApp.built += 1
+        super().__init__(symbol, args)
+
+
+def apps_built(fn, *args):
+    """The value of fn(*args), and how many applications rewriting built."""
+    CountingApp.built = 0
+    with mock.patch.object(rewriting, "App", CountingApp):
+        value = fn(*args)
+    return value, CountingApp.built
+
+
+class TestConsTable:
+    """One table serves many calls: normal forms are keyed by the ids of
+    their consed arguments, and the root of a call gets no id entry."""
+
+    def test_dropped_roots_whose_ids_are_reused(self):
+        # Each root is built over a kept pool and dropped right after its
+        # call, so a later root often gets the id of an earlier, different
+        # one; had the table recorded roots, it would answer the old one.
+        rng = random.Random(7)
+        pool = list(enumerate_up_to(("x", "y"), 1))
+        forms: dict = {}
+        ids = set()
+        for _ in range(10_000):
+            root = mu(*(rng.choice(pool) for _ in range(3)))
+            ids.add(id(root))
+            assert _normalize(root, forms) == normalize(root)
+            del root
+        assert len(ids) < 5_000
+
+    def test_consed_results_are_one_object_per_class(self):
+        pool = list(enumerate_up_to(("x", "y"), 1))
+        forms: dict = {}
+        results = [_normalize(mu(a, b, c), forms) for a in pool for b in pool for c in pool]
+        assert len({id(r) for r in results}) == len(set(results)) == count_M(2, 2)
+
+    @given(term_strategy(max_leaves=40))
+    @example(mu(mu(X, Y, Y), mu(Z, mu(X, Z, Y), X), mu(Y, Y, mu(Z, X, Z))))
+    @example(parse_term("mu(" * 300 + "x" + ",y,z)" * 300))
+    def test_an_equal_second_side_builds_nothing(self, t):
+        # A separately parsed copy shares no object with the first side.
+        text = format_term(t)
+        first, second = parse_term(text), parse_term(text)
+        assert apps_built(equal_in_free, first, second) == (True, apps_built(normalize, first)[1])
+
+    def test_the_counter_sees_what_normalize_builds(self):
+        assert apps_built(normalize, mu(mu(X, Y, Y), Z, X)) == (mu(X, Z, X), 1)
 
 
 def fixpoint(t, step):
