@@ -15,7 +15,6 @@ handler imports the engine it runs, so a command loads nothing else.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -387,10 +386,7 @@ def cmd_congruences(args, rep: Report) -> int:
     rep.emit(congruences=partitions)
     if not args.check_permutability:
         return 0
-    failing = next(
-        (pair for pair in itertools.combinations(lattice, 2) if not cong.permute(alg, *pair)),
-        None,
-    )
+    failing = cong.non_permuting_pair(alg, lattice)
     rep.emit(permutable=failing is None)
     if failing is None:
         rep.text("all congruence pairs permute")

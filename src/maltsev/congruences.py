@@ -287,6 +287,13 @@ def permute(alg: FiniteAlgebra, theta: Congruence, phi: Congruence) -> bool:
     return len(set(zip(p, q))) == sum(theta_blocks[b] * phi_blocks[b] for b in theta_blocks)
 
 
+def non_permuting_pair(alg: FiniteAlgebra, lattice: Sequence[Congruence]):
+    """The first pair of lattice, in itertools.combinations order, that does
+    not permute, or None when every pair permutes."""
+    pairs = itertools.combinations(lattice, 2)
+    return next((pair for pair in pairs if not permute(alg, *pair)), None)
+
+
 def quotient(alg: FiniteAlgebra, theta: Congruence) -> FiniteAlgebra:
     """Carrier of blocks in canonical order, tables induced through the
     least element of each block.  The choice of representative does not

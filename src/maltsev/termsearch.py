@@ -203,21 +203,22 @@ def verify_maltsev_term(alg: FiniteAlgebra, t: Term) -> bool:
 
 def permutability_audit(alg: FiniteAlgebra) -> list[str]:
     """Check that all congruence pairs permute for the algebra, each of its
-    quotients, and its square (when of at most 36 elements).  Returns a list
-    of human-readable failures; empty means the audit passed."""
-    from .congruences import LATTICE_GUARD, all_congruences, permute, quotient
+    quotients, and its square (when of at most 36 elements).  Returns one
+    line per subject with a non-permuting pair, naming its first such pair
+    (congruences.non_permuting_pair); empty means the audit passed."""
+    from . import congruences as cong
 
-    base = all_congruences(alg)
-    subjects = [quotient(alg, theta) for theta in base]
+    base = cong.all_congruences(alg)
+    subjects = [cong.quotient(alg, theta) for theta in base]
     if alg.size * alg.size <= 36:
         subjects.append(product_algebra(alg, alg))
     lattices = [(alg, base)] + [
-        (s, all_congruences(s, max_size=max(LATTICE_GUARD, s.size))) for s in subjects
+        (s, cong.all_congruences(s, max_size=max(cong.LATTICE_GUARD, s.size))) for s in subjects
     ]
-    return [
-        f"{subject.name}: congruences do not permute"
-        for subject, congruences in lattices
-        for i, theta in enumerate(congruences)
-        for phi in congruences[i + 1 :]
-        if not permute(subject, theta, phi)
-    ]
+    failures = []
+    for subject, lattice in lattices:
+        pair = cong.non_permuting_pair(subject, lattice)
+        if pair:
+            theta, phi = (cong.format_partition(c.partition) for c in pair)
+            failures.append(f"{subject.name}: {theta} and {phi} do not permute")
+    return failures

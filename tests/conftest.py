@@ -69,6 +69,23 @@ def random_signature_term(rng, sig, names, depth):
     return App(symbol, tuple(random_signature_term(rng, sig, names, depth - 1) for _ in range(arity)))
 
 
+def relation_of(p):
+    return frozenset((x, y) for block in p.blocks() for x in block for y in block)
+
+
+def compose(r, s):
+    """Relational composition: (x,z) iff some y has (x,y) in r, (y,z) in s."""
+    by_left = {}
+    for y, z in s:
+        by_left.setdefault(y, set()).add(z)
+    return frozenset((x, z) for x, y in r for z in by_left.get(y, ()))
+
+
+def permute_oracle(theta, phi):
+    r, s = relation_of(theta.partition), relation_of(phi.partition)
+    return compose(r, s) == compose(s, r)
+
+
 @st.composite
 def small_algebras(
     draw, sizes=st.integers(2, 4), arities=st.lists(st.integers(0, 3), min_size=1, max_size=3)

@@ -1,12 +1,19 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maltsev import congruences
-from maltsev.algebras import OperationTable, make_algebra, product_algebra, table_from_function
-from maltsev.catalog import chain_semilattice, cyclic_group
+from maltsev.algebras import (
+    OperationTable,
+    dump_algebra,
+    make_algebra,
+    product_algebra,
+    table_from_function,
+)
+from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
 from maltsev.congruences import (
     Congruence,
     Partition,
@@ -19,6 +26,7 @@ from maltsev.congruences import (
     format_partition,
     is_congruence,
     kernel,
+    non_permuting_pair,
     parse_partition,
     permute,
     principal_congruence,
@@ -33,7 +41,7 @@ from maltsev.errors import (
 )
 from maltsev.termsearch import permutability_audit
 
-from conftest import small_algebras
+from conftest import compose, permute_oracle, relation_of, small_algebras
 
 
 def naive_compatible(alg, p):
@@ -100,21 +108,14 @@ def hom_error(src, dst, f):
     return None
 
 
-def relation_of(p):
-    return frozenset((x, y) for block in p.blocks() for x in block for y in block)
-
-
-def compose(r, s):
-    """Relational composition: (x,z) iff some y has (x,y) in r, (y,z) in s."""
-    by_left = {}
-    for y, z in s:
-        by_left.setdefault(y, set()).add(z)
-    return frozenset((x, z) for x, y in r for z in by_left.get(y, ()))
-
-
-def permute_oracle(theta, phi):
-    r, s = relation_of(theta.partition), relation_of(phi.partition)
-    return compose(r, s) == compose(s, r)
+def first_rejected_pair(lattice):
+    """Brute force: the first pair (i < j) that the composition oracle
+    rejects, or None."""
+    for i, theta in enumerate(lattice):
+        for phi in lattice[i + 1 :]:
+            if not permute_oracle(theta, phi):
+                return theta, phi
+    return None
 
 
 def lattice_order(p):
@@ -486,6 +487,41 @@ class TestPermutability:
             lattice = all_congruences(alg)
             for a, b in itertools.combinations(lattice, 2):
                 assert permute(alg, a, b), name
+
+
+class TestNonPermutingPair:
+    """The one search for a non-permuting pair, used by the CLI and the
+    audit, gives the composition oracle's first rejected pair."""
+
+    # the bundled algebras (chain3 among them) and the chains 4 to 6
+    SUBJECTS = {**bundled_algebras(), **{f"chain{n}": chain_semilattice(n) for n in (4, 5, 6)}}
+
+    @pytest.mark.parametrize("name", SUBJECTS)
+    def test_first_pair_the_oracle_rejects(self, name):
+        alg = self.SUBJECTS[name]
+        lattice = all_congruences(alg)
+        assert non_permuting_pair(alg, lattice) == first_rejected_pair(lattice)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_algebras(st.integers(1, 4)))
+    def test_first_pair_the_oracle_rejects_on_drawn_algebras(self, alg):
+        lattice = all_congruences(alg)
+        assert non_permuting_pair(alg, lattice) == first_rejected_pair(lattice)
+
+    @pytest.mark.parametrize("name", SUBJECTS)
+    def test_cli_counterexample_is_the_pair(self, name, tmp_path):
+        alg = self.SUBJECTS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dump_algebra(alg)))
+        argv = ["--format", "json", "algebra", "congruences", "--file", str(path)]
+        code, out = run([*argv, "--check-permutability"])
+        record = json.loads(out)
+        pair = non_permuting_pair(alg, all_congruences(alg))
+        if pair is None:
+            assert (code, record["permutable"], "counterexample" in record) == (0, True, False)
+        else:
+            assert (code, record["permutable"]) == (1, False)
+            assert record["counterexample"] == [format_partition(c.partition) for c in pair]
 
 
 class TestQuotient:

@@ -185,6 +185,36 @@ def test_calls_are_found_in_their_scope():
     assert found == [("m.f", "E"), ("m.C.g", "E"), ("m.C.g", "h")]
 
 
+# Permutability is searched in one place: the CLI and the audit both ask
+# congruences.non_permuting_pair, the only caller of permute.
+PERMUTE_CALLERS = ["congruences.non_permuting_pair"]
+
+
+def _permute_callers(tree, module):
+    """The scope of every call of permute or <anything>.permute under tree."""
+    for scope, call in _calls(tree, module):
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "permute":
+            yield scope
+
+
+def test_permutability_is_searched_once():
+    found = [
+        scope
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _permute_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert found == PERMUTE_CALLERS
+
+
+def test_permute_callers_are_found():
+    tree = ast.parse(
+        "def f(a):\n    return permute(a, 1, 2)\n"
+        "class C:\n    def g(self):\n        return [cong.permute(*p) for p in ps]\n"
+        "def h():\n    permuted(1)\n    x.permute_all()\n    return permute\n"
+    )
+    assert list(_permute_callers(tree, "m")) == ["m.f", "m.C.g"]
+
+
 # Private names imported across modules.  Each is a deliberate coupling: a
 # new one fails here until it is added on purpose.
 PRIVATE_IMPORTS = {

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from maltsev.algebras import (
     is_maltsev_operation,
     make_algebra,
     maltsev_columns,
+    product_algebra,
     table_from_function,
 )
 from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
@@ -24,7 +26,7 @@ from maltsev.termsearch import (
     verify_maltsev_term,
 )
 
-from conftest import random_signature_term
+from conftest import permute_oracle, random_signature_term
 
 
 def reference_search(alg, budget=10**7):
@@ -317,12 +319,26 @@ class TestSoundness:
         assert is_maltsev_operation(probe, "m")
 
 
+CHAIN3_AUDIT = [
+    "chain3: 0,1|2 and 0|1,2 do not permute",
+    "chain3/0|1|2: 0,1|2 and 0|1,2 do not permute",
+    "chain3xchain3: 0,1|2|3|4|5|6|7|8 and 0|1,2|3|4|5|6|7|8 do not permute",
+]
+
+
+def audit_subjects(alg):
+    """The audit's subjects: the algebra, its quotients and, when of at most
+    36 elements, its square."""
+    quotients = [congruences.quotient(alg, theta) for theta in congruences.all_congruences(alg)]
+    return [alg, *quotients, *([product_algebra(alg, alg)] if alg.size**2 <= 36 else [])]
+
+
 class TestTheoremShadow:
     def test_audit_passes_when_term_found(self):
-        for name in ("z2", "z3"):
+        for name in ("z2", "z3", "z4", "z5", "z6", "s3", "qg3", "loop5", "mu2"):
             alg = bundled_algebras()[name]
             assert find_maltsev_term(alg).status == "found"
-            assert permutability_audit(alg) == []
+            assert permutability_audit(alg) == [], name
 
     def test_audit_covers_square_within_limit(self):
         z2 = cyclic_group(2)
@@ -330,7 +346,39 @@ class TestTheoremShadow:
         assert permutability_audit(z2) == []
 
     def test_audit_flags_the_semilattice(self):
-        assert permutability_audit(chain_semilattice(3)) != []
+        assert permutability_audit(chain_semilattice(3)) == CHAIN3_AUDIT
+
+    def test_audit_names_each_subjects_first_failing_pair(self):
+        chain3 = chain_semilattice(3)
+        failing = dict(
+            line.removesuffix(" do not permute").split(": ") for line in permutability_audit(chain3)
+        )
+        subjects = audit_subjects(chain3)
+        assert set(failing) <= {s.name for s in subjects}
+        for subject in subjects:
+            lattice = congruences.all_congruences(subject, max_size=subject.size)
+            pairs = list(itertools.combinations(lattice, 2))
+            if subject.name not in failing:
+                assert all(permute_oracle(*pair) for pair in pairs), subject.name
+                continue
+            named = failing[subject.name].split(" and ")
+            formatted = [[congruences.format_partition(c.partition) for c in p] for p in pairs]
+            k = formatted.index(named)
+            assert not permute_oracle(*pairs[k]), subject.name
+            assert all(permute_oracle(*pair) for pair in pairs[:k]), subject.name
+
+    def test_chain4_audit_names_its_six_failing_subjects(self):
+        start = time.perf_counter()
+        failures = permutability_audit(chain_semilattice(4))
+        assert time.perf_counter() - start < 60
+        assert [line.split(": ")[0] for line in failures] == [
+            "chain4",
+            "chain4/0|1|2|3",
+            "chain4/0,1|2|3",
+            "chain4/0|1,2|3",
+            "chain4/0|1|2,3",
+            "chain4xchain4",
+        ]
 
     def test_one_lattice_per_subject(self, monkeypatch):
         # subjects: Z4, its three quotients and its square; the audit
