@@ -38,24 +38,11 @@ from .terms import (
 class OperationTable(Record):
     __slots__ = ("arity", "entries")
 
-    def apply(self, size: int, *args: int) -> int:
-        if len(args) != self.arity:
-            raise ArityMismatchError(
-                f"table of arity {self.arity} applied to {len(args)} argument(s)"
-            )
-        index = 0
-        for a in args:
-            index = index * size + a
-        return self.entries[index]
-
-    def columns(self, size: int, *columns: Iterable[int], width: int) -> tuple[int, ...]:
-        """The values at ``width`` argument tuples at once, columns[i][j] being
-        argument i of tuple j: every flat index is built at once and the table
-        read once per tuple, so a constant is its entry repeated."""
-        return tuple(self.iter_columns(size, *columns, width=width))
-
-    def iter_columns(self, size: int, *columns: Iterable[int], width: int) -> Iterator[int]:
-        """``columns`` as a lazy iterator, for a caller that may stop early."""
+    def columns(self, size: int, *columns: Iterable[int], width: int) -> Iterator[int]:
+        """The values at ``width`` argument tuples, columns[i][j] being argument
+        i of tuple j, as a lazy iterator: each flat index is built from the
+        columns and the table read once per tuple, so a constant is its entry
+        repeated.  A wrong number of columns raises at the call."""
         if len(columns) != self.arity:
             raise ArityMismatchError(
                 f"table of arity {self.arity} applied to {len(columns)} argument(s)"
@@ -113,9 +100,6 @@ class FiniteAlgebra(Record):
                 return tab
         names = ", ".join(sym for sym, _ in self.tables)
         raise UnknownSymbolError(f"unknown operation symbol {symbol!r} (operations: {names})")
-
-    def apply(self, symbol: str, *args: int) -> int:
-        return self.table(symbol).apply(self.size, *args)
 
 
 def make_algebra(
@@ -215,18 +199,18 @@ def parse_identity(text: str, sig: Signature) -> Identity:
     return Identity(lhs, rhs, tuple(names))
 
 
-def evaluate(alg: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
-    return interpret(t, env, alg.apply)
-
-
 def evaluate_columns(
     alg: FiniteAlgebra, t: Term, columns: Mapping[str, tuple[int, ...]], width: int
 ) -> tuple[int, ...]:
     """The values of t at ``width`` assignments at once, by
     OperationTable.columns: columns[v][i] is the value of variable v in
-    assignment i.  Raises what evaluate raises, for the same first failing node."""
+    assignment i.  It fails at the first failing node in post-order.  Each
+    node's values are built into a tuple before its parent reads them: lazy
+    maps nested as deep as t would be consumed through C-level recursion."""
     n = alg.size
-    return interpret(t, columns, lambda sym, *args: alg.table(sym).columns(n, *args, width=width))
+    return interpret(
+        t, columns, lambda sym, *args: tuple(alg.table(sym).columns(n, *args, width=width))
+    )
 
 
 # The most assignments check_identity evaluates in one vector.
@@ -262,7 +246,7 @@ def is_maltsev_operation(alg: FiniteAlgebra, symbol: str) -> bool:
     if tab.arity != 3:
         raise ArityMismatchError(f"{symbol!r} has arity {tab.arity}, need 3")
     *columns, target = maltsev_columns(alg.size)
-    return tab.columns(alg.size, *columns, width=len(target)) == target
+    return tuple(tab.columns(alg.size, *columns, width=len(target))) == target
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from operator import ne
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebras import FiniteAlgebra, OperationTable, make_algebra, tuple_columns
 from .errors import (
@@ -75,14 +75,6 @@ class Partition(Record):
             )
         return Partition.from_labels(labels)
 
-    @staticmethod
-    def identity(n: int) -> "Partition":
-        return _trusted(Partition, tuple(range(n)))
-
-    @staticmethod
-    def total(n: int) -> "Partition":
-        return _trusted(Partition, (0,) * n)
-
     @property
     def size(self) -> int:
         return len(self.block_of)
@@ -96,20 +88,6 @@ class Partition(Record):
         for x, b in enumerate(self.block_of):
             out[b].append(x)
         return tuple(tuple(b) for b in out)
-
-    def relates(self, a: int, b: int) -> bool:
-        return self.block_of[a] == self.block_of[b]
-
-    def join(self, other: "Partition") -> "Partition":
-        return _trusted(Partition, _join(self.block_of, other.block_of))
-
-    def meet(self, other: "Partition") -> "Partition":
-        return Partition.from_labels(list(zip(self.block_of, other.block_of)))
-
-    def refines(self, other: "Partition") -> bool:
-        """Every block of self lies inside a block of other, i.e. meets
-        exactly one block of other."""
-        return len(set(zip(self.block_of, other.block_of))) == self.num_blocks
 
 
 def _canonical(labels: tuple) -> tuple[int, ...]:
@@ -135,17 +113,6 @@ def _join(p: Labels, q: Labels) -> Labels:
     for b in range(len(parent)):  # parent[b] <= b: one pass finds every root
         parent[b] = parent[parent[b]]
     return _canonical(tuple(parent[b] for b in p))
-
-
-def all_partitions(n: int) -> Iterator[Partition]:
-    """Every partition of {0..n-1}, as restricted-growth strings in lexicographic order."""
-    stack: list[Labels] = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == n:
-            yield _trusted(Partition, prefix)
-        else:
-            stack.extend(prefix + (b,) for b in reversed(range(max(prefix, default=-1) + 2)))
 
 
 def parse_partition(text: str, n: int) -> Partition:
@@ -213,11 +180,13 @@ class Congruence(Record):
 
 
 def _translations(alg: FiniteAlgebra) -> list[Labels]:
-    """The distinct non-constant basic translations, each as its n values,
-    in first-seen order (operation, position, fixed arguments)."""
+    """The images table of the distinct non-constant basic translations:
+    images[c] is c, then t[c] for each translation t, in first-seen order
+    (operation, position, fixed arguments)."""
     n = alg.size
     slices = (values for _, tab in alg.tables for _, _, values in tab.translations(n))
-    return [t for t in dict.fromkeys(slices) if min(t) != max(t)]
+    translations = [t for t in dict.fromkeys(slices) if min(t) != max(t)]
+    return list(zip(range(n), *translations))
 
 
 def _closure(images: list[Labels], a: int, b: int) -> Labels:
@@ -245,8 +214,7 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     n = alg.size
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"pair ({a},{b}) outside the carrier 0..{n - 1}")
-    images = list(zip(range(n), *_translations(alg)))
-    partition = _trusted(Partition, _closure(images, a, b))
+    partition = _trusted(Partition, _closure(_translations(alg), a, b))
     return _trusted(Congruence, alg, partition)
 
 
@@ -259,7 +227,7 @@ def all_congruences(alg: FiniteAlgebra, max_size: int = LATTICE_GUARD) -> list[C
             f"carrier size {alg.size} exceeds the lattice guard {max_size};"
             " raise the limit to override"
         )
-    images = list(zip(range(alg.size), *_translations(alg)))
+    images = _translations(alg)
     principal = {_closure(images, a, b) for a, b in itertools.combinations(range(alg.size), 2)}
     lattice = [tuple(range(alg.size)), *principal]
     known = set(lattice)
@@ -336,7 +304,7 @@ def _hom_violations(src: FiniteAlgebra, dst: FiniteAlgebra):
     def violation(f: Sequence[int]):
         image = f.__getitem__
         for sym, tab, columns, dst_tab in plans:
-            images = dst_tab.iter_columns(
+            images = dst_tab.columns(
                 dst.size, *(map(image, c) for c in columns), width=len(tab.entries)
             )
             mismatches = map(ne, map(image, tab.entries), images)

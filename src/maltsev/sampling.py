@@ -22,10 +22,6 @@ def random_term(rng: random.Random, gens: Sequence[str], max_depth: int) -> Term
     return App(MU, tuple(random_term(rng, gens, max_depth - 1) for _ in range(3)))
 
 
-def random_normal_form(rng: random.Random, gens: Sequence[str], max_depth: int) -> Term:
-    return normalize(random_term(rng, gens, max_depth))
-
-
 def axiom_walk(
     rng: random.Random,
     t: Term,

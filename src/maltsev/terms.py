@@ -105,14 +105,8 @@ class Signature(Record):
             seen.add(name)
         super().__init__(symbols)
 
-    def arity(self, name: str) -> int:
-        return dict(self.symbols)[name]
-
     def __contains__(self, name: str) -> bool:
         return name in dict(self.symbols)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(dict(self.symbols))
 
 
 MALTSEV_SIGNATURE = Signature(((MU, 3),))
@@ -444,13 +438,6 @@ def count_W_levels(m: int) -> Iterator[int]:
     while True:
         yield cumulative
         previous, cumulative = cumulative, cumulative + cumulative**3 - previous**3
-
-
-def count_W_up_to(m: int, n: int) -> int:
-    """S(n), the number of mu-terms of depth <= n over m generators."""
-    if m < 1:
-        raise ValueError("need at least one generator")
-    return next(itertools.islice(count_W_levels(m), n, None)) if n >= 0 else 0
 
 
 def default_generators(m: int) -> tuple[str, ...]:

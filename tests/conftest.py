@@ -1,15 +1,166 @@
+import functools
+import itertools
 import json
 from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
+from maltsev import congruences
 from maltsev.algebras import OperationTable, dump_algebra, make_algebra
 from maltsev.catalog import bundled_algebras
+from maltsev.congruences import Partition
+from maltsev.errors import ArityMismatchError, EvaluationError
 from maltsev.terms import App, MU, Var
-from maltsev.words import HeapWord, Letter, reduce
+from maltsev.words import HeapWord, Letter, ReducedWord, heap_mu, reduce
 
 GENS3 = ("x", "y", "z")
+
+
+def fixpoint(t, step):
+    """step applied until it returns None."""
+    while True:
+        r = step(t)
+        if r is None:
+            return t
+        t = r
+
+
+def random_order_reduction(rng, raw):
+    """Oracle for reduce: delete cancelling pairs in random order until none
+    remain."""
+    letters = list(raw)
+    while True:
+        sites = [
+            i
+            for i in range(len(letters) - 1)
+            if letters[i].gen == letters[i + 1].gen
+            and letters[i].sign == -letters[i + 1].sign
+        ]
+        if not sites:
+            return ReducedWord(tuple(letters))
+        i = rng.choice(sites)
+        del letters[i : i + 2]
+
+
+def heap_words_up_to(gens, max_len):
+    """Every heap word of odd length <= max_len over gens, shortest first."""
+    out = []
+    for length in range(1, max_len + 1, 2):
+        for names in itertools.product(gens, repeat=length):
+            letters = tuple(
+                Letter(g, 1 if i % 2 == 0 else -1) for i, g in enumerate(names)
+            )
+            try:
+                out.append(HeapWord(ReducedWord(letters)))
+            except ValueError:
+                pass  # unreduced pattern such as a a^-1 a
+    return out
+
+
+def para_associative(a, b, c, d, e):
+    """mu(mu(a,b,c),d,e) = mu(a,mu(d,c,b),e) = mu(a,b,mu(c,d,e)) in the heap."""
+    lhs = heap_mu(heap_mu(a, b, c), d, e)
+    mid = heap_mu(a, heap_mu(d, c, b), e)
+    rhs = heap_mu(a, b, heap_mu(c, d, e))
+    return lhs == mid == rhs
+
+
+# ---------------------------------------------------------------------------
+# Per-entry oracles for finite algebras: one table read per argument tuple,
+# against which the package's whole-table readers are checked.
+
+
+def apply_table(tab, size, *args):
+    """The entry of tab at args, through the row-major flat index."""
+    if len(args) != tab.arity:
+        raise ArityMismatchError(
+            f"table of arity {tab.arity} applied to {len(args)} argument(s)"
+        )
+    index = 0
+    for a in args:
+        index = index * size + a
+    return tab.entries[index]
+
+
+def apply(alg, symbol, *args):
+    return apply_table(alg.table(symbol), alg.size, *args)
+
+
+def evaluate(alg, t, env):
+    """The value of t at one assignment, by recursion, one table read per
+    node; it fails where the package's evaluators do, at the first failing
+    node in post-order."""
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise EvaluationError(f"unassigned variable {t.name!r}")
+        return env[t.name]
+    return apply(alg, t.symbol, *(evaluate(alg, s, env) for s in t.args))
+
+
+# ---------------------------------------------------------------------------
+# Partitions as the lattice of equivalences, by brute force.
+
+
+def all_partitions(n):
+    """Every partition of {0..n-1}, as restricted-growth strings in lexicographic order."""
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == n:
+            yield Partition(prefix)
+        else:
+            stack.extend(prefix + (b,) for b in reversed(range(max(prefix, default=-1) + 2)))
+
+
+def identity_partition(n):
+    return Partition(tuple(range(n)))
+
+
+def total_partition(n):
+    return Partition((0,) * n)
+
+
+def relates(p, a, b):
+    return p.block_of[a] == p.block_of[b]
+
+
+def refines(p, q):
+    """Every block of p lies inside a block of q, i.e. meets exactly one block of q."""
+    return len(set(zip(p.block_of, q.block_of))) == p.num_blocks
+
+
+def meet(p, q):
+    return Partition.from_labels(list(zip(p.block_of, q.block_of)))
+
+
+def join(p, q):
+    """The engine's join of the labels; the constructor checks they are canonical."""
+    return Partition(congruences._join(p.block_of, q.block_of))
+
+
+def naive_compatible(alg, p):
+    """Compatibility by every pair of related argument tuples."""
+    n = alg.size
+    for sym, tab in alg.tables:
+        k = tab.arity
+        for xs in itertools.product(range(n), repeat=k):
+            for ys in itertools.product(range(n), repeat=k):
+                if all(relates(p, a, b) for a, b in zip(xs, ys)):
+                    if not relates(p, apply_table(tab, n, *xs), apply_table(tab, n, *ys)):
+                        return False
+    return True
+
+
+def naive_congruences(alg):
+    """Every partition of the carrier that naive_compatible accepts."""
+    return [p for p in all_partitions(alg.size) if naive_compatible(alg, p)]
+
+
+def least_relating(partitions, a, b):
+    """The meet of the partitions relating a and b: over the congruences,
+    the least congruence containing (a, b)."""
+    return functools.reduce(meet, (p for p in partitions if relates(p, a, b)))
 
 
 def term_strategy(gens=GENS3, max_leaves=30):
@@ -136,9 +287,10 @@ def algebras():
 
 @pytest.fixture()
 def algebra_file(tmp_path, algebras):
-    def write(name):
+    def write(name, alg=None):
+        """The path of a document of alg, by default the bundled algebra name."""
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(dump_algebra(algebras[name])))
+        path.write_text(json.dumps(dump_algebra(algebras[name] if alg is None else alg)))
         return str(path)
 
     return write

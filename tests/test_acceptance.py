@@ -23,7 +23,6 @@ from maltsev.congruences import (
     Congruence,
     Partition,
     all_congruences,
-    all_partitions,
     first_iso_check,
     format_partition,
     permute,
@@ -31,7 +30,6 @@ from maltsev.congruences import (
 )
 from maltsev.homomorphisms import (
     check_injectivity_on_M1,
-    eval_term,
     hom_to_group,
 )
 from maltsev.rewriting import (
@@ -49,22 +47,29 @@ from maltsev.sampling import (
     axiom_walk,
     random_heap_word,
     random_letters,
-    random_normal_form,
     random_term,
 )
 from maltsev.terms import Var, count_W, mu
 from maltsev.termsearch import find_maltsev_term, permutability_audit, verify_maltsev_term
 from maltsev.words import (
     HeapWord,
-    Letter,
-    ReducedWord,
     heap_group_ops,
     heap_mu,
     is_heap_word,
     reduce,
 )
 
-from test_homomorphisms import distinguish_in_small_groups
+from conftest import (
+    apply,
+    apply_table,
+    fixpoint,
+    heap_words_up_to,
+    least_relating,
+    naive_congruences,
+    para_associative,
+    random_order_reduction,
+)
+from test_homomorphisms import distinguish_in_small_groups, factors_through_normalization
 
 GENS = ("x", "y", "z")
 
@@ -83,14 +88,6 @@ def criterion(number, description):
         return wrapper
 
     return deco
-
-
-def fixpoint(t, step):
-    while True:
-        r = step(t)
-        if r is None:
-            return t
-        t = r
 
 
 @criterion(1, "confluence certificate and strategy independence")
@@ -127,8 +124,8 @@ def test_criterion_02():
     distinguished = 0
     total = 0
     while total < 10**3:
-        t = random_normal_form(rng, GENS, 6)
-        s = random_normal_form(rng, GENS, 6)
+        t = normalize(random_term(rng, GENS, 6))
+        s = normalize(random_term(rng, GENS, 6))
         if t == s:
             continue
         assert is_normal_form(t) and is_normal_form(s)
@@ -162,56 +159,21 @@ def test_criterion_04():
         raw = random_letters(rng, GENS, rng.randrange(13))
         word = reduce(raw)
         assert reduce(word.letters) == word
-        assert _random_order_reduction(rng, raw) == word
-
-
-def _random_order_reduction(rng, raw):
-    letters = list(raw)
-    while True:
-        sites = [
-            i
-            for i in range(len(letters) - 1)
-            if letters[i].gen == letters[i + 1].gen
-            and letters[i].sign == -letters[i + 1].sign
-        ]
-        if not sites:
-            return ReducedWord(tuple(letters))
-        i = rng.choice(sites)
-        del letters[i : i + 2]
-
-
-def _heap_words_up_to(gens, max_len):
-    out = []
-    for length in range(1, max_len + 1, 2):
-        for names in itertools.product(gens, repeat=length):
-            letters = tuple(
-                Letter(g, 1 if i % 2 == 0 else -1) for i, g in enumerate(names)
-            )
-            try:
-                out.append(HeapWord(ReducedWord(letters)))
-            except ValueError:
-                continue
-    return out
+        assert random_order_reduction(rng, raw) == word
 
 
 @criterion(5, "heap closure, para-associativity, and derived group laws")
 def test_criterion_05():
-    short = _heap_words_up_to(("a", "b"), 3)
+    short = heap_words_up_to(("a", "b"), 3)
     for a, b, c, d, e in itertools.product(short, repeat=5):
-        lhs = heap_mu(heap_mu(a, b, c), d, e)
-        mid = heap_mu(a, heap_mu(d, c, b), e)
-        rhs = heap_mu(a, b, heap_mu(c, d, e))
-        assert lhs == mid == rhs
+        assert para_associative(a, b, c, d, e)
 
     rng = random.Random(0)
     for _ in range(10**4):
         a, b, c, d, e = (random_heap_word(rng, GENS, 4) for _ in range(5))
         result = heap_mu(a, b, c)
         assert is_heap_word(result.word)
-        lhs = heap_mu(heap_mu(a, b, c), d, e)
-        mid = heap_mu(a, heap_mu(d, c, b), e)
-        rhs = heap_mu(a, b, heap_mu(c, d, e))
-        assert lhs == mid == rhs
+        assert para_associative(a, b, c, d, e)
 
     for base in short:
         group = heap_group_ops(base)
@@ -259,9 +221,8 @@ def test_criterion_07():
         assert is_maltsev_operation(probe, "m"), name
     # the order-5 loop really is non-associative
     loop = algs["loop5"]
-    assert loop.apply("star", loop.apply("star", 1, 1), 2) != loop.apply(
-        "star", 1, loop.apply("star", 1, 2)
-    )
+    star = functools.partial(apply, loop, "star")
+    assert star(star(1, 1), 2) != star(1, star(1, 2))
 
 
 @criterion(8, "congruence suite: lattices, permutability, principal oracle, first iso")
@@ -285,66 +246,27 @@ def test_criterion_08():
     for name, alg in algs.items():
         if alg.size > 4:
             continue
-        for a in range(alg.size):
-            for b in range(alg.size):
-                expected = _brute_force_least_congruence(alg, a, b)
-                assert principal_congruence(alg, a, b).partition == expected, name
+        candidates = naive_congruences(alg)
+        for a, b in itertools.product(range(alg.size), repeat=2):
+            expected = least_relating(candidates, a, b)
+            assert principal_congruence(alg, a, b).partition == expected, name
 
     assert first_iso_check(algs["z4"], algs["z2"], [0, 1, 0, 1])
     assert first_iso_check(algs["z6"], algs["z3"], [0, 1, 2, 0, 1, 2])
 
 
-def _brute_force_least_congruence(alg, a, b):
-    def compatible(p):
-        n = alg.size
-        for sym, tab in alg.tables:
-            for xs in itertools.product(range(n), repeat=tab.arity):
-                for ys in itertools.product(range(n), repeat=tab.arity):
-                    if all(p.relates(u, v) for u, v in zip(xs, ys)):
-                        if not p.relates(tab.apply(n, *xs), tab.apply(n, *ys)):
-                            return False
-        return True
-
-    least = None
-    for p in all_partitions(alg.size):
-        if p.relates(a, b) and compatible(p):
-            least = p if least is None else least.meet(p)
-    return least
-
-
 @criterion(9, "ternary-term search with theorem-level permutability audit")
-def test_criterion_09():
-    algs = bundled_algebras()
+def test_criterion_09(algebras, algebra_file):
     for name in ("z2", "z3"):
-        outcome = find_maltsev_term(algs[name])
+        outcome = find_maltsev_term(algebras[name])
         assert outcome.status == "found"
-        assert verify_maltsev_term(algs[name], outcome.term)
-        assert permutability_audit(algs[name]) == []
+        assert verify_maltsev_term(algebras[name], outcome.term)
+        assert permutability_audit(algebras[name]) == []
 
-    outcome = find_maltsev_term(algs["chain3"])
+    outcome = find_maltsev_term(algebras["chain3"])
     assert outcome.status == "none"
-    path = _write(algs["chain3"])
-    try:
-        code, out = cli(["algebra", "maltsev-term", "--file", path])
-        assert (code, out) == (1, "none")
-    finally:
-        import os
-
-        os.unlink(path)
-
-
-def _write(alg):
-    import json
-    import tempfile
-
-    from maltsev.algebras import dump_algebra
-
-    handle = tempfile.NamedTemporaryFile(
-        mode="w", suffix=".json", delete=False, prefix="acceptance_"
-    )
-    json.dump(dump_algebra(alg), handle)
-    handle.close()
-    return handle.name
+    code, out = cli(["algebra", "maltsev-term", "--file", algebra_file("chain3")])
+    assert (code, out) == (1, "none")
 
 
 @criterion(10, "universal property: evaluation factors through normalization")
@@ -370,10 +292,8 @@ def test_criterion_10():
     ]
     rng = random.Random(0)
     for size, table in carriers:
-        mu_impl = lambda a, b, c: table.apply(size, a, b, c)
+        mu_impl = functools.partial(apply_table, table, size)
         for _ in range(10**4):
             t = random_term(rng, GENS, 5)
             assignment = {g: rng.randrange(size) for g in GENS}
-            assert eval_term(t, assignment, mu_impl) == eval_term(
-                normalize(t), assignment, mu_impl
-            )
+            assert factors_through_normalization(t, assignment, mu_impl)

@@ -500,28 +500,18 @@ def test_every_documented_command_is_reachable():
 
 
 class TestLatticeGuard:
-    def test_oversize_carrier_is_guarded(self, tmp_path):
-        import json as _json
-
-        from maltsev.algebras import dump_algebra
+    def test_oversize_carrier_is_guarded(self, algebra_file):
         from maltsev.catalog import cyclic_group
 
-        path = tmp_path / "z9.json"
-        path.write_text(_json.dumps(dump_algebra(cyclic_group(9))))
-        code, out = run(["algebra", "congruences", "--file", str(path)])
+        path = algebra_file("z9", cyclic_group(9))
+        code, out = run(["algebra", "congruences", "--file", path])
         assert code == 2
 
-    def test_override_prints_cost_warning(self, tmp_path):
-        import json as _json
-
-        from maltsev.algebras import dump_algebra
+    def test_override_prints_cost_warning(self, algebra_file):
         from maltsev.catalog import cyclic_group
 
-        path = tmp_path / "z9.json"
-        path.write_text(_json.dumps(dump_algebra(cyclic_group(9))))
-        code, out = run(
-            ["algebra", "congruences", "--file", str(path), "--max-size", "9"]
-        )
+        path = algebra_file("z9", cyclic_group(9))
+        code, out = run(["algebra", "congruences", "--file", path, "--max-size", "9"])
         assert code == 0
         assert "warning" in out
         assert "count: 3" in out

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maltsev import congruences
 from maltsev.algebras import (
     OperationTable,
-    dump_algebra,
     make_algebra,
     product_algebra,
     table_from_function,
@@ -18,7 +17,6 @@ from maltsev.congruences import (
     Congruence,
     Partition,
     all_congruences,
-    all_partitions,
     check_homomorphism,
     find_compatibility_violation,
     find_isomorphism,
@@ -41,20 +39,25 @@ from maltsev.errors import (
 )
 from maltsev.termsearch import permutability_audit
 
-from conftest import compose, permute_oracle, relation_of, small_algebras
-
-
-def naive_compatible(alg, p):
-    """Independent compatibility oracle: check every pair of related tuples."""
-    n = alg.size
-    for sym, tab in alg.tables:
-        k = tab.arity
-        for xs in itertools.product(range(n), repeat=k):
-            for ys in itertools.product(range(n), repeat=k):
-                if all(p.relates(a, b) for a, b in zip(xs, ys)):
-                    if not p.relates(tab.apply(n, *xs), tab.apply(n, *ys)):
-                        return False
-    return True
+from conftest import (
+    all_partitions,
+    apply,
+    apply_table,
+    compose,
+    identity_partition,
+    join,
+    least_relating,
+    meet,
+    naive_compatible,
+    naive_congruences,
+    permute_oracle,
+    refines,
+    relates,
+    relation_of,
+    small_algebras,
+    total_partition,
+)
+from test_algebras import naive_translations
 
 
 def naive_violation(alg, p):
@@ -64,13 +67,13 @@ def naive_violation(alg, p):
     for sym, tab in alg.tables:
         k = tab.arity
         for args in itertools.product(range(n), repeat=k):
-            base = tab.apply(n, *args)
+            base = apply_table(tab, n, *args)
             for pos in range(k):
                 for rep in range(n):
-                    if rep == args[pos] or not p.relates(args[pos], rep):
+                    if rep == args[pos] or not relates(p, args[pos], rep):
                         continue
                     changed = args[:pos] + (rep,) + args[pos + 1 :]
-                    if not p.relates(base, tab.apply(n, *changed)):
+                    if not relates(p, base, apply_table(tab, n, *changed)):
                         return (sym, args, pos, rep)
     return None
 
@@ -83,7 +86,7 @@ def naive_quotient(alg, theta):
     for sym, tab in alg.tables:
 
         def fn(*bargs, tab=tab):
-            return p.block_of[tab.apply(alg.size, *(reps[b] for b in bargs))]
+            return p.block_of[apply_table(tab, alg.size, *(reps[b] for b in bargs))]
 
         ops[sym] = table_from_function(len(reps), tab.arity, fn)
     return make_algebra(f"{alg.name}/{format_partition(p)}", len(reps), ops)
@@ -95,7 +98,7 @@ def naive_hom_error(src, dst, f):
     time; None for a homomorphism."""
     for sym, tab in src.tables:
         for args in itertools.product(range(src.size), repeat=tab.arity):
-            if f[tab.apply(src.size, *args)] != dst.apply(sym, *(f[x] for x in args)):
+            if f[apply_table(tab, src.size, *args)] != apply(dst, sym, *(f[x] for x in args)):
                 return f"not compatible with {sym!r} at {args}"
     return None
 
@@ -128,20 +131,6 @@ ONE_ELEMENT = make_algebra(
 )
 
 
-def brute_force_principal(alg, a, b):
-    """Least compatible equivalence containing (a, b), by scanning all
-    partitions of the carrier (meet of all candidates)."""
-    candidates = [
-        p
-        for p in all_partitions(alg.size)
-        if p.relates(a, b) and naive_compatible(alg, p)
-    ]
-    least = candidates[0]
-    for p in candidates[1:]:
-        least = least.meet(p)
-    return least
-
-
 class TestPartition:
     def test_canonical_form_enforced(self):
         with pytest.raises(ValueError):
@@ -157,14 +146,14 @@ class TestPartition:
     def test_join_meet(self):
         a = Partition.from_blocks(4, [[0, 1], [2], [3]])
         b = Partition.from_blocks(4, [[0], [1, 2], [3]])
-        assert a.join(b) == Partition.from_blocks(4, [[0, 1, 2], [3]])
-        assert a.meet(b) == Partition.identity(4)
+        assert join(a, b) == Partition.from_blocks(4, [[0, 1, 2], [3]])
+        assert meet(a, b) == identity_partition(4)
 
     def test_refines(self):
         fine = Partition.from_blocks(4, [[0], [1], [2, 3]])
         coarse = Partition.from_blocks(4, [[0, 1], [2, 3]])
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
+        assert refines(fine, coarse)
+        assert not refines(coarse, fine)
 
     def test_parse_format_round_trip(self):
         p = parse_partition("0,2|1,3", 4)
@@ -237,14 +226,14 @@ class TestPartition:
                 reach = relation_of(p) | relation_of(q)
                 while (closed := reach | compose(reach, reach)) != reach:
                     reach = closed
-                assert relation_of(p.join(q)) == reach, (p, q)
+                assert relation_of(join(p, q)) == reach, (p, q)
 
 
 class TestIsCongruence:
     def test_identity_and_total_always_work(self, algebras):
         for alg in algebras.values():
-            assert is_congruence(alg, Partition.identity(alg.size))
-            assert is_congruence(alg, Partition.total(alg.size))
+            assert is_congruence(alg, identity_partition(alg.size))
+            assert is_congruence(alg, total_partition(alg.size))
 
     def test_subgroup_cosets_on_z4(self):
         z4 = cyclic_group(4)
@@ -282,7 +271,7 @@ class TestIsCongruence:
 class TestPrincipalCongruence:
     def test_reflexive_pair_gives_identity(self):
         z4 = cyclic_group(4)
-        assert principal_congruence(z4, 2, 2).partition == Partition.identity(4)
+        assert principal_congruence(z4, 2, 2).partition == identity_partition(4)
 
     def test_z4_translation_closure(self):
         z4 = cyclic_group(4)
@@ -298,38 +287,36 @@ class TestPrincipalCongruence:
         for name, alg in algebras.items():
             if alg.size > 4:
                 continue
-            for a in range(alg.size):
-                for b in range(alg.size):
-                    expected = brute_force_principal(alg, a, b)
-                    assert principal_congruence(alg, a, b).partition == expected
+            candidates = naive_congruences(alg)
+            for a, b in itertools.product(range(alg.size), repeat=2):
+                expected = least_relating(candidates, a, b)
+                assert principal_congruence(alg, a, b).partition == expected
 
     @settings(max_examples=60, deadline=None)
     @given(small_algebras(st.integers(1, 4)))
     @example(NULLARY_ONLY)
     @example(ONE_ELEMENT)
     def test_matches_brute_force_oracle_on_drawn_algebras(self, alg):
-        candidates = [p for p in all_partitions(alg.size) if naive_compatible(alg, p)]
+        candidates = naive_congruences(alg)
         for a, b in itertools.product(range(alg.size), repeat=2):
-            least = Partition.total(alg.size)
-            for p in candidates:
-                if p.relates(a, b):
-                    least = least.meet(p)
+            least = least_relating(candidates, a, b)
             assert principal_congruence(alg, a, b).partition == least, (a, b)
 
     def test_translations_are_the_distinct_nonconstant_ones(self, algebras):
         # x -> x meet 0 is constant and left out; Z3's two mul positions
-        # give the same three translations
-        assert congruences._translations(algebras["chain3"]) == [(0, 1, 1), (0, 1, 2)]
-        assert congruences._translations(algebras["z3"]) == [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)]
+        # give the same three translations.  Row c of the images table holds
+        # c, then t[c] for each translation t.
+        def translations(alg):
+            identity, *rest = zip(*congruences._translations(alg))
+            assert identity == tuple(range(alg.size))
+            return rest
+
+        assert translations(algebras["chain3"]) == [(0, 1, 1), (0, 1, 2)]
+        assert translations(algebras["z3"]) == [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)]
         for alg in algebras.values():
             n = alg.size
-            expected = {
-                tuple(tab.apply(n, *fixed[:pos], x, *fixed[pos:]) for x in range(n))
-                for _, tab in alg.tables
-                for pos in range(tab.arity)
-                for fixed in itertools.product(range(n), repeat=tab.arity - 1)
-            }
-            got = congruences._translations(alg)
+            expected = {t for _, tab in alg.tables for _, _, t in naive_translations(tab, n)}
+            got = translations(alg)
             assert len(got) == len(set(got))
             assert set(got) == {t for t in expected if len(set(t)) > 1}
 
@@ -342,10 +329,10 @@ class TestPrincipalCongruence:
             for a in range(alg.size):
                 for b in range(alg.size):
                     theta = principal_congruence(alg, a, b)
-                    assert theta.partition.relates(a, b)
+                    assert relates(theta.partition, a, b)
                     for other in lattice:
-                        if other.partition.relates(a, b):
-                            assert theta.partition.refines(other.partition)
+                        if relates(other.partition, a, b):
+                            assert refines(theta.partition, other.partition)
 
 
 class TestAllCongruences:
@@ -364,23 +351,21 @@ class TestAllCongruences:
     def test_contains_identity_and_total(self, algebras):
         for name in ("z2", "z4", "chain3", "s3"):
             lattice = [c.partition for c in all_congruences(algebras[name])]
-            assert Partition.identity(algebras[name].size) in lattice
-            assert Partition.total(algebras[name].size) in lattice
+            assert identity_partition(algebras[name].size) in lattice
+            assert total_partition(algebras[name].size) in lattice
 
     def test_closed_under_join_and_meet(self, algebras):
         for name in ("z4", "chain3", "z6"):
             lattice = [c.partition for c in all_congruences(algebras[name])]
             for a in lattice:
                 for b in lattice:
-                    assert a.join(b) in lattice
-                    assert a.meet(b) in lattice
+                    assert join(a, b) in lattice
+                    assert meet(a, b) in lattice
 
     def test_matches_brute_force_enumeration(self, algebras):
         for name in ("z2", "z3", "z4", "chain3", "qg3", "mu2"):
             alg = algebras[name]
-            expected = {
-                p for p in all_partitions(alg.size) if naive_compatible(alg, p)
-            }
+            expected = set(naive_congruences(alg))
             assert {c.partition for c in all_congruences(alg)} == expected
 
     def test_equals_the_sorted_partition_filter(self, algebras):
@@ -442,7 +427,7 @@ class TestPermutability:
         z4 = cyclic_group(4)
         theta = principal_congruence(z4, 0, 2)
         r = relation_of(theta.partition)
-        ident = relation_of(Partition.identity(4))
+        ident = relation_of(identity_partition(4))
         assert compose(r, ident) == r
         assert compose(ident, r) == r
 
@@ -509,11 +494,9 @@ class TestNonPermutingPair:
         assert non_permuting_pair(alg, lattice) == first_rejected_pair(lattice)
 
     @pytest.mark.parametrize("name", SUBJECTS)
-    def test_cli_counterexample_is_the_pair(self, name, tmp_path):
+    def test_cli_counterexample_is_the_pair(self, name, algebra_file):
         alg = self.SUBJECTS[name]
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(dump_algebra(alg)))
-        argv = ["--format", "json", "algebra", "congruences", "--file", str(path)]
+        argv = ["--format", "json", "algebra", "congruences", "--file", algebra_file(name, alg)]
         code, out = run([*argv, "--check-permutability"])
         record = json.loads(out)
         pair = non_permuting_pair(alg, all_congruences(alg))
@@ -534,13 +517,13 @@ class TestQuotient:
 
     def test_quotient_by_identity_is_isomorphic(self):
         z4 = cyclic_group(4)
-        theta = Congruence(z4, Partition.identity(4))
+        theta = Congruence(z4, identity_partition(4))
         q = quotient(z4, theta)
         assert find_isomorphism(q, z4) is not None
 
     def test_quotient_by_total_is_one_element(self):
         z4 = cyclic_group(4)
-        q = quotient(z4, Congruence(z4, Partition.total(4)))
+        q = quotient(z4, Congruence(z4, total_partition(4)))
         assert q.size == 1
 
     def test_representative_independence(self, algebras):
@@ -555,8 +538,8 @@ class TestQuotient:
                 block_of = theta.partition.block_of
                 for sym, tab in alg.tables:
                     for args in itertools.product(range(alg.size), repeat=tab.arity):
-                        expected = q.apply(sym, *(block_of[x] for x in args))
-                        assert block_of[alg.apply(sym, *args)] == expected, (name, sym, args)
+                        expected = apply(q, sym, *(block_of[x] for x in args))
+                        assert block_of[apply(alg, sym, *args)] == expected, (name, sym, args)
 
 
 class TestKernel:
@@ -568,7 +551,7 @@ class TestKernel:
     def test_identity_map(self):
         z4 = cyclic_group(4)
         ker = kernel(z4, z4, [0, 1, 2, 3])
-        assert ker.partition == Partition.identity(4)
+        assert ker.partition == identity_partition(4)
 
     def test_constant_map_to_trivial(self):
         z4 = cyclic_group(4)
@@ -582,7 +565,7 @@ class TestKernel:
             },
         )
         ker = kernel(z4, one, [0, 0, 0, 0])
-        assert ker.partition == Partition.total(4)
+        assert ker.partition == total_partition(4)
 
     def test_non_homomorphism_rejected(self):
         z4, z2 = cyclic_group(4), cyclic_group(2)
@@ -625,7 +608,7 @@ class TestWholeTableScans:
     @example(ONE_ELEMENT, [])
     def test_violations_and_quotients(self, alg, labellings):
         drawn = [Partition.from_labels(labels[: alg.size]) for labels in labellings]
-        for p in drawn + [Partition.identity(alg.size), Partition.total(alg.size)]:
+        for p in drawn + [identity_partition(alg.size), total_partition(alg.size)]:
             assert find_compatibility_violation(alg, p) == naive_violation(alg, p), p
         for theta in all_congruences(alg):
             assert quotient(alg, theta) == naive_quotient(alg, theta), theta.partition

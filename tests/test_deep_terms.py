@@ -4,20 +4,21 @@ map into the free group work at any depth.  Each answer is checked against a
 level-by-level computation along the chain that uses the recursive reference
 implementations only on the small fillers."""
 
+import functools
 import re
 import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maltsev.algebras import OperationTable, check_identity, evaluate, make_algebra, parse_identity
+from maltsev.algebras import OperationTable, check_identity, evaluate_columns, make_algebra, parse_identity
 from maltsev.catalog import bundled_algebras
 from maltsev.homomorphisms import eval_term, hom_to_group
 from maltsev.rewriting import count_M, equal_in_free, normalize
 from maltsev.terms import MALTSEV_SIGNATURE, MU, App, Var, format_term, mu, parse_term, variables
 from maltsev.words import HeapWord
 
-from conftest import GENS3, Chain, chain_strategy
+from conftest import GENS3, Chain, apply, chain_strategy, evaluate
 from test_homomorphisms import reference_hom_to_group
 from test_rewriting import reference_normalize
 from test_terms import parse_outcome, reference_format, reference_parse
@@ -33,12 +34,6 @@ def root_step(a, b, c):
     if a == b:
         return c
     return App(MU, (a, b, c))
-
-
-def reference_eval(t, env, op):
-    if isinstance(t, Var):
-        return env[t.name]
-    return op(*(reference_eval(s, env, op) for s in t.args))
 
 
 def perm_mul(p, q):
@@ -89,15 +84,12 @@ def test_normalize(chain):
 )
 def test_evaluate(chain, table, values):
     env = dict(zip(GENS3, values))
-
-    def op(a, b, c):
-        return table[9 * a + 3 * b + c]
-
-    expected = chain.fold(lambda s: reference_eval(s, env, op), op)
+    alg = make_algebra("T", 3, {"mu": OperationTable(3, tuple(table))})
+    op = functools.partial(apply, alg, "mu")
+    expected = chain.fold(lambda s: evaluate(alg, s, env), op)
     t = chain.build()
     assert eval_term(t, env, op) == expected
-    alg = make_algebra("T", 3, {"mu": OperationTable(3, tuple(table))})
-    assert evaluate(alg, t, env) == expected
+    assert evaluate_columns(alg, t, {v: (x,) for v, x in env.items()}, 1) == (expected,)
 
 
 @DEEP
@@ -140,7 +132,7 @@ def test_every_entry_point_at_depth_20000():
     chain = "mul(" * 20000 + "x" + ",x)" * 20000
     # 20001 copies of x: 20001 = 0 (mod 3), so the chain is e.
     assert check_identity(z3, parse_identity(f"{chain} = e", z3.signature)) is None
-    assert evaluate(z3, parse_term(chain, z3.signature), {"x": 2}) == 0
+    assert evaluate_columns(z3, parse_term(chain, z3.signature), {"x": (2,)}, 1) == (0,)
 
 
 def peak_bytes(fn, *args):

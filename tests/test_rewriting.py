@@ -42,7 +42,7 @@ from maltsev.terms import (
     term_size,
 )
 
-from conftest import GENS3, term_strategy
+from conftest import GENS3, apply, fixpoint, term_strategy
 
 X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
 
@@ -218,14 +218,6 @@ class TestConsTable:
         assert apps_built(normalize, mu(mu(X, Y, Y), Z, X)) == (mu(X, Z, X), 1)
 
 
-def fixpoint(t, step):
-    while True:
-        r = step(t)
-        if r is None:
-            return t
-        t = r
-
-
 class TestRewriteOnce:
     def test_first_rule(self):
         assert rewrite_once(mu(X, Y, Y)) == X
@@ -307,7 +299,7 @@ class TestWordProblem:
         s3 = symmetric_group_3()
 
         def s3_mu(p, q, r):
-            return s3.apply("mul", p, s3.apply("mul", s3.apply("inv", q), r))
+            return apply(s3, "mul", p, apply(s3, "mul", apply(s3, "inv", q), r))
 
         separated = any(
             eval_term(t, dict(zip("xyz", triple)), s3_mu)

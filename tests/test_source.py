@@ -1,11 +1,13 @@
 """Rules on the package source itself."""
 
 import ast
+import functools
 import importlib
 import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,14 +15,22 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "maltsev"
 
 
+@functools.cache
+def _package():
+    """Module name -> syntax tree, for every module of the package."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
 def test_no_assert_statements():
     # Correctness checks must raise, not assert: python -O strips asserts.
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert modules
+    assert _package()
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        f"{module}.py:{node.lineno}"
+        for module, tree in _package().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
@@ -28,11 +38,11 @@ def test_no_assert_statements():
 
 def test_no_per_assignment_evaluation():
     # Terms are evaluated over all assignments at once (evaluate_columns);
-    # evaluate stays public and is the tests' oracle.
+    # the per-assignment evaluate is a test oracle, in tests/conftest.py.
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        f"{module}.py:{node.lineno}"
+        for module, tree in _package().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "evaluate"
     ]
@@ -52,16 +62,15 @@ def _calls(node, scope):
 
 
 def test_no_per_entry_table_reads():
-    # Whole-table code reads OperationTable.columns and .translations;
-    # OperationTable.apply stays public as the per-assignment oracle, and
-    # only FiniteAlgebra.apply, which evaluate passes along, calls it.
+    # Tables are read through OperationTable.columns and .translations; the
+    # per-entry apply is a test oracle, in tests/conftest.py.
     found = [
         scope
-        for path in sorted(PACKAGE.glob("*.py"))
-        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+        for module, tree in _package().items()
+        for scope, call in _calls(tree, module)
         if getattr(call.func, "attr", None) == "apply"
     ]
-    assert found == ["algebras.FiniteAlgebra.apply"]
+    assert found == []
 
 
 MUTABLE_BUILDERS = {"dict", "set", "defaultdict", "OrderedDict", "Counter"}
@@ -89,11 +98,8 @@ def test_no_global_intern_tables():
     # parse_term's intern table and the normalizer's cons table live for one
     # call (or one enumeration); a module-level table would grow for the
     # life of the process and couple unrelated callers.
-    found = {
-        name: sorted(_module_level_mutables(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))))
-        for name in ("terms.py", "rewriting.py")
-    }
-    assert found == {"terms.py": [], "rewriting.py": []}
+    found = {name: sorted(_module_level_mutables(_package()[name])) for name in ("terms", "rewriting")}
+    assert found == {"terms": [], "rewriting": []}
 
 
 def test_module_level_mutables_are_found():
@@ -125,26 +131,96 @@ def _calls_itself(fn):
     return False
 
 
-def _recursive_functions(node, prefix):
-    """Qualified names (module.outer.inner) of the self-calling functions under node."""
+def _functions(node, prefix):
+    """(qualified name, node) of every function and method under node, the
+    name being prefix.outer.inner."""
     for child in ast.iter_child_nodes(node):
         name = prefix
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = f"{prefix}.{child.name}"
-            if not isinstance(child, ast.ClassDef) and _calls_itself(child):
-                yield name
-        yield from _recursive_functions(child, name)
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+        yield from _functions(child, name)
 
 
 def test_no_recursive_functions():
     found = {
         name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in _recursive_functions(
-            ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem
-        )
+        for module, tree in _package().items()
+        for name, fn in _functions(tree, module)
+        if _calls_itself(fn)
     }
     assert found == BOUNDED_RECURSION
+
+
+# The package keeps only what its callers run: every function and non-dunder
+# method is named somewhere outside its own body, in the package, scripts/,
+# perfbench/ or maltsev.__all__, unless a registering decorator (the CLI's
+# @command) names it.  Code whose only callers are tests lives in the tests.
+# The match is by name, so a method that shares its name with an unrelated
+# variable or attribute escapes the rule: a method join would match str.join.
+REGISTERING_DECORATORS = {"command"}
+CALLER_DIRS = ("scripts", "perfbench")
+
+
+def _names(node):
+    """The identifier of every name and attribute under node."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def _unnamed_functions(modules, outside, exported):
+    """module.qualified.name of each function and non-dunder method in
+    modules (module name -> tree) that no registering decorator registers and
+    whose name occurs nowhere in modules, outside (more trees) or exported but
+    in its own body."""
+    named = Counter(exported)
+    for tree in [*modules.values(), *outside]:
+        named.update(_names(tree))
+    for module, tree in modules.items():
+        for name, fn in _functions(tree, module):
+            dunder = fn.name.startswith("__") and fn.name.endswith("__")
+            registered = any(
+                getattr(getattr(d, "func", None), "id", None) in REGISTERING_DECORATORS
+                for d in fn.decorator_list
+            )
+            own = sum(n == fn.name for stmt in fn.body for n in _names(stmt))
+            if not dunder and not registered and named[fn.name] == own:
+                yield name
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    import maltsev
+
+    outside = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in CALLER_DIRS
+        for path in sorted((PACKAGE.parents[1] / folder).glob("*.py"))
+    ]
+    assert outside
+    assert list(_unnamed_functions(_package(), outside, maltsev.__all__)) == []
+
+
+def test_unnamed_functions_are_found():
+    modules = {
+        "m": ast.parse(
+            "def used():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def exported():\n    pass\n"
+            "@command('x')\ndef registered():\n    pass\n"
+            "@wraps(used)\ndef wrapped():\n    pass\n"
+            "class C:\n    def __eq__(self, other):\n        return used()\n"
+            "    def method(self):\n        def inner():\n            pass\n"
+            "        return inner\n"
+            "    def attribute(self):\n        pass\n"
+        )
+    }
+    outside = [ast.parse("c.attribute()\n")]
+    found = list(_unnamed_functions(modules, outside, ["exported"]))
+    assert found == ["m.recursive", "m.wrapped", "m.C.method"]
 
 
 def test_no_recursion_limit_changes():
@@ -169,8 +245,8 @@ SCHEMA_CHECKS = {
 def test_schema_errors_are_raised_only_at_the_boundary():
     found = {
         scope
-        for path in sorted(PACKAGE.glob("*.py"))
-        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        for module, tree in _package().items()
+        for scope, call in _calls(tree, module)
         if getattr(call.func, "id", None) == "SchemaError"
     }
     assert found == SCHEMA_CHECKS
@@ -200,8 +276,8 @@ def _permute_callers(tree, module):
 def test_permutability_is_searched_once():
     found = [
         scope
-        for path in sorted(PACKAGE.glob("*.py"))
-        for scope in _permute_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        for module, tree in _package().items()
+        for scope in _permute_callers(tree, module)
     ]
     assert found == PERMUTE_CALLERS
 
@@ -237,8 +313,8 @@ def _private_imports(tree, importer):
 def test_private_imports_are_the_allowed_ones():
     found = {
         pair
-        for path in sorted(PACKAGE.glob("*.py"))
-        for pair in _private_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        for module, tree in _package().items()
+        for pair in _private_imports(tree, module)
     }
     assert found == PRIVATE_IMPORTS
 
@@ -290,13 +366,9 @@ def _record_layout_breaches(modules):
 
 
 def test_records_leave_their_layout_to_record():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
-    defined = {node.name for node in ast.walk(modules["terms"]) if isinstance(node, ast.ClassDef)}
+    defined = {node.name for node in ast.walk(_package()["terms"]) if isinstance(node, ast.ClassDef)}
     assert "Record" in defined
-    assert list(_record_layout_breaches(modules)) == []
+    assert list(_record_layout_breaches(_package())) == []
 
 
 def test_record_layout_breaches_are_found():
@@ -439,9 +511,9 @@ def test_no_module_imports_dataclasses():
     # Records are __slots__ classes (terms.Record): defining a dataclass
     # costs the import of dataclasses and inspect, and a class body per field.
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{module}.py:{node.lineno}"
+        for module, tree in _package().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Import)
         and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
         or isinstance(node, ast.ImportFrom)
@@ -451,9 +523,8 @@ def test_no_module_imports_dataclasses():
 
 
 def test_cli_imports_only_the_standard_library_and_errors_at_module_level():
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     found = []
-    for node in _module_level_imports(tree):
+    for node in _module_level_imports(_package()["cli"]):
         if isinstance(node, ast.ImportFrom) and node.level:
             found += [] if node.module == "errors" else [f".{node.module or ''}"]
         else:

@@ -19,7 +19,6 @@ from maltsev.terms import (
     Var,
     count_W,
     count_W_levels,
-    count_W_up_to,
     enumerate_up_to,
     format_term,
     mu,
@@ -44,7 +43,7 @@ def enumerate_level(gens: tuple[str, ...], n: int, budget: int = 10**6) -> list:
     checking the generators and then W_n against the budget."""
     if sorted(gens) != list(gens) or len(set(gens)) != len(gens):
         raise ValueError("generators must be distinct and sorted")
-    if count_W_up_to(len(gens), n) > budget:
+    if next(itertools.islice(count_W_levels(len(gens)), n, None)) > budget:
         raise BudgetExceededError(f"enumerating W_{n} over {len(gens)} generators")
     return [t for t in enumerate_up_to(gens, n, budget) if term_depth(t) == n]
 
@@ -106,7 +105,7 @@ def _reference_parse(toks, sig):
             toks.expect(",")
             args.append(_reference_parse(toks, sig))
         toks.expect(")")
-        expected = sig.arity(name)
+        expected = dict(sig.symbols)[name]
         if len(args) != expected:
             raise ArityMismatchError(
                 f"{name!r} expects {expected} argument(s), got {len(args)}"
@@ -114,10 +113,11 @@ def _reference_parse(toks, sig):
             )
         return App(name, tuple(args))
     if name in sig:
-        if sig.arity(name) == 0:
+        arity = dict(sig.symbols)[name]
+        if arity == 0:
             return App(name, ())
         raise NameCollisionError(
-            f"{name!r} is an operation symbol of arity {sig.arity(name)},"
+            f"{name!r} is an operation symbol of arity {arity},"
             f" not a variable (at position {start})"
         )
     return Var(name)
@@ -380,15 +380,13 @@ class TestCounting:
             enumerate_level(("x", "y"), 3, budget=10**4)
 
     def test_count_up_to(self):
-        assert count_W_up_to(2, 2) == 2 + 8 + 992
+        assert list(itertools.islice(count_W_levels(2), 3)) == [2, 2 + 8, 2 + 8 + 992]
 
     def test_count_up_to_is_the_sum_of_the_levels(self):
         for m in (1, 2, 3):
             levels = list(itertools.islice(count_W_levels(m), 6))
             for n in range(6):
-                assert count_W_up_to(m, n) == sum(count_W(m, i) for i in range(n + 1))
-                assert levels[n] == count_W_up_to(m, n)
-        assert count_W_up_to(2, -1) == 0
+                assert levels[n] == sum(count_W(m, i) for i in range(n + 1))
 
     def test_enumerate_up_to_orders_by_level(self):
         terms = list(enumerate_up_to(("x", "y"), 1))
@@ -442,9 +440,9 @@ class TestSignature:
 
     def test_lookup(self):
         sig = Signature((("f", 2), ("c", 0)))
-        assert sig.arity("f") == 2
+        assert dict(sig.symbols)["f"] == 2
         assert "c" in sig and "g" not in sig
-        assert sig.names() == ("f", "c")
+        assert tuple(dict(sig.symbols)) == ("f", "c")
 
 
 @given(term_strategy())

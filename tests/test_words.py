@@ -26,7 +26,14 @@ from maltsev.words import (
     reduce,
 )
 
-from conftest import heap_word_strategy, letter_strategy, raw_word_strategy
+from conftest import (
+    heap_word_strategy,
+    heap_words_up_to,
+    letter_strategy,
+    para_associative,
+    random_order_reduction,
+    raw_word_strategy,
+)
 
 
 def w(text: str) -> ReducedWord:
@@ -59,22 +66,6 @@ def heap_closure(gens, max_len: int) -> set[ReducedWord]:
         current |= new
         frontier = new
     return current
-
-
-def random_order_reduction(rng, raw):
-    """Oracle: delete cancelling pairs in random order until none remain."""
-    letters = list(raw)
-    while True:
-        sites = [
-            i
-            for i in range(len(letters) - 1)
-            if letters[i].gen == letters[i + 1].gen
-            and letters[i].sign == -letters[i + 1].sign
-        ]
-        if not sites:
-            return ReducedWord(tuple(letters))
-        i = rng.choice(sites)
-        del letters[i : i + 2]
 
 
 class TestReduce:
@@ -211,36 +202,16 @@ class TestHeapOperation:
         assert result.stratum <= a.stratum + b.stratum + c.stratum + 1
 
     def test_para_associativity_exhaustive_short_words(self):
-        words = _all_heap_words_up_to(("a", "b"), 3)
+        words = heap_words_up_to(("a", "b"), 3)
         for a, b, c, d, e in itertools.product(words, repeat=5):
-            lhs = heap_mu(heap_mu(a, b, c), d, e)
-            mid = heap_mu(a, heap_mu(d, c, b), e)
-            rhs = heap_mu(a, b, heap_mu(c, d, e))
-            assert lhs == mid == rhs
+            assert para_associative(a, b, c, d, e)
 
     def test_para_associativity_random_larger(self):
         rng = random.Random(5)
         gens = ("a", "b", "c")
         for _ in range(2000):
             a, b, c, d, e = (random_heap_word(rng, gens, 4) for _ in range(5))
-            lhs = heap_mu(heap_mu(a, b, c), d, e)
-            mid = heap_mu(a, heap_mu(d, c, b), e)
-            rhs = heap_mu(a, b, heap_mu(c, d, e))
-            assert lhs == mid == rhs
-
-
-def _all_heap_words_up_to(gens, max_len):
-    out = []
-    for length in range(1, max_len + 1, 2):
-        for names in itertools.product(gens, repeat=length):
-            letters = tuple(
-                Letter(g, 1 if i % 2 == 0 else -1) for i, g in enumerate(names)
-            )
-            try:
-                out.append(HeapWord(ReducedWord(letters)))
-            except ValueError:
-                pass  # unreduced pattern such as a a^-1 a
-    return out
+            assert para_associative(a, b, c, d, e)
 
 
 class TestDerivedGroup:
@@ -260,7 +231,7 @@ class TestDerivedGroup:
             assert group.mul(group.inv(u), u) == group.identity
 
     def test_associativity_exhaustive_on_short_words(self):
-        words = _all_heap_words_up_to(("a", "b"), 3)
+        words = heap_words_up_to(("a", "b"), 3)
         for base in words:
             group = heap_group_ops(base)
             for u, v, t in itertools.product(words, repeat=3):
