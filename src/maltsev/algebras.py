@@ -209,7 +209,7 @@ def evaluate_columns(
     maps nested as deep as t would be consumed through C-level recursion."""
     n = alg.size
     return interpret(
-        t, columns, lambda sym, *args: tuple(alg.table(sym).columns(n, *args, width=width))
+        t, columns, lambda s, *args: tuple(alg.table(s.symbol).columns(n, *args, width=width))
     )
 
 

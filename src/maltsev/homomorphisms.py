@@ -1,10 +1,11 @@
 """Evaluation homomorphisms out of the free algebra.
 
 By the universal property, any assignment of generators into a carrier with
-a ternary operation extends uniquely to the whole free algebra; evaluation
-folds the term bottom-up on an explicit stack, so a term of any depth works,
-and it factors through normalization exactly when the carrier operation
-satisfies the two defining cancellation equations.
+a ternary operation extends uniquely to the whole free algebra.  Evaluation
+is a ``terms.fold``, which computes each distinct node of a term once, at
+any depth; the free-group image is a signed walk of its own.  Evaluation
+factors through normalization exactly when the carrier operation satisfies
+the two defining cancellation equations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from typing import Callable, Mapping, TypeVar
 
 from .errors import BudgetExceededError, EvaluationError
-from .terms import Term, Var, _trusted, default_generators, interpret, variables
+from .terms import Term, Var, _trusted, default_generators, fold, interpret, variables
 from .words import Letter, ReducedWord, is_heap_word, reduce
 
 T = TypeVar("T")
@@ -85,8 +86,7 @@ def separating_hom(t: Term, witness: str) -> int:
     """Evaluate t in the two-element group (mu = xor of the three arguments)
     under the indicator assignment of the witness variable.  Distinguishes
     the witness generator from every other generator."""
-    assignment = {name: int(name == witness) for name in variables(t)}
-    return eval_term(t, assignment, lambda a, b, c: a ^ b ^ c)
+    return fold(t, lambda v: int(v.name == witness), lambda _, a, b, c: a ^ b ^ c)
 
 
 def check_injectivity_on_M1(m: int) -> bool:

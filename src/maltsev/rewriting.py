@@ -23,10 +23,10 @@ from .terms import (
     count_W_levels,
     default_generators,
     enumerate_up_to,
+    fold,
     positions,
     replace_at,
     substitute,
-    subterms,
     term_depth,
     term_size,
     variables,
@@ -114,23 +114,20 @@ _REDUCE = object()  # marks, on the work stack, an application whose arguments a
 
 
 def _normalize(t: Term, forms: dict) -> Term:
-    """The normal form of t, hash-consed in forms.
+    """The normal form of t, hash-consed in forms, in O(distinct nodes).
 
     forms maps each variable name to its one Var, the id of each node seen
-    below a root to its normal form, and the ids of the three arguments of
-    each normal form application, themselves consed, to that application.
-    A node seen before is not walked again, and a normal form is built only
-    when no equal one exists, so equal normal forms are one object and a
-    term costs O(distinct nodes).  Every lookup is by identity: no step
-    compares or hashes a term.
+    below a root to its normal form, and the ids of the three consed
+    arguments of each normal form application to that application.  Every
+    lookup is by identity, so no step compares or hashes a term, and equal
+    normal forms are one object.
 
-    The root of a call gets no id entry, only its subterms do.  Callers may
-    share forms across calls, and then compare results with ``is``, as long
-    as the subterms of every root passed in stay alive while forms is used
-    (an id is unique only among live objects); a root itself may be dropped
-    right after its call.  The normal forms stay alive in forms, so their
-    ids in the keys stay valid.  Raises ValueError at the first application,
-    in pre-order, that is not a ternary mu.
+    The root of a call gets no id entry.  Callers may share forms across
+    calls and compare results with ``is`` while the subterms of every root
+    passed in stay alive (an id is unique only among live objects); a root
+    may be dropped right after its call, and the normal forms stay alive in
+    forms.  Raises ValueError at the first application, in pre-order, that
+    is not a ternary mu.
     """
     done: list[Term] = []
     stack: list = [t]
@@ -189,8 +186,8 @@ def normalize(t: Term) -> Term:
 
 
 def is_normal_form(t: Term) -> bool:
-    apps = (s.args for s in subterms(t) if isinstance(s, App))
-    return all(a != b and b != c for a, b, c in apps)
+    """Whether no subterm of t is a redex, so that rewrite_once(t) is None."""
+    return fold(t, lambda _: True, lambda s, *below: all(below) and _root_step(s) is None)
 
 
 def equal_in_free(t: Term, s: Term) -> bool:
@@ -246,14 +243,10 @@ def count_M_levels(m: int) -> Iterator[int]:
 
 
 def _count_M_oracle(m: int, n: int, budget: int) -> int:
-    """count_M(m, n) by enumerating every term of depth <= n over one
-    normalizer table and counting the distinct consed normal forms.
-
-    The terms below level n are the lists that enumerate_up_to keeps, so
-    the subterms of every root stay alive, as _normalize requires, and each
-    is normalized once.  Each term of level n is built, normalized and
-    dropped in turn, since no root gets an id entry: the table and the
-    lower levels are all that is kept.
+    """count_M(m, n) by normalizing every term of depth <= n over one table
+    and counting the distinct consed normal forms.  The lower levels are
+    the lists that enumerate_up_to keeps, which keeps their subterms alive
+    as _normalize requires; each level-n term is dropped once normalized.
 
     The budget is checked level by level first.  The error names the count
     at level n, or 2**2000 once a count over budget passes it: counts about
@@ -336,7 +329,7 @@ def _canonical_key(ts: tuple[Term, ...]) -> tuple:
         if isinstance(s, Var)
         else ("a", s.symbol, len(s.args))
         for t in ts
-        for s in subterms(t)
+        for _, s in positions(t)
     )
 
 

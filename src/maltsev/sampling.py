@@ -77,8 +77,8 @@ def selftest(rng: random.Random, iterations: int) -> list[tuple[str, bool]]:
 
     def strategy_independence():
         t = random_term(rng, gens, 6)
-        inner = _strategy_fixpoint(t, rewrite_once)
-        outer = _strategy_fixpoint(t, rewrite_once_outermost)
+        inner = fixpoint(t, rewrite_once)
+        outer = fixpoint(t, rewrite_once_outermost)
         return inner == outer == normalize(t)
 
     def axiom_walk_equivalence():
@@ -89,7 +89,7 @@ def selftest(rng: random.Random, iterations: int) -> list[tuple[str, bool]]:
         raw = list(random_letters(rng, gens, 12))
         expected = reduce(raw)
         # A list, not a generator: all three deletions draw from rng.
-        return all([_random_deletion(rng, raw) == expected for _ in range(3)])
+        return all([random_order_reduction(rng, raw) == expected for _ in range(3)])
 
     def heap_para_associativity():
         a, b, c, d, e = (random_heap_word(rng, gens, 3) for _ in range(5))
@@ -114,16 +114,15 @@ def selftest(rng: random.Random, iterations: int) -> list[tuple[str, bool]]:
     ]
 
 
-def _strategy_fixpoint(t, step):
-    while True:
-        r = step(t)
-        if r is None:
-            return t
+def fixpoint(t: Term, step) -> Term:
+    """step applied until it returns None."""
+    while (r := step(t)) is not None:
         t = r
+    return t
 
 
-def _random_deletion(rng, raw):
-    """Cancel adjacent inverse pairs in random order until none remain."""
+def random_order_reduction(rng: random.Random, raw: Sequence[Letter]) -> ReducedWord:
+    """Oracle for reduce: delete cancelling pairs in random order until none remain."""
     letters = list(raw)
     while True:
         sites = [

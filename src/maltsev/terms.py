@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from sys import getrefcount
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
@@ -138,11 +139,11 @@ class Var(Term):
 class App(Term):
     """An operation symbol applied to a tuple of argument terms.
 
-    Every walk over terms is a loop over an explicit stack, so a term of any
-    depth works.  Both term classes keep plain slots and a hash computed once,
-    at construction, from the arguments' hashes (a frozen guard would double
-    the cost of building a node); equality compares two trees on a stack and
-    stops at the first unequal hash.
+    Every walk over terms is a loop, so a term of any depth works, and each
+    walk that computes a value from a term is a ``fold``, which computes a
+    node shared by several parents once.  Both term classes keep plain slots
+    and a hash computed once, from the arguments' hashes; equality compares
+    two trees on a stack and stops at the first unequal hash.
     """
 
     __slots__ = ("symbol", "args", "_hash")
@@ -182,60 +183,71 @@ def mu(a: Term, b: Term, c: Term) -> App:
     return App(MU, (a, b, c))
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """Every subterm of t in pre-order, left to right."""
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        yield s
-        if isinstance(s, App):
-            stack.extend(reversed(s.args))
+_APPLY = object()  # on fold's stack, marks an application whose arguments are done
 
 
-def interpret(t: Term, env: Mapping[str, T], apply: Callable[..., T]) -> T:
-    """The value of t with each variable read from env and each application
-    computed by apply(symbol, *argument values), in post-order, left to right."""
-    order = []  # subterms in right-to-left pre-order, the reverse of post-order
-    stack = [t]
+def fold(t: Term, leaf: Callable[[Var], T], apply: Callable[..., T]) -> T:
+    """The value of t computed bottom-up: leaf(v) at each variable v and
+    apply(s, *argument values) at each application s, in post-order, left
+    to right, a node shared by several parents computed once.  Its value is
+    kept only when sys.getrefcount shows the node referenced beyond the one
+    parent slot the walk came through, so an unshared node's value is
+    dropped once its parent reads it; the rule never changes a value."""
+    kept, values, stack = {}, [], [t]
     while stack:
         s = stack.pop()
-        order.append(s)
-        if isinstance(s, App):
-            stack += s.args
-    values: list = []
-    for s in reversed(order):
-        if isinstance(s, Var):
-            if s.name not in env:
-                raise EvaluationError(f"unassigned variable {s.name!r}")
-            values.append(env[s.name])
-        else:
+        if s is _APPLY:
+            s = stack.pop()
             split = len(values) - len(s.args)
-            values[split:] = [apply(s.symbol, *values[split:])]
+            value = apply(s, *values[split:])
+            del values[split:]
+        elif (value := kept.get(id(s), _APPLY)) is not _APPLY:  # _APPLY: none kept
+            values.append(value)
+            continue
+        elif s.__class__ is Var:
+            value = leaf(s)
+        else:
+            stack += (s, _APPLY, *s.args[::-1])
+            continue
+        if getrefcount(s) > 3:  # s, the call's argument and one parent slot
+            kept[id(s)] = value
+        values.append(value)
     return values[0]
 
 
+def interpret(t: Term, env: Mapping[str, T], apply: Callable[..., T]) -> T:
+    """The fold of t that reads each variable from env, which must assign
+    it, and computes each application s by apply(s, *argument values)."""
+    def lookup(v: Var) -> T:
+        if v.name not in env:
+            raise EvaluationError(f"unassigned variable {v.name!r}")
+        return env[v.name]
+
+    return fold(t, lookup, apply)
+
+
 def term_size(t: Term) -> int:
-    """Total node count (variables and applications)."""
-    return sum(1 for _ in subterms(t))
+    """Node count of t as a tree: every occurrence of a shared subterm counts."""
+    return fold(t, lambda _: 1, lambda _, *sizes: 1 + sum(sizes))
 
 
 def term_depth(t: Term) -> int:
     """Nesting depth: 0 for variables and constants, 1 + max over arguments
     otherwise.  A term lies in stratum n of the absolutely free algebra iff
     its depth equals n."""
-    env = dict.fromkeys(variables(t), 0)
-    return interpret(t, env, lambda _, *depths: (1 + max(depths)) if depths else 0)
+    return fold(t, lambda _: 0, lambda _, *depths: 1 + max(depths) if depths else 0)
 
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names in order of first occurrence (left to right)."""
-    return tuple(dict.fromkeys(s.name for s in subterms(t) if isinstance(s, Var)))
+    names: dict[str, None] = {}
+    fold(t, lambda v: names.setdefault(v.name), lambda *_: None)
+    return tuple(names)
 
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Simultaneous first-order substitution; unmapped variables stay fixed."""
-    env = {name: mapping.get(name, Var(name)) for name in variables(t)}
-    return interpret(t, env, lambda symbol, *args: App(symbol, args))
+    return fold(t, lambda v: mapping.get(v.name, v), lambda s, *args: App(s.symbol, args))
 
 
 def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
@@ -260,21 +272,22 @@ def replace_at(t: Term, path: tuple[int, ...], s: Term) -> Term:
 
 
 def validate_term(t: Term, sig: Signature) -> None:
-    """Check the signature invariants: declared arities respected, variable
-    names disjoint from symbol names."""
+    """Check that t keeps the declared arities and names no symbol as a
+    variable; raises at the first fault in post-order, left to right."""
     arities = dict(sig.symbols)
-    for s in subterms(t):
-        if isinstance(s, Var):
+
+    def check(s: Term, *_) -> None:
+        if s.__class__ is Var:
             if s.name in arities:
-                raise NameCollisionError(
-                    f"{s.name!r} is an operation symbol, not a variable"
-                )
+                raise NameCollisionError(f"{s.name!r} is an operation symbol, not a variable")
         elif s.symbol not in arities:
             raise NameCollisionError(f"unknown operation symbol {s.symbol!r}")
         elif len(s.args) != arities[s.symbol]:
             raise ArityMismatchError(
                 f"{s.symbol!r} expects {arities[s.symbol]} argument(s), got {len(s.args)}"
             )
+
+    fold(t, check, check)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +313,12 @@ def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
     collision, and wrong argument counts are arity mismatches (both with the
     offending position in the message).
 
-    The text is cut into tokens in one C-level pass (delimiters padded with
-    spaces, then one split), and the parse walks the token list.  A token
-    records no position: an error finds the position of its token by
-    scanning the text again, so a text that parses pays nothing for it.
-
-    Equal subterms come back as one shared object: the parse keeps one table
-    of the subterms it has built, leaves keyed by name and applications by
-    the name and the ids of their arguments, which are themselves shared
-    objects kept alive by the table.  So a text that repeats a subterm yields
-    a DAG with one node per distinct subterm, and no lookup compares or
-    hashes a term.  The table lives for this call only.
+    The tokens come from one C-level split of the text with its delimiters
+    padded; an error finds its token's position by scanning the text again.
+    Equal subterms come back as one shared object: a table of the subterms
+    built in this call keys leaves by name and applications by the name and
+    the ids of their arguments, so a text that repeats a subterm yields a
+    DAG, and no lookup compares or hashes a term.
     """
     if not text or text.isspace():
         raise TermSyntaxError("empty term", 0)

@@ -11,36 +11,23 @@ from maltsev.algebras import OperationTable, dump_algebra, make_algebra
 from maltsev.catalog import bundled_algebras
 from maltsev.congruences import Partition
 from maltsev.errors import ArityMismatchError, EvaluationError
+from maltsev.sampling import fixpoint, random_order_reduction
 from maltsev.terms import App, MU, Var
 from maltsev.words import HeapWord, Letter, ReducedWord, heap_mu, reduce
 
 GENS3 = ("x", "y", "z")
 
 
-def fixpoint(t, step):
-    """step applied until it returns None."""
-    while True:
-        r = step(t)
-        if r is None:
-            return t
-        t = r
-
-
-def random_order_reduction(rng, raw):
-    """Oracle for reduce: delete cancelling pairs in random order until none
-    remain."""
-    letters = list(raw)
-    while True:
-        sites = [
-            i
-            for i in range(len(letters) - 1)
-            if letters[i].gen == letters[i + 1].gen
-            and letters[i].sign == -letters[i + 1].sign
-        ]
-        if not sites:
-            return ReducedWord(tuple(letters))
-        i = rng.choice(sites)
-        del letters[i : i + 2]
+def subterms(t):
+    """Every subterm of t in pre-order, left to right, a shared subterm once
+    per occurrence: the tree walk that the sharing tests and the folds'
+    tree counts are checked against."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, App):
+            stack.extend(reversed(s.args))
 
 
 def heap_words_up_to(gens, max_len):

@@ -14,8 +14,20 @@ from hypothesis import strategies as st
 from maltsev.algebras import OperationTable, check_identity, evaluate_columns, make_algebra, parse_identity
 from maltsev.catalog import bundled_algebras
 from maltsev.homomorphisms import eval_term, hom_to_group
-from maltsev.rewriting import count_M, equal_in_free, normalize
-from maltsev.terms import MALTSEV_SIGNATURE, MU, App, Var, format_term, mu, parse_term, variables
+from maltsev.rewriting import count_M, equal_in_free, is_normal_form, normalize
+from maltsev.terms import (
+    MALTSEV_SIGNATURE,
+    MU,
+    App,
+    Var,
+    format_term,
+    mu,
+    parse_term,
+    substitute,
+    term_depth,
+    term_size,
+    variables,
+)
 from maltsev.words import HeapWord
 
 from conftest import GENS3, Chain, apply, chain_strategy, evaluate
@@ -149,10 +161,18 @@ def test_walkers_use_memory_linear_in_the_term():
     # needs memory in the order of nodes * depth, about a gigabyte here.
     t = zigzag(20000)
     assert peak_bytes(variables, t) < 1_000_000
+    # A fold keeps the pending nodes and argument values, about 0.7 MB
+    # here, and a value only for a node with several parents.
+    assert peak_bytes(term_size, t) < 1_000_000
+    assert peak_bytes(term_depth, t) < 1_000_000
+    assert peak_bytes(is_normal_form, t) < 1_000_000
+    assert peak_bytes(eval_term, t, {"x": 1, "y": 1, "z": 1}, lambda a, b, c: a ^ b ^ c) < 1_000_000
+    # The substituted term itself takes about 2.4 MB.
+    assert peak_bytes(substitute, t, {"x": Y, "y": Z}) < 4_000_000
     assert peak_bytes(hom_to_group, t) < 4_000_000
     assert peak_bytes(normalize, t) < 8_000_000
     # The vector evaluator keeps one vector per pending argument, not one
-    # per node: about 0.35 MB here, all of it the walk's node order.
+    # per node: about 0.5 MB here, nearly all of it the fold's stack.
     z3 = bundled_algebras()["z3"]
     chain = "mul(" * 20000 + "x" + ",x)" * 20000
     assert peak_bytes(check_identity, z3, parse_identity(f"{chain} = e", z3.signature)) < 1_000_000

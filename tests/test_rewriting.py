@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from maltsev import rewriting
 from maltsev.errors import BudgetExceededError
+from maltsev.homomorphisms import eval_term
 from maltsev.rewriting import (
     MALTSEV_SYSTEM,
     RewriteSystem,
@@ -37,12 +38,13 @@ from maltsev.terms import (
     format_term,
     mu,
     parse_term,
-    subterms,
+    substitute,
     term_depth,
     term_size,
+    variables,
 )
 
-from conftest import GENS3, apply, fixpoint, term_strategy
+from conftest import GENS3, apply, fixpoint, subterms, term_strategy
 
 X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
 
@@ -124,6 +126,13 @@ def shared_terms(draw, max_nodes=8, max_size=300):
     return nodes[-1]
 
 
+@given(st.one_of(term_strategy(), shared_terms()))
+def test_size_and_variables_agree_with_the_tree_walk(t):
+    nodes = list(subterms(t))
+    assert term_size(t) == len(nodes)
+    assert variables(t) == tuple(dict.fromkeys(s.name for s in nodes if isinstance(s, Var)))
+
+
 def assert_consed(t):
     """Equal subterms of t are one object."""
     assert len({id(s) for s in subterms(t)}) == len(set(subterms(t)))
@@ -159,6 +168,21 @@ class TestSharedTerms:
         assert normalize(t) is t
         assert equal_in_free(t, mu(u, Z, Z))
         assert not equal_in_free(t, mu(u, Z, X))
+        # The folds compute each of the 201 distinct nodes once: a tree
+        # walk would call mu_impl about 2^200 times, so it fails at call 201.
+        calls = itertools.count(1)
+
+        def counted(a, b, c):
+            assert next(calls) <= 200
+            return a ^ b ^ c
+
+        assert eval_term(t, {"x": 1, "y": 0}, counted) == 0
+        assert next(calls) == 201
+        assert level(t) == term_depth(t) == 200
+        assert variables(t) == ("x", "y")
+        assert term_size(t) == 3 * 2**200 - 2  # sizes n_{i+1} = 2 n_i + 2, n_0 = 1
+        assert is_normal_form(t)
+        assert term_depth(substitute(t, {"x": Z, "y": X})) == 200
 
 
 class CountingApp(App):

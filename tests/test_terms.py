@@ -24,14 +24,13 @@ from maltsev.terms import (
     mu,
     parse_term,
     substitute,
-    subterms,
     term_depth,
     term_size,
     validate_term,
     variables,
 )
 
-from conftest import term_strategy
+from conftest import subterms, term_strategy
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -346,6 +345,12 @@ class TestValidate:
     def test_rejects_variable_shadowing_symbol(self):
         with pytest.raises(NameCollisionError):
             validate_term(Var("mu"), MALTSEV_SIGNATURE)
+
+    def test_first_fault_in_post_order(self):
+        # The root's arity comes first in pre-order, its argument's name
+        # first in post-order.
+        with pytest.raises(NameCollisionError, match="'mu' is an operation symbol"):
+            validate_term(App("mu", (Var("mu"), X)), MALTSEV_SIGNATURE)
 
 
 class TestCounting:
