@@ -4,8 +4,9 @@ quasigroups and retractions of the free algebra.
 
 Carriers are always {0..n-1}; named elements are a document-level aliasing
 concern.  Tables are flat and row-major with the last argument varying
-fastest; OperationTable's methods are the only code that turns arguments
-into a flat index or back.
+fastest.  OperationTable's methods turn arguments into a flat index or
+back; the one other reader of the layout is termsearch's packed pair
+vectors, which sum flat indices themselves.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Exit codes: 0 = true/success, 1 = false/counterexample (printed), 2 = usage
 or data error, including any unexpected internal error.  Text output is
 human-readable; --format json emits one JSON record per line with sorted
 keys, so identical configurations (including --seed) produce byte-identical
-output.  The MW_BUDGET environment variable overrides the default
-enumeration (10**6) and search (10**7) budgets; explicit --budget flags win
-over it.  Either must be a positive integer.
+output.  The MW_BUDGET environment variable overrides the default budgets
+of count_M's oracle and find_maltsev_term; explicit --budget flags win over
+it.  Either must be a positive integer.
 
 The module imports only the standard library and the error types; each
 handler imports the engine it runs, so a command loads nothing else.
@@ -20,10 +20,6 @@ import os
 import sys
 
 from .errors import MaltsevError, NotACongruenceError
-
-ENUM_BUDGET = 10**6
-SEARCH_BUDGET = 10**7
-
 
 class Report:
     """Collects text lines and one machine-readable record per command."""
@@ -83,22 +79,22 @@ FILE = option("--file", required=True)
 BUDGET = option("--budget", type=int, default=None)
 
 
-def _budget(args: argparse.Namespace, default: int) -> int:
-    """An explicit --budget wins over MW_BUDGET, which wins over the default.
-    A given budget must be a positive integer."""
+def _budget(args: argparse.Namespace) -> dict:
+    """{"budget": n} for an explicit --budget, else for MW_BUDGET; {} leaves
+    the engine's default.  A given budget must be a positive integer."""
     if args.budget is not None:
         source, raw = "--budget", args.budget
     elif "MW_BUDGET" in os.environ:
         source, raw = "MW_BUDGET", os.environ["MW_BUDGET"]
     else:
-        return default
+        return {}
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
         raise MaltsevError(f"{source} must be a positive integer, got {raw!r}")
-    return value
+    return {"budget": value}
 
 
 def _read_algebra(path: str):
@@ -188,9 +184,9 @@ def cmd_count_m(args, rep: Report) -> int:
     from . import rewriting
 
     m, n = args.generators, args.level
-    budget = _budget(args, ENUM_BUDGET)
+    budget = _budget(args)
     if args.oracle or m < 1 or n < 0:  # the budget bounds the oracle; count_M rejects the rest
-        value = rewriting.count_M(m, n, oracle=args.oracle, budget=budget)
+        value = rewriting.count_M(m, n, oracle=args.oracle, **budget)
     else:  # stop at the first level too long for str(), before computing the next one
         limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before Python 3.10.7
         too_long = 10**limit if limit else float("inf")
@@ -439,7 +435,7 @@ def cmd_maltsev_term(args, rep: Report) -> int:
     from .termsearch import find_maltsev_term
 
     alg = _read_algebra(args.file)
-    outcome = find_maltsev_term(alg, budget=_budget(args, SEARCH_BUDGET))
+    outcome = find_maltsev_term(alg, **_budget(args))
     rep.emit(status=outcome.status, visited=outcome.visited)
     if outcome.status == "found":
         text = format_term(outcome.term)

@@ -289,35 +289,29 @@ class ConfluenceReport(Record):
 
 
 def unify(s: Term, t: Term) -> dict[str, Term] | None:
-    """Most general unifier as a triangular substitution, or None."""
+    """Most general unifier, or None.  The substitution is idempotent (no
+    bound variable occurs in a bound term), so one substitute applies it."""
     subst: dict[str, Term] = {}
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        a, b = resolve(a, subst), resolve(b, subst)
+        a, b = substitute(a, subst), substitute(b, subst)
         if a == b:
             continue
+        if not isinstance(a, Var) and isinstance(b, Var):
+            a, b = b, a
         if isinstance(a, Var):
             if a.name in variables(b):
                 return None
+            bound = {a.name: b}
+            for name, u in subst.items():
+                subst[name] = substitute(u, bound)
             subst[a.name] = b
-        elif isinstance(b, Var):
-            if b.name in variables(a):
-                return None
-            subst[b.name] = a
         elif a.symbol == b.symbol and len(a.args) == len(b.args):
             stack.extend(zip(a.args, b.args))
         else:
             return None
     return subst
-
-
-def resolve(t: Term, subst: dict[str, Term]) -> Term:
-    """Apply a triangular substitution until no bound variable is left; the
-    occurs check in unify makes the bindings acyclic, so this stops."""
-    while any(name in subst for name in variables(t)):
-        t = substitute(t, subst)
-    return t
 
 
 def _canonical_key(ts: tuple[Term, ...]) -> tuple:
@@ -349,9 +343,9 @@ def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
                 sigma = unify(sub, l2)
                 if sigma is None:
                     continue
-                peak = resolve(l1, sigma)
-                left = resolve(r1, sigma)
-                right = resolve(replace_at(l1, path, r2), sigma)
+                peak = substitute(l1, sigma)
+                left = substitute(r1, sigma)
+                right = substitute(replace_at(l1, path, r2), sigma)
                 key = min(
                     _canonical_key((peak, left, right)),
                     _canonical_key((peak, right, left)),
@@ -383,6 +377,13 @@ def match(pattern: Term, t: Term) -> dict[str, Term] | None:
     return subst
 
 
+def fixpoint(t: Term, step) -> Term:
+    """step applied until it returns None."""
+    while (r := step(t)) is not None:
+        t = r
+    return t
+
+
 def normalize_with(t: Term, rs: RewriteSystem) -> Term:
     """Fixpoint of the generic leftmost-innermost step; total because rules
     are size-decreasing."""
@@ -396,9 +397,7 @@ def normalize_with(t: Term, rs: RewriteSystem) -> Term:
                 return substitute(rhs, sigma)
         return None
 
-    while (r := _rewrite_first(t, step, outermost=False)) is not None:
-        t = r
-    return t
+    return fixpoint(t, lambda s: _rewrite_first(s, step, outermost=False))
 
 
 def check_confluence(rs: RewriteSystem = MALTSEV_SYSTEM) -> ConfluenceReport:

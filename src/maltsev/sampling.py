@@ -11,7 +11,14 @@ import random
 from typing import Sequence
 
 from .homomorphisms import hom_to_group
-from .rewriting import _root_step, equal_in_free, normalize, rewrite_once, rewrite_once_outermost
+from .rewriting import (
+    _root_step,
+    equal_in_free,
+    fixpoint,
+    normalize,
+    rewrite_once,
+    rewrite_once_outermost,
+)
 from .terms import App, MU, Term, Var, positions, replace_at
 from .words import HeapWord, Letter, ReducedWord, heap_mu, reduce
 
@@ -112,13 +119,6 @@ def selftest(rng: random.Random, iterations: int) -> list[tuple[str, bool]]:
             ("hom-normalization-invariance", hom_normalization_invariance),
         )
     ]
-
-
-def fixpoint(t: Term, step) -> Term:
-    """step applied until it returns None."""
-    while (r := step(t)) is not None:
-        t = r
-    return t
 
 
 def random_order_reduction(rng: random.Random, raw: Sequence[Letter]) -> ReducedWord:

@@ -143,7 +143,8 @@ class App(Term):
     walk that computes a value from a term is a ``fold``, which computes a
     node shared by several parents once.  Both term classes keep plain slots
     and a hash computed once, from the arguments' hashes; equality compares
-    two trees on a stack and stops at the first unequal hash.
+    two terms on a stack, each pair of nodes once, and stops at the first
+    unequal hash.
     """
 
     __slots__ = ("symbol", "args", "_hash")
@@ -160,6 +161,7 @@ class App(Term):
         if other.__class__ is not App or self._hash != other._hash:
             return False
         stack = [(self, other)]
+        matched = {}  # id of a left application -> the right node it was paired with
         while stack:
             a, b = stack.pop()
             if a.symbol != b.symbol or len(a.args) != len(b.args):
@@ -170,7 +172,9 @@ class App(Term):
                 if x.__class__ is not y.__class__ or x._hash != y._hash:
                     return False
                 if x.__class__ is App:
-                    stack.append((x, y))
+                    if matched.get(id(x)) is not y:  # a pair already stacked is compared once
+                        matched[id(x)] = y
+                        stack.append((x, y))
                 elif x.name != y.name:
                     return False
         return True

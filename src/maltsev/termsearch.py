@@ -184,21 +184,15 @@ def rebuild_term(parents: list[tuple], i: int) -> Term:
     return built[i]
 
 
-def replay_vector(alg: FiniteAlgebra, t: Term) -> tuple[int, ...]:
-    """The pair vector of a term, t(a,b,b) then t(b,b,a) for each (a,b), by
-    one vector evaluation of t on the generator vectors."""
-    *columns, target = maltsev_columns(alg.size)
-    return evaluate_columns(alg, t, dict(zip("xyz", columns)), len(target))
-
-
 def verify_maltsev_term(alg: FiniteAlgebra, t: Term) -> bool:
     """Whether t(x,y,y) = x = t(y,y,x) holds in alg, checked on all pairs at
-    once: the pair vector of t must be the target."""
+    once: the pair vector of t, t(a,b,b) then t(b,b,a) for each (a,b), by
+    one vector evaluation of t on the generator vectors, must be the target."""
     foreign = set(variables(t)) - {"x", "y", "z"}
     if foreign:
         raise EvaluationError(f"foreign variables {sorted(foreign)}")
-    *_, target = maltsev_columns(alg.size)
-    return replay_vector(alg, t) == target
+    *columns, target = maltsev_columns(alg.size)
+    return evaluate_columns(alg, t, dict(zip("xyz", columns)), len(target)) == target
 
 
 def permutability_audit(alg: FiniteAlgebra) -> list[str]:

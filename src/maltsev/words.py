@@ -54,9 +54,6 @@ class ReducedWord(Record):
         return len(self.letters)
 
 
-EMPTY_WORD = ReducedWord(())
-
-
 def reduce(raw: Sequence[Letter] | Iterable[Letter]) -> ReducedWord:
     """Delete cancelling adjacent pairs to a fixpoint (single stack pass)."""
     stack: list[Letter] = []
@@ -138,8 +135,7 @@ class HeapGroup(Record):
         return heap_mu(self.base, u, self.base)
 
 
-def heap_group_ops(base: HeapWord) -> HeapGroup:
-    return HeapGroup(base)
+heap_group_ops = HeapGroup
 
 
 # ---------------------------------------------------------------------------

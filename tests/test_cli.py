@@ -187,6 +187,44 @@ class TestCountM:
         assert (code, out) == (0, "38")
 
 
+BUDGETED = {
+    "count-m": ["count-m", "--generators", "2", "--level", "1", "--oracle"],
+    "maltsev-term": ["algebra", "maltsev-term", "--file", str(Z3_FILE)],
+}
+
+
+class TestBudgetKeyword:
+    """The CLI passes budget= to count_M and find_maltsev_term only when
+    --budget or MW_BUDGET gives one, so each engine alone holds its default."""
+
+    @pytest.fixture
+    def budgets(self, monkeypatch):
+        from maltsev import rewriting, termsearch
+
+        seen = []
+        for module, name in ((rewriting, "count_M"), (termsearch, "find_maltsev_term")):
+
+            def spy(*args, _real=getattr(module, name), **kwargs):
+                seen.append(kwargs.get("budget", "default"))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        monkeypatch.delenv("MW_BUDGET", raising=False)
+        return seen
+
+    @pytest.mark.parametrize("command", BUDGETED)
+    def test_no_budget_keyword_without_a_budget(self, budgets, command):
+        assert run(BUDGETED[command])[0] == 0
+        assert budgets == ["default"]
+
+    @pytest.mark.parametrize("command", BUDGETED)
+    def test_a_given_budget_is_passed(self, budgets, monkeypatch, command):
+        monkeypatch.setenv("MW_BUDGET", "300")
+        run(BUDGETED[command])
+        run([*BUDGETED[command], "--budget", "400"])
+        assert budgets == [300, 400]
+
+
 class TestConfluenceReport:
     def test_verdict(self):
         code, out = run(["confluence-report"])
@@ -629,7 +667,7 @@ class TestExitCodeContract:
         self.assert_error_record(code, out, "algebra congruences")
 
     def test_an_error_without_a_message_is_named_by_its_type(self, monkeypatch):
-        def out_of_memory(alg, budget):
+        def out_of_memory(alg, budget=None):
             raise MemoryError()
 
         monkeypatch.setattr("maltsev.termsearch.find_maltsev_term", out_of_memory)

@@ -464,9 +464,7 @@ class TestConfluence:
         sigma = unify(mu(X, Y, Y), mu(Var("y2"), Var("y2"), Var("x2")))
         assert sigma is not None
         # all four variables collapse to one class
-        from maltsev.rewriting import resolve
-
-        terms = {resolve(v, sigma) for v in (X, Y, Var("y2"), Var("x2"))}
+        terms = {substitute(v, sigma) for v in (X, Y, Var("y2"), Var("x2"))}
         assert len(terms) == 1
 
     def test_unify_occurs_check(self):
@@ -477,6 +475,58 @@ class TestConfluence:
         for _ in range(300):
             t = random_term(rng, GENS3, 4)
             assert normalize_with(t, MALTSEV_SYSTEM) == normalize(t)
+
+
+def triangular_unify(s, t):
+    """unify as first written, kept as an oracle: a triangular substitution,
+    each binding made to terms resolved by the earlier ones."""
+    subst = {}
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        a, b = resolve(a, subst), resolve(b, subst)
+        if a == b:
+            continue
+        if isinstance(a, Var):
+            if a.name in variables(b):
+                return None
+            subst[a.name] = b
+        elif isinstance(b, Var):
+            if b.name in variables(a):
+                return None
+            subst[b.name] = a
+        elif a.symbol == b.symbol and len(a.args) == len(b.args):
+            stack.extend(zip(a.args, b.args))
+        else:
+            return None
+    return subst
+
+
+def resolve(t, subst):
+    """Apply a triangular substitution until no bound variable is left."""
+    while any(name in subst for name in variables(t)):
+        t = substitute(t, subst)
+    return t
+
+
+SMALL_TERMS = term_strategy(gens=("x", "y", "z", "w"), max_leaves=8)
+
+
+class TestUnify:
+    @given(SMALL_TERMS, SMALL_TERMS)
+    @example(mu(X, Y, Y), mu(Var("y2"), Var("y2"), Var("x2")))
+    @example(mu(X, mu(Y, Z, Z), Y), mu(Z, W, mu(W, X, X)))
+    @example(X, mu(X, Y, Z))
+    def test_idempotent_and_agrees_with_triangular_resolution(self, s, t):
+        sigma, oracle = unify(s, t), triangular_unify(s, t)
+        assert (sigma is None) == (oracle is None)
+        if sigma is None:
+            return
+        bound = set(sigma)
+        assert all(bound.isdisjoint(variables(u)) for u in sigma.values())
+        for name in {*variables(s), *variables(t)}:
+            assert substitute(Var(name), sigma) == resolve(Var(name), oracle)
+        assert substitute(s, sigma) == substitute(t, sigma)
 
 
 class TestRewriteSystemInvariants:

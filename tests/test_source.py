@@ -192,14 +192,19 @@ def _unnamed_functions(modules, outside, exported):
                 yield name
 
 
-def test_every_function_has_a_caller_outside_the_tests():
-    import maltsev
-
-    outside = [
+def _outside_trees():
+    """The syntax trees of the modules in CALLER_DIRS."""
+    return [
         ast.parse(path.read_text(encoding="utf-8"))
         for folder in CALLER_DIRS
         for path in sorted((PACKAGE.parents[1] / folder).glob("*.py"))
     ]
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    import maltsev
+
+    outside = _outside_trees()
     assert outside
     assert list(_unnamed_functions(_package(), outside, maltsev.__all__)) == []
 
@@ -221,6 +226,51 @@ def test_unnamed_functions_are_found():
     outside = [ast.parse("c.attribute()\n")]
     found = list(_unnamed_functions(modules, outside, ["exported"]))
     assert found == ["m.recursive", "m.wrapped", "m.C.method"]
+
+
+def _module_names(tree):
+    """Each name not starting with __ that an assignment in the body of a
+    module binds."""
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+        if isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        for node in (n for target in targets for n in ast.walk(target)):
+            if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                yield node.id
+
+
+def _unread_module_names(modules, outside, exported):
+    """module.name of each module-level name in modules (module name -> tree)
+    that nothing in modules or outside (more trees) reads, as a name or an
+    attribute, and that is not exported."""
+    read = set(exported)
+    for tree in [*modules.values(), *outside]:
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    for module, tree in modules.items():
+        yield from (f"{module}.{name}" for name in _module_names(tree) if name not in read)
+
+
+def test_every_module_level_name_is_read_outside_the_tests():
+    import maltsev
+
+    assert list(_unread_module_names(_package(), _outside_trees(), maltsev.__all__)) == []
+
+
+def test_unread_module_names_are_found():
+    modules = {
+        "m": ast.parse(
+            "READ = 1\nUNREAD = 2\nA, (B, C) = 3, (4, 5)\nTYPED: int = 6\n__all__ = []\n"
+            "EXPORTED = ATTR = 7\n"
+            "def f():\n    STORED = READ + B\n    return STORED\n"
+            "class K:\n    INSIDE = 8\n"
+        )
+    }
+    outside = [ast.parse("import m\nm.ATTR\nm.UNREAD = 9\n")]
+    found = list(_unread_module_names(modules, outside, ["EXPORTED"]))
+    assert found == ["m.UNREAD", "m.A", "m.C", "m.TYPED"]
 
 
 def test_no_recursion_limit_changes():

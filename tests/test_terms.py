@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -301,6 +302,56 @@ class TestEquality:
         u, v = mu(X, Y, Var("u")), mu(X, Y, Var("v"))
         v._hash, v.args[2]._hash = u._hash, u.args[2]._hash
         assert u != v
+
+
+def doubling(levels, leaf="x", odd_level=None):
+    """s_levels, where s_0 = leaf and s_{i+1} = mu(s_i, y, s_i), built with
+    fresh Var objects; at odd_level the y is a w instead."""
+    t = Var(leaf)
+    for i in range(levels):
+        t = mu(t, Var("w" if i == odd_level else "y"), t)
+    return t
+
+
+def copy_hashes(src, dst):
+    """Give each node of dst the hash of the node at its place in src, so
+    that only the walk of == tells them apart."""
+    stack, seen = [(src, dst)], set()
+    while stack:
+        a, b = stack.pop()
+        if id(b) not in seen:
+            seen.add(id(b))
+            b._hash = a._hash
+            if b.__class__ is App:
+                stack.extend(zip(a.args, b.args))
+
+
+class TestSharedEquality:
+    """Separately built copies of s_200, a tree of 3 * 2**200 - 2 nodes on
+    401 objects, compare in time linear in the objects: a walk of the tree
+    takes seconds at 22 levels, and would never finish at 200."""
+
+    def test_equal_copies(self):
+        for levels in (22, 200):
+            start = time.perf_counter()
+            assert doubling(levels) == doubling(levels)
+            assert time.perf_counter() - start < 0.5, levels
+
+    def test_copies_unequal_at_one_leaf(self):
+        start = time.perf_counter()
+        assert doubling(200) != doubling(200, leaf="z")
+        a, b = doubling(200), doubling(200, odd_level=150)
+        copy_hashes(a, b)
+        assert a != b and b != a
+        assert time.perf_counter() - start < 0.5
+
+    def test_a_shared_node_is_compared_with_each_partner(self):
+        # s occurs twice in t; u pairs it with an equal copy and with one
+        # that differs in a leaf
+        s = doubling(3)
+        t, u = mu(s, Y, s), mu(doubling(3), Y, doubling(3, odd_level=1))
+        copy_hashes(t, u)
+        assert t != u and u != t
 
 
 class TestSubstitute:

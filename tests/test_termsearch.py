@@ -6,6 +6,7 @@ import pytest
 
 from maltsev.algebras import (
     OperationTable,
+    evaluate_columns,
     is_maltsev_operation,
     make_algebra,
     maltsev_columns,
@@ -21,7 +22,6 @@ from maltsev.termsearch import (
     find_maltsev_term,
     permutability_audit,
     rebuild_term,
-    replay_vector,
     verify_maltsev_term,
 )
 
@@ -77,6 +77,13 @@ def reference_search(alg, budget=10**7):
                 return SearchOutcome("found", rebuild_term(parents, index[target]), len(elements))
         level_start = level_end
         first_round = False
+
+
+def replay_vector(alg, t):
+    """The pair vector of a term, t(a,b,b) then t(b,b,a) for each (a,b), by
+    one vector evaluation of t on the generator vectors."""
+    *columns, target = maltsev_columns(alg.size)
+    return evaluate_columns(alg, t, dict(zip("xyz", columns)), len(target))
 
 
 def reference_replay_vector(alg, t):
@@ -253,6 +260,24 @@ class TestVerify:
     def test_foreign_variable(self):
         with pytest.raises(EvaluationError):
             verify_maltsev_term(cyclic_group(2), Var("w"))
+
+    def test_one_column_build_per_check(self, monkeypatch):
+        calls = []
+        real = termsearch.maltsev_columns
+
+        def counting(size):
+            calls.append(size)
+            return real(size)
+
+        monkeypatch.setattr(termsearch, "maltsev_columns", counting)
+        z3 = cyclic_group(3)
+        assert verify_maltsev_term(z3, parse_term("mul(x,mul(inv(y),z))", z3.signature))
+        assert not verify_maltsev_term(z3, Var("x"))
+        assert calls == [3, 3]
+        # the search builds the generator columns once, then checks its witness
+        calls.clear()
+        assert find_maltsev_term(z3).status == "found"
+        assert calls == [3, 3]
 
 
 class TestAgainstPointwiseOracles:

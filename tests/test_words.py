@@ -12,7 +12,6 @@ from maltsev.homomorphisms import hom_to_group
 from maltsev.sampling import random_heap_word, random_letters
 from maltsev.terms import Var, mu
 from maltsev.words import (
-    EMPTY_WORD,
     HeapWord,
     Letter,
     ReducedWord,
@@ -34,6 +33,9 @@ from conftest import (
     random_order_reduction,
     raw_word_strategy,
 )
+
+
+EMPTY_WORD = ReducedWord(())
 
 
 def w(text: str) -> ReducedWord:
