@@ -60,19 +60,18 @@ def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWo
 
 
 def _generator_letters(t: Term, name: str, gen_map, by_gen: dict) -> tuple:
-    gen = name if gen_map is None else gen_map.get(name)
-    if gen not in by_gen:
-        try:
-            letter = _letter(name, gen_map)
-        except (EvaluationError, ValueError):
-            # The walk visits inverted subterms right to left, so fail on the
-            # leftmost variable that fails, whether unmapped or invalid.
-            for v in variables(t):
-                _letter(v, gen_map)
-            raise
+    try:
+        letter = _letter(name, gen_map)
+    except (EvaluationError, ValueError):
+        # The walk visits inverted subterms right to left, so fail on the
+        # leftmost variable that fails, whether unmapped or invalid.
+        for v in variables(t):
+            _letter(v, gen_map)
+        raise
+    if letter.gen not in by_gen:
         inverse = letter.inverse()
-        by_gen[gen] = ((letter, inverse), (inverse, letter))
-    return by_gen[gen]
+        by_gen[letter.gen] = ((letter, inverse), (inverse, letter))
+    return by_gen[letter.gen]
 
 
 def _letter(name: str, gen_map) -> Letter:

@@ -136,7 +136,6 @@ def _normalize(t: Term, forms: dict) -> Term:
         s = stack.pop()
         if s is _REDUCE:
             s = stack.pop()
-            x, y, z = s.args
             c, b, a = done.pop(), done.pop(), done.pop()
         elif (r := get(id(s))) is not None:
             done.append(r)
@@ -159,19 +158,30 @@ def _normalize(t: Term, forms: dict) -> Term:
                 stack += (s, _REDUCE, z, y, x)
                 continue
         # a, b and c are consed normal forms: one root step finishes s.
-        if b is c:
-            r = a
-        elif a is b:
-            r = c
-        else:
-            key = (id(a), id(b), id(c))
-            r = get(key)
-            if r is None:
-                r = forms[key] = s if a is x and b is y and c is z else App(MU, (a, b, c))
+        r = _root_form(a, b, c, forms, s)
         if stack:  # s is not the root
             forms[id(s)] = r
         done.append(r)
     return done[0]
+
+
+def _root_form(a: Term, b: Term, c: Term, forms: dict, s: App | None = None) -> Term:
+    """The consed normal form of mu(a, b, c), where a, b and c are normal
+    forms consed in forms: one root step, else the application consed by
+    the ids of its arguments.  A new normal form is s, the term being
+    normalized if the caller passes one, when its arguments are a, b and c
+    themselves, and otherwise a new App."""
+    if b is c:
+        return a
+    if a is b:
+        return c
+    key = (id(a), id(b), id(c))
+    r = forms.get(key)
+    if r is None:
+        if s is None or s.args[0] is not a or s.args[1] is not b or s.args[2] is not c:
+            s = App(MU, (a, b, c))
+        r = forms[key] = s
+    return r
 
 
 def normalize(t: Term) -> Term:
@@ -215,8 +225,9 @@ def count_M(m: int, n: int, oracle: bool = False, budget: int = 10**6) -> int:
 
     Fast mode counts irreducible terms directly: an application is
     irreducible iff its arguments are irreducible, the first two differ and
-    the last two differ.  Oracle mode enumerates all terms of depth <= n,
-    normalizes and deduplicates; both modes agree by convergence.
+    the last two differ.  Oracle mode normalizes every term of depth <= n,
+    those of depth n from the normal forms of their arguments, and counts
+    the distinct normal forms; both modes agree by convergence.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
@@ -244,9 +255,12 @@ def count_M_levels(m: int) -> Iterator[int]:
 
 def _count_M_oracle(m: int, n: int, budget: int) -> int:
     """count_M(m, n) by normalizing every term of depth <= n over one table
-    and counting the distinct consed normal forms.  The lower levels are
-    the lists that enumerate_up_to keeps, which keeps their subterms alive
-    as _normalize requires; each level-n term is dropped once normalized.
+    and counting the distinct consed normal forms.  The terms below level n
+    are enumerated and normalized one by one, and their normal forms kept
+    in enumeration order, repeats included.  Level n is never built: each
+    of its S(n) - S(n-1) argument triples, those with an argument at depth
+    n - 1, takes its normal form by one root step on the normal forms of
+    its arguments, which is the step _normalize ends each term with.
 
     The budget is checked level by level first.  The error names the count
     at level n, or 2**2000 once a count over budget passes it: counts about
@@ -256,9 +270,21 @@ def _count_M_oracle(m: int, n: int, budget: int) -> int:
         if total > budget and (d == n or total >> 2000):
             shown = "more than 2**2000" if total >> 2000 else total
             raise BudgetExceededError(f"oracle enumeration needs {shown} terms > budget {budget}")
+    if n == 0:
+        return m
     forms: dict = {}
     gens = default_generators(m)
-    return len({id(_normalize(t, forms)) for t in enumerate_up_to(gens, n, budget=budget)})
+    lower = [_normalize(t, forms) for t in enumerate_up_to(gens, n - 1, budget=budget)]
+    *_, split = 0, *itertools.islice(count_W_levels(m), n - 1)  # S(n-2), or 0
+    old, top = lower[:split], lower[split:]  # depth below n - 1, depth n - 1
+    seen = {id(r) for r in lower}
+    for a, b, c in itertools.chain(
+        itertools.product(top, lower, lower),
+        itertools.product(old, top, lower),
+        itertools.product(old, old, top),
+    ):
+        seen.add(id(_root_form(a, b, c, forms)))
+    return len(seen)
 
 
 def enumerate_normal_forms(gens: tuple[str, ...], n: int) -> list[Term]:

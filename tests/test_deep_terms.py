@@ -187,10 +187,10 @@ def test_parse_memory_is_linear_in_the_text():
 
 
 def test_count_m_oracle_keeps_only_the_lower_levels():
-    # 27003 terms of depth <= 2 over three generators.  Each level-2 term is
-    # dropped once normalized, so the peak is the 30 lower terms, the 2943
-    # normal forms and the table: about 1.2 MB, where keeping every term
-    # would take about 9 MB.
+    # 27003 terms of depth <= 2 over three generators.  No level-2 term is
+    # built: each takes its normal form from its arguments' normal forms, so
+    # the peak is the 30 lower terms, the 2943 normal forms and the table:
+    # about 1.2 MB, where keeping every term would take about 9 MB.
     assert peak_bytes(count_M, 3, 2, True) < 3_000_000
 
 

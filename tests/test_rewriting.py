@@ -33,6 +33,7 @@ from maltsev.terms import (
     MU,
     App,
     Var,
+    count_W,
     default_generators,
     enumerate_up_to,
     format_term,
@@ -384,7 +385,8 @@ class TestCountM:
         assert list(itertools.islice(count_M_levels(2), 3)) == [2, 4, 38]
 
     def test_level_zero_is_the_generators(self):
-        assert count_M(2, 0) == 2
+        for m in range(1, 5):
+            assert count_M(m, 0) == count_M(m, 0, oracle=True) == m
 
     def test_two_generators_level_one(self):
         # brute force: of the 8 depth-1 terms only mu(x,y,x) and mu(y,x,y)
@@ -395,12 +397,45 @@ class TestCountM:
         # value computed once by the enumeration oracle and frozen
         assert count_M(2, 2) == 38
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+    @pytest.mark.parametrize(
+        "m,n", [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
+    )
     def test_fast_mode_equals_oracle(self, m, n):
         assert count_M(m, n) == count_M(m, n, oracle=True)
 
-    def test_fast_mode_equals_oracle_three_generators(self):
-        assert count_M(3, 2) == count_M(3, 2, oracle=True)
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+    def test_oracle_equals_the_distinct_normal_forms(self, m, n):
+        # Brute force by structural equality: every term normalized on its
+        # own table, the normal forms compared as trees, no id read.
+        gens = default_generators(m)
+        distinct = {normalize(t) for t in enumerate_up_to(gens, n)}
+        assert len(distinct) == count_M(m, n, oracle=True)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1), (3, 2)])
+    def test_oracle_steps_once_per_top_level_triple(self, m, n):
+        # The oracle alone calls the root step without a term: once for each
+        # of the S(n) - S(n-1) argument triples of level n, on every call,
+        # so nothing is kept from one call to the next.
+        steps = []
+        root_form = rewriting._root_form
+
+        def counted(a, b, c, forms, s=None):
+            steps.append(s)
+            return root_form(a, b, c, forms, s)
+
+        with mock.patch.object(rewriting, "_root_form", counted):
+            for _ in range(2):
+                steps.clear()
+                assert count_M(m, n, oracle=True) == count_M(m, n)
+                assert steps.count(None) == count_W(m, n)
+
+    def test_oracle_budget_boundary(self):
+        # 3 + 27 + 26973 terms of depth <= 2; level 2 is guarded by the
+        # budget check alone, since the oracle never enumerates it.
+        with pytest.raises(BudgetExceededError) as caught:
+            count_M(3, 2, oracle=True, budget=27002)
+        assert str(caught.value) == "oracle enumeration needs 27003 terms > budget 27002"
+        assert count_M(3, 2, oracle=True, budget=27003) == 2943
 
     @pytest.mark.parametrize("m,n", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 1)])
     def test_oracle_equals_independent_normalization(self, m, n):
