@@ -308,6 +308,10 @@ def validate_term(t: Term, sig: Signature) -> None:
 # str.split; this pattern finds where a token starts, on the error path only.
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
+# parse_term remembers an application whose token run has at least this
+# many tokens after its first.
+_RUN = 256
+
 
 def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
     """Parse term text against a signature.
@@ -323,6 +327,21 @@ def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
     built in this call keys leaves by name and applications by the name and
     the ids of their arguments, so a text that repeats a subterm yields a
     DAG, and no lookup compares or hashes a term.
+
+    A long run of tokens that the text repeats is read once.  An
+    application is remembered, under the id of its first argument, when its
+    run has at least _RUN tokens after its first and, if the run remembered
+    or skipped last lies inside it, at least twice that run's; so a chain
+    remembers O(log n) of its levels and a doubling term every level.  When
+    a first argument built before completes and a remembered run had the
+    same one, one C-level comparison of token slices checks that the same
+    symbol and the rest of that run follow; if they do, the parser takes
+    its term and goes on after the run.  Equal runs parse to the same
+    object, and a run that parsed once holds no error, so skipping changes
+    no term, no sharing and no error: an edit inside a later copy makes
+    the check fail, and the copy is read token by token.  A failed check
+    forgets its key, so each remembered run is compared in vain at most
+    once, and the comparison stops at the first token that differs.
     """
     if not text or text.isspace():
         raise TermSyntaxError("empty term", 0)
@@ -334,6 +353,13 @@ def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
     # Each distinct subterm built so far: leaves by name, applications by
     # (symbol, *argument ids).
     shared: dict = {}
+    # Remembered runs: the id of an application's first argument -> the
+    # start and end of its token run and its term, or None once a check
+    # against the run failed.
+    runs: dict = {}
+    # Where the run remembered or skipped last starts, and twice its length
+    # after its first token; before any, past the end and _RUN.
+    last_start, need = len(tokens), _RUN
     i = 0
     while True:
         name, delimiter = tokens[i], tokens[i + 1]
@@ -367,6 +393,28 @@ def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
             t = shared.get(key)
             if t is None:
                 t = shared[key] = App(name, tuple(args))
+                if i - start >= need or (start > last_start and i - start >= _RUN):
+                    runs.setdefault(id(args[0]), (start, i + 1, t))
+                    last_start, need = start, 2 * (i - start)
+            else:
+                # t was built before.  While it opens the arguments of an
+                # application, and a remembered run with the same first
+                # argument goes on as the tokens after t do, skip that run.
+                while runs and frames and not frames[-1][2]:
+                    run = runs.get(id(t))
+                    if run is None:
+                        break
+                    run_start, run_end, u = run
+                    start = frames[-1][1]
+                    end = start + run_end - run_start
+                    if tokens[start] != tokens[run_start] or (
+                        tokens[i + 1 : end] != tokens[run_start + i + 1 - start : run_end]
+                    ):
+                        runs[id(t)] = None
+                        break
+                    frames.pop()
+                    t, i = u, end - 1
+                    last_start, need = start, 2 * (i - start)
             i += 1
             delimiter = tokens[i]
         else:

@@ -8,10 +8,11 @@ shape x1 x2^-1 x3 ... x(2n)^-1 x(2n+1); they are closed under the operation
 mu(a,b,c) = a b^-1 c and satisfy the para-associativity law
 mu(mu(a,b,c),d,e) = mu(a,mu(d,c,b),e) = mu(a,b,mu(c,d,e)).
 
-Words are checked once, where they come from outside: parse_letters and the
-public Letter, ReducedWord and HeapWord constructors.  The engine trusts its
-own output: reduce, fg_mul, fg_inv, heap_mu and Letter.inverse build their
-results reduced (and heap-shaped) by construction and wrap them unchecked.
+Words are checked once, where they come from outside: parse_letters, which
+checks each name and builds its letters unchecked, and the public Letter,
+ReducedWord and HeapWord constructors.  The engine trusts its own output:
+reduce, fg_mul, fg_inv, heap_mu and Letter.inverse build their results
+reduced (and heap-shaped) by construction and wrap them unchecked.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
             name, sign = chunk, 1
         if not IDENT_RE.fullmatch(name):
             raise TermSyntaxError(f"invalid letter {chunk!r}", match.start())
-        letters.append(Letter(name, sign))
+        letters.append(_trusted(Letter, name, sign))
     return tuple(letters)
 
 

@@ -30,7 +30,7 @@ from maltsev.terms import (
 )
 from maltsev.words import HeapWord
 
-from conftest import GENS3, Chain, apply, chain_strategy, evaluate
+from conftest import GENS3, Chain, apply, chain_strategy, evaluate, subterms
 from test_homomorphisms import reference_hom_to_group
 from test_rewriting import reference_normalize
 from test_terms import parse_outcome, reference_format, reference_parse
@@ -220,3 +220,19 @@ def test_syntax_error_far_into_a_valid_prefix():
         assert outcome == parse_outcome(reference_parse, bad, MALTSEV_SIGNATURE)
         position = int(re.search(r"at position (\d+)", outcome[1]).group(1))
         assert 99_900 < position < 100_100
+
+
+def test_long_texts_parse_to_one_object_per_distinct_subterm():
+    # balanced(10) repeats runs of up to 26 000 characters, which parse_term
+    # reads once each; zigzag(20000) repeats no run.
+    for t in (balanced(10), zigzag(20000)):
+        text = format_term(t)
+        u = parse_term(text)
+        assert u == t
+        nodes = list(subterms(u))
+        assert len({id(s) for s in nodes}) == len(set(nodes))
+    # A valid edit in a later copy of a run: the copy is read token by token.
+    text = format_term(balanced(10))
+    for i in (text.index("x", 100_000), text.rindex("z")):
+        edited = text[:i] + "y" + text[i + 1 :]
+        assert parse_term(edited) == reference_parse(edited) != balanced(10)

@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from maltsev.errors import (
 from maltsev.terms import (
     IDENT_RE,
     MALTSEV_SIGNATURE,
+    MU,
     App,
     Signature,
     Var,
@@ -159,6 +162,72 @@ def _mangle(text, i, token, how):
     return text[:i] + token + text[i:]
 
 
+# Two ternary symbols, so that one first argument opens applications of both.
+TWIN_SIGNATURE = Signature(((MU, 3), ("nu", 3)))
+
+
+def spaced(t, rng):
+    """format_term(t) with whitespace drawn from rng after each token."""
+    tokens = format_term(t).replace("(", " ( ").replace(",", " , ").replace(")", " ) ").split()
+    return "".join(token + rng.choice(("", "", " ", "\n", " \t ")) for token in tokens)
+
+
+def repeating_text(t, v, levels, seed):
+    """(text, start): the text of mu(n, twin, n), each copy of a subterm
+    spaced anew, where n is t doubled ``levels`` times by s -> f(s, v, s),
+    f taking mu and nu in turn, and twin has n's arguments under the other
+    symbol; start is where the last copy of n begins."""
+    rng = random.Random(seed)
+    n = t
+    for level in range(levels):
+        n = App(("nu", MU)[level % 2], (n, v, n))
+    twin = App("nu" if n.symbol == MU else MU, n.args)
+    head = f"mu({spaced(n, rng)},{spaced(twin, rng)},"
+    return head + spaced(n, rng) + ")", len(head)
+
+
+def repeating_texts():
+    """repeating_text over drawn terms: the longer ones repeat runs that
+    parse_term remembers and skips."""
+    return st.builds(
+        repeating_text, term_strategy(max_leaves=8), term_strategy(max_leaves=3),
+        st.integers(4, 7), st.integers(0, 2**32),
+    )
+
+
+def mangled_later_copy():
+    """A repeating text with one edit in the last copy of its run: anywhere
+    in it (i >= 0), or among the text's last characters (i < 0), where the
+    copy ends."""
+    return st.builds(
+        lambda text_start, i, token, how: _mangle(
+            text_start[0],
+            len(text_start[0]) + i if i < 0 else text_start[1] + i % (len(text_start[0]) - text_start[1]),
+            token, how,
+        ),
+        repeating_texts(), st.integers(0, 10**6) | st.integers(-12, -1), st.sampled_from(TOKENS),
+        st.sampled_from(("insert", "replace", "delete")),
+    )
+
+
+def line_events(fn, *args):
+    """The number of line events in fn's own frame while fn(*args) runs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 class TestAgainstReferenceParser:
     @given(term_strategy())
     def test_same_terms(self, t):
@@ -181,6 +250,34 @@ class TestAgainstReferenceParser:
                      "mu(mu,y,z)", "f(x,y)", "mul(e,x,y)", "inv", "e(x)", "mul(\u2003x,e)"):
             for sig in (MALTSEV_SIGNATURE, GROUP_SIGNATURE):
                 assert parse_outcome(parse_term, text, sig) == parse_outcome(reference_parse, text, sig)
+
+    @given(repeating_texts())
+    def test_same_terms_on_repeated_runs(self, text_start):
+        text = text_start[0]
+        t = parse_term(text, TWIN_SIGNATURE)
+        assert t == reference_parse(text, TWIN_SIGNATURE)
+        assert t.args[0] is t.args[2] and t.args[1] != t.args[0]
+        nodes = list(subterms(t))
+        assert len({id(s) for s in nodes}) == len(set(nodes))
+
+    @given(mangled_later_copy())
+    def test_same_outcome_on_an_edit_in_a_later_copy(self, text):
+        sig = TWIN_SIGNATURE
+        assert parse_outcome(parse_term, text, sig) == parse_outcome(reference_parse, text, sig)
+
+    def test_same_outcome_on_an_edit_where_a_later_copy_ends(self):
+        # The last copies of all the nested runs end together, just before
+        # the text's final ")": edit each of the last ")".
+        t = parse_term("mu(mu(x,y,z),mu(y,z,x),mu(z,x,y))")
+        for seed in range(3):
+            text, _ = repeating_text(t, X, 5, seed)
+            ends = [i for i, c in enumerate(text) if c == ")"][-8:]
+            for i, how, token in itertools.product(
+                ends, ("insert", "replace", "delete"), (",", ")", "x")
+            ):
+                bad = _mangle(text, i, token, how)
+                sig = TWIN_SIGNATURE
+                assert parse_outcome(parse_term, bad, sig) == parse_outcome(reference_parse, bad, sig)
 
 
 class TestParse:
@@ -267,6 +364,13 @@ class TestSharedParse:
     def test_constants_are_shared(self):
         t = parse_term("mul(e,mul(e,x))", GROUP_SIGNATURE)
         assert t.args[0] is t.args[1].args[0]
+
+    def test_a_repeated_run_is_read_once(self):
+        # doubling_text(12) is about four times as long as doubling_text(10)
+        # and repeats the same few runs: read once each, they cost the
+        # parser less than twice as many steps, not four times as many.
+        shorter, longer = (line_events(parse_term, doubling_text(n)) for n in (10, 12))
+        assert longer < 2 * shorter
 
 
 class TestFormat:
