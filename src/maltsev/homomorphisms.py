@@ -15,7 +15,7 @@ from typing import Callable, Mapping, TypeVar
 
 from .errors import BudgetExceededError, EvaluationError
 from .terms import Term, Var, _trusted, default_generators, fold, interpret, variables
-from .words import Letter, ReducedWord, is_heap_word, reduce
+from .words import CODES, Letter, ReducedWord, is_heap_word, reduce
 
 T = TypeVar("T")
 
@@ -32,53 +32,43 @@ def eval_term(
 def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWord:
     """The canonical homomorphism into the free group: variables go to
     generators and mu(a,b,c) to a b^-1 c, hence to c^-1 b a^-1 under an
-    inverse.  One signed pass over the raw term lists the letters and
-    cancels each against the one before it, so the word comes out reduced;
+    inverse.  One signed pass over the raw term lists the codes and cancels
+    each against the one before it, so the word comes out reduced;
     invariance under normalization is a consequence, not an input.  The
     image of any term is a heap word.  Each generator name is checked once,
-    when its letters are built."""
-    by_gen: dict[str, tuple] = {}  # generator -> ((letter, inverse), (inverse, letter))
-    letters: dict[str, tuple] = {}  # variable name -> its generator's entry
-    out: list[Letter] = []
+    when its variable is first met."""
+    var_codes: dict[str, tuple] = {}  # variable -> ((code, inverse), (inverse, code))
+    out: list[str] = []
     stack = [(t, 0)]  # a subterm, and 1 when its image is inverted
     while stack:
         s, inverted = stack.pop()
         if isinstance(s, Var):
-            signs = letters.get(s.name)
-            if signs is None:
-                signs = letters[s.name] = _generator_letters(t, s.name, gen_map, by_gen)
-            letter, inverse = signs[inverted]
-            # One Letter object per generator and sign, so identity is equality.
+            codes = var_codes.get(s.name)
+            if codes is None:
+                try:
+                    codes = var_codes[s.name] = CODES[_generator(s.name, gen_map)]
+                except (EvaluationError, ValueError):
+                    # Inverted subterms are walked right to left: fail on the leftmost.
+                    for v in variables(t):
+                        _generator(v, gen_map)
+                    raise
+            code, inverse = codes[inverted]
+            # CODES holds one str object per code, so identity is equality.
             if out and out[-1] is inverse:
                 out.pop()
             else:
-                out.append(letter)
+                out.append(code)
         else:
             a, b, c = s.args
             stack += ((a, 1), (b, 0), (c, 1)) if inverted else ((c, 0), (b, 1), (a, 0))
-    return _trusted(ReducedWord, tuple(out))
+    return _trusted(ReducedWord, "".join(out))
 
 
-def _generator_letters(t: Term, name: str, gen_map, by_gen: dict) -> tuple:
-    try:
-        letter = _letter(name, gen_map)
-    except (EvaluationError, ValueError):
-        # The walk visits inverted subterms right to left, so fail on the
-        # leftmost variable that fails, whether unmapped or invalid.
-        for v in variables(t):
-            _letter(v, gen_map)
-        raise
-    if letter.gen not in by_gen:
-        inverse = letter.inverse()
-        by_gen[letter.gen] = ((letter, inverse), (inverse, letter))
-    return by_gen[letter.gen]
-
-
-def _letter(name: str, gen_map) -> Letter:
+def _generator(name: str, gen_map) -> str:
     gen = name if gen_map is None else gen_map.get(name)
     if gen is None:
         raise EvaluationError(f"unmapped variable {name!r}")
-    return Letter(gen, 1)
+    return Letter(gen, 1).gen  # the constructor checks the name
 
 
 def separating_hom(t: Term, witness: str) -> int:
@@ -97,17 +87,9 @@ def check_injectivity_on_M1(m: int) -> bool:
     from .rewriting import enumerate_normal_forms
 
     gens = default_generators(m)
-    forms = enumerate_normal_forms(gens, 1)
-    images = [hom_to_group(t) for t in forms]
-    if len(set(images)) != len(images):
-        return False
-    targets = {
-        w
-        for length in (1, 3)
-        for w in _all_reduced_words(gens, length)
-        if is_heap_word(w)
-    }
-    return set(images) == targets
+    images = [hom_to_group(t) for t in enumerate_normal_forms(gens, 1)]
+    targets = {w for n in (1, 3) for w in _all_reduced_words(gens, n) if is_heap_word(w)}
+    return len(set(images)) == len(images) and set(images) == targets
 
 
 def _all_reduced_words(gens: tuple[str, ...], length: int) -> list[ReducedWord]:

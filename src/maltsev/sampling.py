@@ -20,7 +20,7 @@ from .rewriting import (
     rewrite_once_outermost,
 )
 from .terms import App, MU, Term, Var, positions, replace_at
-from .words import HeapWord, Letter, ReducedWord, heap_mu, reduce
+from .words import HeapWord, Letter, ReducedWord, encode, heap_mu, reduce
 
 
 def random_term(rng: random.Random, gens: Sequence[str], max_depth: int) -> Term:
@@ -53,24 +53,15 @@ def axiom_walk(
     return t
 
 
-def random_letters(
-    rng: random.Random, gens: Sequence[str], length: int
-) -> tuple[Letter, ...]:
-    return tuple(
-        Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)
-    )
+def random_letters(rng: random.Random, gens: Sequence[str], length: int) -> tuple[Letter, ...]:
+    return tuple(Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(length))
 
 
-def random_heap_word(
-    rng: random.Random, gens: Sequence[str], max_stratum: int
-) -> HeapWord:
+def random_heap_word(rng: random.Random, gens: Sequence[str], max_stratum: int) -> HeapWord:
     """Random element of the heap: reduction of a random alternating word;
     it may land in a lower stratum but is always a heap word."""
     n = rng.randrange(max_stratum + 1)
-    letters = [
-        Letter(rng.choice(gens), 1 if i % 2 == 0 else -1) for i in range(2 * n + 1)
-    ]
-    return HeapWord(reduce(letters))
+    return HeapWord(reduce(Letter(rng.choice(gens), 1 - 2 * (i % 2)) for i in range(2 * n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +114,8 @@ def selftest(rng: random.Random, iterations: int) -> list[tuple[str, bool]]:
 
 def random_order_reduction(rng: random.Random, raw: Sequence[Letter]) -> ReducedWord:
     """Oracle for reduce: delete cancelling pairs in random order until none remain."""
-    letters = list(raw)
-    while True:
-        sites = [
-            i
-            for i in range(len(letters) - 1)
-            if letters[i].gen == letters[i + 1].gen
-            and letters[i].sign == -letters[i + 1].sign
-        ]
-        if not sites:
-            return ReducedWord(tuple(letters))
+    codes = encode(raw)
+    while sites := [i for i in range(len(codes) - 1) if ord(codes[i]) ^ ord(codes[i + 1]) == 1]:
         i = rng.choice(sites)
-        del letters[i : i + 2]
+        codes = codes[:i] + codes[i + 2 :]
+    return ReducedWord(codes)

@@ -329,19 +329,13 @@ def parse_term(text: str, sig: Signature = MALTSEV_SIGNATURE) -> Term:
     DAG, and no lookup compares or hashes a term.
 
     A long run of tokens that the text repeats is read once.  An
-    application is remembered, under the id of its first argument, when its
-    run has at least _RUN tokens after its first and, if the run remembered
-    or skipped last lies inside it, at least twice that run's; so a chain
-    remembers O(log n) of its levels and a doubling term every level.  When
-    a first argument built before completes and a remembered run had the
-    same one, one C-level comparison of token slices checks that the same
-    symbol and the rest of that run follow; if they do, the parser takes
-    its term and goes on after the run.  Equal runs parse to the same
-    object, and a run that parsed once holds no error, so skipping changes
-    no term, no sharing and no error: an edit inside a later copy makes
-    the check fail, and the copy is read token by token.  A failed check
-    forgets its key, so each remembered run is compared in vain at most
-    once, and the comparison stops at the first token that differs.
+    application with a long run is remembered under the id of its first
+    argument (see the comments below: a chain remembers O(log n) of its
+    levels, a doubling term every level); where that argument completes
+    again, one comparison of token slices decides whether the same run
+    follows.  Equal runs parse to the same object and a run that parsed once
+    holds no error, so a skip changes no term, no sharing and no error.  A
+    failed comparison forgets its key: each run is compared in vain at most once.
     """
     if not text or text.isspace():
         raise TermSyntaxError("empty term", 0)

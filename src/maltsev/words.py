@@ -1,27 +1,33 @@
 """Reduced words: the free group on a generator set, and the free heap as
 the odd-length alternating words inside it.
 
-A raw word reduces by deleting adjacent pairs of mutually inverse letters;
-the single left-to-right stack pass below is linear and, by confluence of
-cancellation, independent of deletion order.  Heap words are the words of
+A raw word reduces by deleting adjacent pairs of mutually inverse letters,
+in any order (cancellation is confluent).  Heap words are the words of
 shape x1 x2^-1 x3 ... x(2n)^-1 x(2n+1); they are closed under the operation
 mu(a,b,c) = a b^-1 c and satisfy the para-associativity law
 mu(mu(a,b,c),d,e) = mu(a,mu(d,c,b),e) = mu(a,b,mu(c,d,e)).
 
+A word is a str of codes, one per letter: chr(2g) for the generator of
+index g in ``CODES``, the process's one append-only table of names (at most
+557 056, as chr stops at 0x10FFFF), and chr(2g + 1) for its inverse.  Equal
+words are equal strings, and the word operations are C-level string
+operations.  Codes hold only in their process: a word pickles by its names.
+
 Words are checked once, where they come from outside: parse_letters, which
 checks each name and builds its letters unchecked, and the public Letter,
 ReducedWord and HeapWord constructors.  The engine trusts its own output:
-reduce, fg_mul, fg_inv, heap_mu and Letter.inverse build their results
-reduced (and heap-shaped) by construction and wrap them unchecked.
+reduce, fg_mul, fg_inv and heap_mu build their results reduced (and
+heap-shaped) by construction and wrap them unchecked.
 """
 
 from __future__ import annotations
 
 import re
-from operator import attrgetter
-from typing import Iterable, Sequence
+import sys
+from _thread import allocate_lock
+from typing import Iterable
 
-from .errors import TermSyntaxError
+from .errors import BudgetExceededError, TermSyntaxError
 from .terms import IDENT_RE, Record, _trusted
 
 
@@ -35,65 +41,101 @@ class Letter(Record):
             raise ValueError(f"invalid generator name {gen!r}")
         super().__init__(gen, sign)
 
-    def inverse(self) -> "Letter":
-        return _trusted(Letter, self.gen, -self.sign)
+
+_FLIP: dict[int, int] = {}  # code -> its inverse's code
+_SIGNS: dict[int, str] = {}  # code -> "+" or "-"
+_LETTERS: dict[str, Letter] = {}  # code -> its letter
+_NEW_NAME = allocate_lock()  # threading.Lock, without importing threading
+
+
+class _Codes(dict):
+    # name -> ((code, inverse), (inverse, code)), indexed by sign < 0; one str
+    # object per code, compared by identity.  A new name gets the next index
+    # and fills the tables above under a lock, so no two names share one.
+    def __missing__(self, gen: str) -> tuple:
+        with _NEW_NAME:
+            if gen in self:
+                return self[gen]
+            g = 2 * len(self)
+            if g > sys.maxunicode:
+                raise BudgetExceededError(f"more than {g // 2} generator names in one process")
+            code, inverse = chr(g), chr(g + 1)
+            _FLIP[g], _FLIP[g + 1], _SIGNS[g], _SIGNS[g + 1] = g + 1, g, "+", "-"
+            _LETTERS[code], _LETTERS[inverse] = _trusted(Letter, gen, 1), _trusted(Letter, gen, -1)
+            self[gen] = pairs = (code, inverse), (inverse, code)
+            return pairs
+
+
+CODES = _Codes()
+
+
+def encode(letters: Iterable[Letter]) -> str:
+    return "".join([CODES[l.gen][l.sign < 0][0] for l in letters])
 
 
 class ReducedWord(Record):
-    """A word with no adjacent pair of equal generators with opposite signs.
-    The empty word is the group identity."""
+    """A word as its str of codes, no letter next to its inverse ("" is the identity)."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("codes",)
 
-    def __init__(self, letters: tuple[Letter, ...]):
-        for a, b in zip(letters, letters[1:]):
-            if a.gen == b.gen and a.sign == -b.sign:
-                raise ValueError(f"word is not reduced at {a.gen!r}")
-        super().__init__(letters)
+    def __init__(self, codes: str):
+        if not isinstance(codes, str):
+            raise TypeError(f"a word is a str of codes (see encode), not {type(codes).__name__}")
+        if codes and ord(max(codes)) >= 2 * len(CODES):
+            raise ValueError(f"no generator has the code {ord(max(codes))}")
+        for inverse, code in zip(codes[:-1].translate(_FLIP), codes[1:]):
+            if inverse == code:
+                raise ValueError(f"word is not reduced at {_LETTERS[code].gen!r}")
+        super().__init__(codes)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
+
+    def __reduce__(self):
+        return reduce, (self.letters,)
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(map(_LETTERS.__getitem__, self.codes))
 
 
-def reduce(raw: Sequence[Letter] | Iterable[Letter]) -> ReducedWord:
+def reduce(raw: Iterable[Letter]) -> ReducedWord:
     """Delete cancelling adjacent pairs to a fixpoint (single stack pass)."""
-    stack: list[Letter] = []
-    for letter in raw:
-        if stack and stack[-1].gen == letter.gen and stack[-1].sign == -letter.sign:
+    stack: list[int] = []
+    for code in map(ord, encode(raw)):
+        if stack and stack[-1] == code ^ 1:
             stack.pop()
         else:
-            stack.append(letter)
-    return _trusted(ReducedWord, tuple(stack))
+            stack.append(code)
+    return _trusted(ReducedWord, "".join(map(chr, stack)))
 
 
 def fg_mul(a: ReducedWord, b: ReducedWord) -> ReducedWord:
-    """Concatenation followed by reduction.  Both words are reduced, so
-    letters cancel only where they meet: the product costs the cancelled
-    letters plus one copy."""
-    x, y = a.letters, b.letters
-    k, n = 0, min(len(x), len(y))
-    while k < n and x[-1 - k].gen == y[k].gen and x[-1 - k].sign == -y[k].sign:
-        k += 1
+    """Concatenation followed by reduction.  Both words are reduced, so letters
+    cancel only where they meet: as far as b starts with the inverse u of a's
+    tail, found in one comparison or in O(log k) doubling, then halving ones."""
+    x, y = a.codes, b.codes
+    u = x[len(x) - min(len(x), len(y)) :][::-1].translate(_FLIP)
+    k, step = (len(u), 1) if y.startswith(u) else (0, 1)
+    while k < len(u) and y.startswith(u[k : k + step], k):
+        k, step = k + step, 2 * step
+    while step > 1:  # y starts with u[:k] and not with u[: k + step]
+        step //= 2
+        if y.startswith(u[k : k + step], k):
+            k += step
     return _trusted(ReducedWord, x[: len(x) - k] + y[k:])
 
 
 def fg_inv(a: ReducedWord) -> ReducedWord:
-    """The reversed word with every sign flipped.  Each distinct letter
-    object is inverted once; the word is then mapped through those."""
-    ids = list(map(id, a.letters))
-    inverse = {i: l.inverse() for i, l in dict(zip(ids, a.letters)).items()}
-    return _trusted(ReducedWord, tuple(map(inverse.__getitem__, reversed(ids))))
-
-
-_sign = attrgetter("sign")
+    """The reversed word with every sign flipped."""
+    return _trusted(ReducedWord, a.codes[::-1].translate(_FLIP))
 
 
 def is_heap_word(a: ReducedWord) -> bool:
     """Odd length with strictly alternating signs starting and ending +1.
     Coincides with membership in the closure of the generators under the
     heap operation (checked against that oracle in the test suite)."""
-    signs = list(map(_sign, a.letters))
-    return len(signs) % 2 == 1 and -1 not in signs[::2] and 1 not in signs[1::2]
+    return a.codes.translate(_SIGNS) == "+-" * (len(a.codes) // 2) + "+"
 
 
 class HeapWord(Record):
@@ -147,10 +189,7 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
     letters = []
     for match in re.finditer(r"\S+", text):
         chunk = match.group()
-        if chunk.endswith("^-1"):
-            name, sign = chunk[:-3], -1
-        else:
-            name, sign = chunk, 1
+        name, sign = (chunk[:-3], -1) if chunk.endswith("^-1") else (chunk, 1)
         if not IDENT_RE.fullmatch(name):
             raise TermSyntaxError(f"invalid letter {chunk!r}", match.start())
         letters.append(_trusted(Letter, name, sign))

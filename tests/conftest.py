@@ -6,14 +6,14 @@ from typing import NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from maltsev import congruences
+from maltsev import congruences, words
 from maltsev.algebras import OperationTable, dump_algebra, make_algebra
 from maltsev.catalog import bundled_algebras
 from maltsev.congruences import Partition
 from maltsev.errors import ArityMismatchError, EvaluationError
 from maltsev.sampling import fixpoint, random_order_reduction
 from maltsev.terms import App, MU, Var
-from maltsev.words import HeapWord, Letter, ReducedWord, heap_mu, reduce
+from maltsev.words import HeapWord, Letter, ReducedWord, encode, heap_mu, reduce
 
 GENS3 = ("x", "y", "z")
 
@@ -39,7 +39,7 @@ def heap_words_up_to(gens, max_len):
                 Letter(g, 1 if i % 2 == 0 else -1) for i, g in enumerate(names)
             )
             try:
-                out.append(HeapWord(ReducedWord(letters)))
+                out.append(HeapWord(ReducedWord(encode(letters))))
             except ValueError:
                 pass  # unreduced pattern such as a a^-1 a
     return out
@@ -238,6 +238,76 @@ def small_algebras(
         for i, k in enumerate(draw(arities))
     }
     return make_algebra("drawn", n, tables)
+
+
+# ---------------------------------------------------------------------------
+# The word operations on tuples of Letters, one letter at a time: the oracle
+# each word operation is checked against.  A product reduces the whole
+# concatenation.
+
+
+def reference_reduce(raw):
+    stack = []
+    for letter in raw:
+        if stack and stack[-1].gen == letter.gen and stack[-1].sign == -letter.sign:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
+def reference_fg_mul(x, y):
+    return reference_reduce(tuple(x) + tuple(y))
+
+
+def reference_fg_inv(x):
+    return tuple(Letter(l.gen, -l.sign) for l in reversed(x))
+
+
+def reference_heap_mu(a, b, c):
+    return reference_fg_mul(a, reference_fg_mul(reference_fg_inv(b), c))
+
+
+def reference_is_heap_word(x):
+    return len(x) % 2 == 1 and all(l.sign == (1 if i % 2 == 0 else -1) for i, l in enumerate(x))
+
+
+def reference_hom_to_group(t, gen_map=None):
+    """The per-node homomorphism into the free group: one reduced product
+    per application, on tuples of letters."""
+    if isinstance(t, Var):
+        gen = t.name if gen_map is None else gen_map.get(t.name)
+        if gen is None:
+            raise EvaluationError(f"unmapped variable {t.name!r}")
+        return (Letter(gen, 1),)
+    a, b, c = (reference_hom_to_group(s, gen_map) for s in t.args)
+    return reference_heap_mu(a, b, c)
+
+
+@functools.cache
+def generator_bands():
+    """Interned generator names whose codes a str stores in one, two and
+    four bytes a character: indexes below 128, from 128 to 32 767 and past
+    32 767, three from each end of each band.  The first call fills the
+    process's table past 32 768 names."""
+    encode(Letter(f"g{i}", 1) for i in range(32_800))
+    bands = ([], [], [])
+    for gen, ((code, _), _) in words.CODES.items():
+        bands[(ord(code) > 0xFF) + (ord(code) > 0xFFFF)].append(gen)
+    return tuple(band[:3] + band[-3:] for band in bands)
+
+
+def alphabet_strategy():
+    """Three generator names from one band of generator_bands, or one from
+    each, so that words are narrow, UCS-2, UCS-4 or mixed strings."""
+
+    def alphabets(bands):
+        one_band = st.sampled_from(bands).flatmap(
+            lambda band: st.lists(st.sampled_from(band), min_size=3, max_size=3, unique=True)
+        )
+        return one_band | st.tuples(*map(st.sampled_from, bands)).map(list)
+
+    return st.deferred(lambda: alphabets(generator_bands()))
 
 
 def letter_strategy(gens=("a", "b", "c")):

@@ -30,8 +30,7 @@ from maltsev.terms import (
 )
 from maltsev.words import HeapWord
 
-from conftest import GENS3, Chain, apply, chain_strategy, evaluate, subterms
-from test_homomorphisms import reference_hom_to_group
+from conftest import GENS3, Chain, apply, chain_strategy, evaluate, reference_hom_to_group, subterms
 from test_rewriting import reference_normalize
 from test_terms import parse_outcome, reference_format, reference_parse
 
@@ -110,9 +109,9 @@ def test_hom_to_group(chain, perms):
     # Compared through a homomorphism of the free group into S5.
     image = {g: tuple(p) for g, p in zip(GENS3, perms)}
 
-    def word_image(word):
+    def word_image(letters):
         out = tuple(range(5))
-        for letter in word.letters:
+        for letter in letters:
             p = image[letter.gen]
             out = perm_mul(out, p if letter.sign == 1 else perm_inv(p))
         return out
@@ -122,7 +121,7 @@ def test_hom_to_group(chain, perms):
         lambda a, b, c: perm_mul(perm_mul(a, perm_inv(b)), c),
     )
     word = hom_to_group(chain.build())
-    assert word_image(word) == expected
+    assert word_image(word.letters) == expected
     HeapWord(word)  # the constructor checks the heap-word shape
 
 

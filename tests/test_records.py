@@ -14,7 +14,7 @@ from maltsev.congruences import Congruence, Partition
 from maltsev.rewriting import ConfluenceReport, CriticalPair, RewriteSystem
 from maltsev.terms import Signature, Var, _trusted, mu
 from maltsev.termsearch import SearchOutcome, _Form
-from maltsev.words import HeapGroup, HeapWord, Letter, ReducedWord
+from maltsev.words import HeapGroup, HeapWord, Letter, ReducedWord, encode
 
 X, Y = Var("x"), Var("y")
 
@@ -28,7 +28,7 @@ def _pair():
 
 
 def _heap(letters):
-    return HeapWord(ReducedWord(tuple(Letter(g, s) for g, s in letters)))
+    return HeapWord(ReducedWord(encode(Letter(g, s) for g, s in letters)))
 
 
 _PACK, _SCALE, _READER = tuple, lambda a, b: a, lambda tab: None
@@ -61,10 +61,10 @@ RECORDS = {
     _Form: (("pack", "zero", "scale", "reader"), lambda: (_PACK, (0, 0), _SCALE, _READER),
             lambda: (_PACK, (0, 1), _SCALE, _READER)),
     Letter: (("gen", "sign"), lambda: ("x", 1), lambda: ("x", -1)),
-    ReducedWord: (("letters",), lambda: ((Letter("x", 1), Letter("y", -1)),),
-                  lambda: ((Letter("x", 1), Letter("y", 1)),)),
-    HeapWord: (("word",), lambda: (ReducedWord((Letter("x", 1),)),),
-               lambda: (ReducedWord((Letter("y", 1),)),)),
+    ReducedWord: (("codes",), lambda: (encode([Letter("x", 1), Letter("y", -1)]),),
+                  lambda: (encode([Letter("x", 1), Letter("y", 1)]),)),
+    HeapWord: (("word",), lambda: (ReducedWord(encode([Letter("x", 1)])),),
+               lambda: (ReducedWord(encode([Letter("y", 1)])),)),
     HeapGroup: (("base",), lambda: (_heap([("x", 1)]),), lambda: (_heap([("y", 1)]),)),
 }
 
@@ -80,8 +80,8 @@ REJECTED = {
     RewriteSystem: ((((X, X),),), ValueError),
     Signature: (((("f", 2), ("f", 1)),), ValueError),
     Letter: (("x", 0), ValueError),
-    ReducedWord: (((Letter("x", 1), Letter("x", -1)),), ValueError),
-    HeapWord: ((ReducedWord((Letter("x", -1),)),), ValueError),
+    ReducedWord: ((encode([Letter("x", 1), Letter("x", -1)]),), ValueError),
+    HeapWord: ((ReducedWord(encode([Letter("x", -1)])),), ValueError),
 }
 
 

@@ -376,8 +376,10 @@ def test_private_imports_are_found():
 
 # A record is its __slots__: terms.Record alone sets, compares, hashes,
 # copies and freezes the fields, so no subclass writes one of these and only
-# terms.py calls object.__setattr__.
+# terms.py calls object.__setattr__.  The one exception: a ReducedWord's
+# codes hold only in its own process, so it pickles and copies by its names.
 RECORD_METHODS = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__"}
+RECORD_LAYOUT_EXCEPTIONS = ["words.ReducedWord.__reduce__"]
 
 
 def _record_layout_breaches(modules):
@@ -418,7 +420,7 @@ def _record_layout_breaches(modules):
 def test_records_leave_their_layout_to_record():
     defined = {node.name for node in ast.walk(_package()["terms"]) if isinstance(node, ast.ClassDef)}
     assert "Record" in defined
-    assert list(_record_layout_breaches(_package())) == []
+    assert list(_record_layout_breaches(_package())) == RECORD_LAYOUT_EXCEPTIONS
 
 
 def test_record_layout_breaches_are_found():

@@ -1,13 +1,20 @@
+import copy
 import itertools
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maltsev import words
-from maltsev.errors import TermSyntaxError
+from maltsev import cli, words
+from maltsev.errors import BudgetExceededError, TermSyntaxError
 from maltsev.homomorphisms import hom_to_group
 from maltsev.sampling import random_heap_word, random_letters
 from maltsev.terms import Var, mu
@@ -15,6 +22,7 @@ from maltsev.words import (
     HeapWord,
     Letter,
     ReducedWord,
+    encode,
     fg_inv,
     fg_mul,
     format_word,
@@ -26,16 +34,25 @@ from maltsev.words import (
 )
 
 from conftest import (
+    GENS3,
+    alphabet_strategy,
     heap_word_strategy,
     heap_words_up_to,
     letter_strategy,
     para_associative,
     random_order_reduction,
     raw_word_strategy,
+    reference_fg_inv,
+    reference_fg_mul,
+    reference_heap_mu,
+    reference_hom_to_group,
+    reference_is_heap_word,
+    reference_reduce,
+    term_strategy,
 )
 
 
-EMPTY_WORD = ReducedWord(())
+EMPTY_WORD = ReducedWord("")
 
 
 def w(text: str) -> ReducedWord:
@@ -54,7 +71,7 @@ def in_F_k(a: ReducedWord, k: int) -> bool:
 def heap_closure(gens, max_len: int) -> set[ReducedWord]:
     """Breadth-first closure of the generators under the heap operation,
     keeping only words of length <= max_len.  Oracle for is_heap_word."""
-    current = {ReducedWord((Letter(g, 1),)) for g in gens}
+    current = {ReducedWord(encode([Letter(g, 1)])) for g in gens}
     frontier = set(current)
     while frontier:
         new: set[ReducedWord] = set()
@@ -104,7 +121,7 @@ class TestReduce:
 
     def test_reduced_word_constructor_rejects_unreduced(self):
         with pytest.raises(ValueError):
-            ReducedWord((Letter("x", 1), Letter("x", -1)))
+            ReducedWord(encode([Letter("x", 1), Letter("x", -1)]))
 
 
 class TestGroupLaws:
@@ -178,7 +195,7 @@ class TestHeapMembership:
             words += frontier
         checked = 0
         for letters in words:
-            word = ReducedWord(tuple(letters))
+            word = ReducedWord(encode(letters))
             assert is_heap_word(word) == (word in closure)
             checked += 1
         assert checked >= 4000
@@ -242,7 +259,7 @@ class TestDerivedGroup:
 
 class TestWordSyntax:
     def test_parse_rejects_garbage(self):
-        from maltsev.errors import TermSyntaxError
+        from maltsev.errors import BudgetExceededError, TermSyntaxError
 
         with pytest.raises(TermSyntaxError):
             parse_letters("x ^-1")
@@ -265,81 +282,140 @@ class TestWordSyntax:
         assert reduce(parse_letters(format_word(word))) == word
 
 
-# ---------------------------------------------------------------------------
-# The word operations as they were before the engine trusted its own output:
-# every result goes through the checking constructors, and a product reduces
-# the whole concatenation.
+def checked(letters):
+    """The word of reduced letters through the checking constructor."""
+    return ReducedWord(encode(letters))
 
 
-def reference_reduce(raw):
-    stack = []
-    for letter in raw:
-        if stack and stack[-1].gen == letter.gen and stack[-1].sign == -letter.sign:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return ReducedWord(tuple(stack))
+def word_tuples(n, max_size=30):
+    """n raw words over one drawn alphabet (see alphabet_strategy)."""
+    return alphabet_strategy().flatmap(
+        lambda gens: st.tuples(*[raw_word_strategy(gens, max_size)] * n)
+    )
 
 
-def reference_fg_mul(a, b):
-    return reference_reduce(a.letters + b.letters)
-
-
-def reference_fg_inv(a):
-    return ReducedWord(tuple(Letter(l.gen, -l.sign) for l in reversed(a.letters)))
-
-
-def reference_heap_mu(a, b, c):
-    return HeapWord(reference_fg_mul(a.word, reference_fg_mul(reference_fg_inv(b.word), c.word)))
-
-
-def reference_is_heap_word(a):
-    if len(a) % 2 == 0:
-        return False
-    return all(l.sign == (1 if i % 2 == 0 else -1) for i, l in enumerate(a.letters))
-
-
-def shared_letters(raw):
-    """The same word with one Letter object per generator and sign, as
-    hom_to_group and fg_inv build them."""
-    one = {}
-    return [one.setdefault(l, l) for l in raw]
-
-
-raw_words = st.one_of(raw_word_strategy(max_size=30), raw_word_strategy(max_size=30).map(shared_letters))
+@st.composite
+def cancelling_pairs(draw):
+    """Two raw words over two drawn alphabets, the second starting with the
+    inverse of up to 200 letters at the end of the first."""
+    x = reference_reduce(draw(raw_word_strategy(draw(alphabet_strategy()), 200)))
+    k = draw(st.integers(0, len(x)))
+    rest = draw(raw_word_strategy(draw(alphabet_strategy()), 20))
+    return x, reference_fg_inv(x[len(x) - k :]) + tuple(rest)
 
 
 class TestAgainstReferenceOperations:
-    @given(raw_words)
+    """Every word operation equals the tuple oracle of conftest, on narrow,
+    UCS-2, UCS-4 and mixed code strings."""
+
+    @given(word_tuples(1))
     def test_reduce(self, raw):
-        assert reduce(raw) == reference_reduce(raw)
+        (raw,) = raw
+        word = reduce(raw)
+        assert word.letters == reference_reduce(raw)
+        assert word == checked(reference_reduce(raw))
 
-    @given(raw_words, raw_words)
-    def test_fg_mul(self, ra, rb):
-        a, b = reduce(ra), reduce(rb)
-        assert fg_mul(a, b) == reference_fg_mul(a, b)
+    @given(word_tuples(2) | cancelling_pairs())
+    def test_fg_mul(self, pair):
+        x, y = map(reference_reduce, pair)
+        product = fg_mul(reduce(x), reduce(y))
+        assert product.letters == reference_fg_mul(x, y)
+        assert product == checked(reference_fg_mul(x, y))
 
-    @given(raw_words)
+    @given(word_tuples(1))
     def test_fg_inv(self, raw):
-        a = reduce(raw)
-        assert fg_inv(a) == reference_fg_inv(a)
+        x = reference_reduce(raw[0])
+        assert fg_inv(reduce(x)) == checked(reference_fg_inv(x))
 
-    @given(heap_word_strategy(("a", "b", "c"), 6), heap_word_strategy(("a", "b", "c"), 6),
-           heap_word_strategy(("a", "b", "c"), 6))
-    def test_heap_mu(self, a, b, c):
-        assert heap_mu(a, b, c) == reference_heap_mu(a, b, c)
+    @given(alphabet_strategy().flatmap(lambda gens: st.tuples(*[heap_word_strategy(gens, 6)] * 3)))
+    def test_heap_mu(self, abc):
+        expected = reference_heap_mu(*(w.word.letters for w in abc))
+        assert heap_mu(*abc) == HeapWord(checked(expected))
 
-    @given(raw_words)
+    @given(word_tuples(1))
     def test_is_heap_word(self, raw):
-        a = reduce(raw)
-        assert is_heap_word(a) == reference_is_heap_word(a)
+        x = reference_reduce(raw[0])
+        assert is_heap_word(reduce(x)) == reference_is_heap_word(x)
 
-    @given(st.lists(letter_strategy(), max_size=9))
+    @given(alphabet_strategy().flatmap(lambda gens: st.lists(letter_strategy(gens), max_size=9)))
     def test_is_heap_word_on_alternating_prefixes(self, raw):
         # Reduced words that are heap words up to one letter.
         alternating = [Letter(l.gen, 1 if i % 2 == 0 else -1) for i, l in enumerate(raw)]
-        for word in (reduce(alternating), reduce(alternating + raw[:1])):
-            assert is_heap_word(word) == reference_is_heap_word(word)
+        for letters in (alternating, alternating + raw[:1]):
+            assert is_heap_word(reduce(letters)) == reference_is_heap_word(reference_reduce(letters))
+
+    @given(term_strategy(), alphabet_strategy())
+    def test_hom_to_group(self, t, gens):
+        gen_map = dict(zip(GENS3, gens))
+        assert hom_to_group(t, gen_map) == checked(reference_hom_to_group(t, gen_map))
+
+    @given(word_tuples(1))
+    def test_parse_format_round_trip(self, raw):
+        x = reference_reduce(raw[0])
+        assert parse_letters(format_word(reduce(x))) == x
+
+
+class TestCodes:
+    """Codes are indexes into one table per process."""
+
+    def test_a_word_pickles_by_its_names(self):
+        # Another process interns other names first, so its codes differ.
+        script = (
+            "import pickle, sys\n"
+            "from maltsev.words import HeapWord, Letter, encode, parse_letters, reduce\n"
+            "encode(Letter(f'other{i}', 1) for i in range(300))\n"
+            "w = reduce(parse_letters('x y^-1 z'))\n"
+            "sys.stdout.buffer.write(pickle.dumps((w.codes, w, HeapWord(w))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(words.__file__)))
+        argv = [sys.executable, "-c", script]
+        out = subprocess.run(argv, capture_output=True, env=env, check=True, timeout=60)
+        codes, word, heap = pickle.loads(out.stdout)
+        local = w("x y^-1 z")
+        assert codes != local.codes
+        assert word == local and heap == HeapWord(local)
+        assert copy.deepcopy(local) == local
+
+    def test_a_word_is_built_from_codes(self):
+        assert ReducedWord(encode(parse_letters("x y^-1"))) == w("x y^-1")
+        with pytest.raises(TypeError, match="a word is a str of codes"):
+            ReducedWord((Letter("x", 1),))
+
+    def test_threads_never_give_two_names_one_index(self):
+        batches = [[Letter(f"thread{k}_{i}", 1) for i in range(300)] for k in range(6)]
+        threads = [threading.Thread(target=encode, args=(batch,)) for batch in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        letters = [letter for batch in batches for letter in batch]
+        word = reduce(letters)
+        assert len(set(word.codes)) == len(letters) and word.letters == tuple(letters)
+
+    def test_the_table_holds_at_most_557056_names(self, monkeypatch):
+        # A stand-in table one name short of full; the other tables are
+        # copied so the codes it hands out stay in this test.
+        class AlmostFull(type(words.CODES)):
+            def __len__(self):
+                return 557_055 + super().__len__()
+
+        for name in ("_FLIP", "_SIGNS", "_LETTERS"):
+            monkeypatch.setattr(words, name, dict(getattr(words, name)))
+        monkeypatch.setattr(words, "CODES", AlmostFull())
+        last = reduce(parse_letters("last^-1"))
+        assert list(map(ord, last.codes)) == [0x10FFFF]
+        assert format_word(fg_inv(last)) == "last"
+        with pytest.raises(BudgetExceededError, match="more than 557056 generator names"):
+            reduce(parse_letters("last one_more"))
+        code, out = cli.run(["--format", "json", "fg", "reduce", "--word", "one_more"])
+        assert code == 2
+        assert json.loads(out)["error"] == "more than 557056 generator names in one process"
 
 
 class TestTrustBoundary:
@@ -386,8 +462,9 @@ class TestTrustBoundary:
         group = heap_group_ops(c)
         group.mul(a, group.inv(b))
         assert checks == Counter()
-        assert product == reference_fg_mul(a.word, reference_fg_inv(b.word))
-        assert heap == reference_heap_mu(a, b, c)
+        assert product.letters == reference_fg_mul(a.word.letters, reference_fg_inv(b.word.letters))
+        letters = (a.word.letters, b.word.letters, c.word.letters)
+        assert heap.word.letters == reference_heap_mu(*letters)
 
     def test_hom_to_group_checks_each_generator_once(self, checks):
         # x, then mu(t, b, c) with b never the last letter of t: no letter
@@ -405,7 +482,7 @@ class TestTrustBoundary:
         assert len(reduce(parse_letters("x y^-1 z"))) == 3
         assert checks["fullmatch"] == 3  # parse_letters, once per letter
         assert checks["Letter"] == 0  # its letters are built unchecked
-        HeapWord(ReducedWord((Letter("x", 1),)))
+        HeapWord(ReducedWord(encode([Letter("x", 1)])))
         assert checks["ReducedWord"] == 1 and checks["HeapWord"] == 1
 
     @pytest.mark.parametrize(
@@ -413,7 +490,8 @@ class TestTrustBoundary:
         [
             lambda: Letter("1x", 1),
             lambda: Letter("x", 0),
-            lambda: ReducedWord((Letter("x", 1), Letter("x", -1))),
+            lambda: ReducedWord(encode([Letter("x", 1), Letter("x", -1)])),
+            lambda: ReducedWord(chr(0x10FFFF)),  # no generator has this code
             lambda: HeapWord(reduce(parse_letters("x y"))),
             lambda: HeapWord(reduce(parse_letters("x^-1"))),
             lambda: hom_to_group(mu(Var("x"), Var("y"), Var("x")), {"x": "a", "y": "b c"}),
