@@ -140,11 +140,16 @@ class App(Term):
     """An operation symbol applied to a tuple of argument terms.
 
     Every walk over terms is a loop, so a term of any depth works, and each
-    walk that computes a value from a term is a ``fold``, which computes a
-    node shared by several parents once.  Both term classes keep plain slots
-    and a hash computed once, from the arguments' hashes; equality compares
-    two terms on a stack, each pair of nodes once, and stops at the first
-    unequal hash.
+    walk that computes a value from a term computes a node shared by several
+    parents once.  Most are a ``fold``.  ``format_term`` and
+    ``homomorphisms.hom_to_group``, whose texts and words are as long as the
+    tree, are loops of their own: they keep a node's text or image only
+    under the fold's rule (sys.getrefcount shows the node referenced beyond
+    one parent slot) and write an unshared node's parts straight into the
+    output, so a chain costs no copy per level.  Both term classes keep
+    plain slots and a hash computed once, from the arguments' hashes;
+    equality compares two terms on a stack, each pair of nodes once, and
+    stops at the first unequal hash.
     """
 
     __slots__ = ("symbol", "args", "_hash")
@@ -447,23 +452,47 @@ def _identifier_error(text, i, name, arities, opens, nested) -> Exception:
 
 
 def format_term(t: Term) -> str:
-    """Canonical rendering; parse_term(format_term(t)) == t."""
-    parts = []
+    """Canonical rendering; parse_term(format_term(t)) == t.  A run of
+    variables that ends an argument list goes on the stack as one text.  A
+    shared application (see App) is rendered once: its parts are joined
+    into one text at its second occurrence, which every later one appends."""
+    parts: list[str] = []
     stack: list = [t]
+    # The id of each shared application met -> the start and end of its
+    # parts, or its text once it occurs again.
+    spans: dict = {}
     while stack:
         s = stack.pop()
-        if isinstance(s, str):
+        if s.__class__ is str:
             parts.append(s)
-        elif isinstance(s, Var):
+        elif s.__class__ is Var:
             parts.append(s.name)
+        elif s.__class__ is tuple:  # a shared application's parts end here
+            spans[s[0]] = s[1], len(parts)
         elif not s.args:
             parts.append(s.symbol)
         else:
+            if getrefcount(s) > 3:  # s, the call's argument and one parent slot
+                span = spans.get(id(s))
+                if span is None:
+                    stack.append((id(s), len(parts)))
+                else:
+                    if span.__class__ is tuple:
+                        span = spans[id(s)] = "".join(parts[span[0] : span[1]])
+                    parts.append(span)
+                    continue
+            args = s.args
+            k = len(args) - 1
+            text = ")"
+            while k and args[k].__class__ is Var:
+                text = f",{args[k].name}{text}"
+                k -= 1
+            stack.append(text)
+            while k:
+                stack += (args[k], ",")
+                k -= 1
+            stack.append(args[0])
             parts.append(s.symbol + "(")
-            stack.append(")")
-            for a in reversed(s.args[1:]):
-                stack += (a, ",")
-            stack.append(s.args[0])
     return "".join(parts)
 
 

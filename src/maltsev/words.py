@@ -45,6 +45,7 @@ class Letter(Record):
 _FLIP: dict[int, int] = {}  # code -> its inverse's code
 _SIGNS: dict[int, str] = {}  # code -> "+" or "-"
 _LETTERS: dict[str, Letter] = {}  # code -> its letter
+_TEXTS: dict[str, str] = {}  # code -> its letter's text, "x" or "x^-1"
 _NEW_NAME = allocate_lock()  # threading.Lock, without importing threading
 
 
@@ -62,6 +63,7 @@ class _Codes(dict):
             code, inverse = chr(g), chr(g + 1)
             _FLIP[g], _FLIP[g + 1], _SIGNS[g], _SIGNS[g + 1] = g + 1, g, "+", "-"
             _LETTERS[code], _LETTERS[inverse] = _trusted(Letter, gen, 1), _trusted(Letter, gen, -1)
+            _TEXTS[code], _TEXTS[inverse] = gen, f"{gen}^-1"
             self[gen] = pairs = (code, inverse), (inverse, code)
             return pairs
 
@@ -112,9 +114,16 @@ def reduce(raw: Iterable[Letter]) -> ReducedWord:
 
 def fg_mul(a: ReducedWord, b: ReducedWord) -> ReducedWord:
     """Concatenation followed by reduction.  Both words are reduced, so letters
-    cancel only where they meet: as far as b starts with the inverse u of a's
-    tail, found in one comparison or in O(log k) doubling, then halving ones."""
+    cancel only where they meet."""
     x, y = a.codes, b.codes
+    k = _cancelling(x, y)
+    return _trusted(ReducedWord, x[: len(x) - k] + y[k:])
+
+
+def _cancelling(x: str, y: str) -> int:
+    """How many letters cancel from each side where the reduced code strings
+    x and y meet: as far as y starts with the inverse u of x's tail, found
+    in one comparison or in O(log k) doubling, then halving ones."""
     u = x[len(x) - min(len(x), len(y)) :][::-1].translate(_FLIP)
     k, step = (len(u), 1) if y.startswith(u) else (0, 1)
     while k < len(u) and y.startswith(u[k : k + step], k):
@@ -123,7 +132,20 @@ def fg_mul(a: ReducedWord, b: ReducedWord) -> ReducedWord:
         step //= 2
         if y.startswith(u[k : k + step], k):
             k += step
-    return _trusted(ReducedWord, x[: len(x) - k] + y[k:])
+    return k
+
+
+def _splice(out: list[str], codes: str, inverted: int) -> None:
+    """Append the reduced code string codes, or its inverse if inverted, to
+    the reduced codes in out, cancelling letters where the two meet.  out
+    holds "" below its first code (see homomorphisms.hom_to_group)."""
+    if inverted:
+        codes = codes[::-1].translate(_FLIP)
+    if out[-1] == codes[0].translate(_FLIP):
+        k = _cancelling("".join(out[-len(codes) :]), codes)
+        del out[len(out) - k :]
+        codes = codes[k:]
+    out += codes
 
 
 def fg_inv(a: ReducedWord) -> ReducedWord:
@@ -199,4 +221,4 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
 def format_word(w: ReducedWord | HeapWord) -> str:
     if isinstance(w, HeapWord):
         w = w.word
-    return " ".join(l.gen if l.sign == 1 else f"{l.gen}^-1" for l in w.letters)
+    return " ".join(map(_TEXTS.__getitem__, w.codes))

@@ -161,6 +161,87 @@ def term_strategy(gens=GENS3, max_leaves=30):
     )
 
 
+# ---------------------------------------------------------------------------
+# Terms as DAGs, and the tree walks that format_term and hom_to_group
+# replaced: they visit a shared subterm once per occurrence, and are the
+# oracle the sharing-aware walks are checked against.
+
+
+@st.composite
+def dag_recipes(draw, max_nodes=8, max_size=300):
+    """A term as a DAG, as build_dag's recipe: a tuple of steps (args,
+    fresh, copy), each adding the node mu(*args) over the indexes of nodes
+    before it, after the three variables.  A node can stand at any argument
+    position, and up to three times in one argument tuple.  fresh rebuilds
+    each variable among the arguments as a distinct object, and copy adds an
+    equal but distinct rebuild of the node.  No node is larger than
+    max_size as a tree."""
+    sizes = [1, 1, 1]
+    steps = []
+    for _ in range(draw(st.integers(1, max_nodes))):
+        small = [i for i, n in enumerate(sizes) if n <= max_size // 3]
+        args = tuple(draw(st.sampled_from(small)) for _ in range(3))
+        fresh, copy = draw(st.booleans()), draw(st.booleans())
+        steps.append((args, fresh, copy))
+        sizes += [1 + sum(sizes[i] for i in args)] * (1 + copy)
+    return tuple(steps)
+
+
+def build_dag(recipe, gens=GENS3):
+    """The nodes of a dag_recipes recipe over three generator names, the
+    term last."""
+    nodes = [Var(g) for g in gens]
+    for args, fresh, copy in recipe:
+        node = App(MU, tuple(Var(nodes[i].name) if fresh and i < 3 else nodes[i] for i in args))
+        nodes += [node, App(MU, node.args)] if copy else [node]
+    return nodes
+
+
+def shared_terms(max_nodes=8, max_size=300):
+    """The term of a dag_recipes recipe; the caller holds none of its subterms."""
+    return dag_recipes(max_nodes, max_size).map(lambda recipe: build_dag(recipe)[-1])
+
+
+def tree_format_term(t):
+    """format_term as a walk of the tree."""
+    parts = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            parts.append(s)
+        elif isinstance(s, Var):
+            parts.append(s.name)
+        elif not s.args:
+            parts.append(s.symbol)
+        else:
+            parts.append(s.symbol + "(")
+            stack.append(")")
+            for a in reversed(s.args[1:]):
+                stack += (a, ",")
+            stack.append(s.args[0])
+    return "".join(parts)
+
+
+def tree_hom_to_group(t):
+    """hom_to_group as a signed walk of the tree, each generator named as its
+    variable; the checked constructor confirms the word is reduced."""
+    out = []
+    stack = [(t, 0)]
+    while stack:
+        s, inverted = stack.pop()
+        if isinstance(s, Var):
+            code, inverse = words.CODES[s.name][inverted]
+            if out and out[-1] is inverse:  # CODES holds one str object per code
+                out.pop()
+            else:
+                out.append(code)
+        else:
+            a, b, c = s.args
+            stack += ((a, 1), (b, 0), (c, 1)) if inverted else ((c, 0), (b, 1), (a, 0))
+    return ReducedWord("".join(out))
+
+
 class Chain(NamedTuple):
     """A deep term: a seed wrapped ``depth`` times in mu, the deeper term at
     a given argument position with two small fillers, the levels cycling

@@ -6,6 +6,7 @@ implementations only on the small fillers."""
 
 import functools
 import re
+import time
 import tracemalloc
 
 from hypothesis import given, settings
@@ -30,7 +31,16 @@ from maltsev.terms import (
 )
 from maltsev.words import HeapWord
 
-from conftest import GENS3, Chain, apply, chain_strategy, evaluate, reference_hom_to_group, subterms
+from conftest import (
+    GENS3,
+    Chain,
+    apply,
+    chain_strategy,
+    evaluate,
+    reference_hom_to_group,
+    subterms,
+    tree_format_term,
+)
 from test_rewriting import reference_normalize
 from test_terms import parse_outcome, reference_format, reference_parse
 
@@ -144,6 +154,26 @@ def test_every_entry_point_at_depth_20000():
     # 20001 copies of x: 20001 = 0 (mod 3), so the chain is e.
     assert check_identity(z3, parse_identity(f"{chain} = e", z3.signature)) is None
     assert evaluate_columns(z3, parse_term(chain, z3.signature), {"x": (2,)}, 1) == (0,)
+
+
+def test_shared_images_are_mapped_once():
+    # s_{i+1} = mu(s_i, s_i, s_i): 201 distinct nodes, 3^200 leaves as a
+    # tree.  Each level's image is s_0's, built once and spliced three times.
+    s0 = mu(X, Y, Z)
+    t = s0
+    for _ in range(200):
+        t = mu(t, t, t)
+    start = time.perf_counter()
+    assert hom_to_group(t) == hom_to_group(s0)
+    assert time.perf_counter() - start < 1
+
+
+def test_shared_texts_are_rendered_once():
+    # s_{i+1} = mu(s_i, w, s_i) at i = 16: 2^17 - 1 applications as a tree.
+    t = X
+    for _ in range(16):
+        t = mu(t, Var("w"), t)
+    assert format_term(t) == tree_format_term(t)
 
 
 def peak_bytes(fn, *args):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maltsev import homomorphisms
 from maltsev.algebras import Identity, check_identity, make_algebra, table_from_function
 from maltsev.errors import BudgetExceededError, EvaluationError
 from maltsev.homomorphisms import (
@@ -15,9 +16,18 @@ from maltsev.homomorphisms import (
 from maltsev.rewriting import enumerate_normal_forms, normalize
 from maltsev.sampling import random_term
 from maltsev.terms import MU, Var, mu, parse_term, variables
-from maltsev.words import HeapWord, format_word, heap_mu
+from maltsev.words import HeapWord, Letter, format_word, heap_mu
 
-from conftest import GENS3, reference_hom_to_group, term_strategy
+from conftest import (
+    GENS3,
+    alphabet_strategy,
+    build_dag,
+    dag_recipes,
+    reference_hom_to_group,
+    term_strategy,
+    tree_format_term,
+    tree_hom_to_group,
+)
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -48,6 +58,14 @@ def hom_outcome(hom, t, gen_map):
         return hom(t, gen_map)
     except (EvaluationError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def padded(t, gens=GENS3):
+    """t at the bottom of a chain mu(..., y, z) long enough that
+    hom_to_group meets t after it has started to test for sharing."""
+    for _ in range(homomorphisms._PLAIN + 1):
+        t = mu(t, Var(gens[1]), Var(gens[2]))
+    return t
 
 
 def xor3(a, b, c):
@@ -158,10 +176,53 @@ class TestAgainstReferenceHom:
     )
     def test_leftmost_failing_variable_inside_an_inverted_subterm(self, text, error):
         # The middle argument's image is inverted, so the walk meets z
-        # before y there; the error must still be the leftmost one.
+        # before y there; the error must still be the leftmost one.  In
+        # mu(pad, t, t) the shared t is first met inverted, as the middle
+        # argument, and its image is built in a buffer of its own.
         gen_map = {"x": "a", "y": "1a"}
         t = parse_term(text)
-        assert hom_outcome(hom_letters, t, gen_map) == hom_outcome(reference_hom_to_group, t, gen_map) == error
+        for u in (t, mu(padded(X, "xxx"), t, t)):
+            assert hom_outcome(hom_letters, u, gen_map) == hom_outcome(reference_hom_to_group, u, gen_map) == error
+
+
+class TestSharedImages:
+    """hom_to_group maps a shared application once and splices its image at
+    each occurrence; on DAG terms it gives the tree walk's word."""
+
+    @given(dag_recipes(max_size=600), alphabet_strategy(), st.booleans(), st.booleans(), st.booleans())
+    def test_same_word_as_the_tree_walk(self, recipe, gens, held, parsed, pad):
+        # Generator names from each band of code widths, so spliced codes
+        # are one-, two- and four-byte characters.  A held node counts as
+        # shared whether or not it is.  A parsed term shares every repeated
+        # subterm; a built one may hold equal but distinct nodes.
+        nodes = build_dag(recipe, gens)
+        t = nodes[-1]
+        if parsed:
+            t = parse_term(tree_format_term(t))
+        if pad:
+            t = padded(t, gens)
+        if not held:
+            del nodes
+        expected = tree_hom_to_group(t)
+        assert hom_to_group(t) == expected
+        assert hom_to_group(t, {g: "renamed_" + g for g in gens}).letters == tuple(
+            Letter("renamed_" + l.gen, l.sign) for l in expected.letters
+        )
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_a_shared_node_at_each_argument_position(self, position, twice):
+        # s stands at one position of two parents, or twice in one argument
+        # tuple; at the middle position its image is inverted.
+        s = mu(mu(X, Y, Z), Z, X)
+        fillers = [Z, Y, X]
+        args = [s if i == position or (twice and i == (position + 1) % 3) else f for i, f in enumerate(fillers)]
+        other = [Y, X, Z]
+        other[position] = s
+        t = padded(mu(mu(*args), mu(*other), mu(*args)))
+        del s, args, other
+        assert hom_to_group(t) == tree_hom_to_group(t)
+        assert hom_to_group(t).letters == reference_hom_to_group(t)
 
 
 class TestSeparatingHom:

@@ -45,7 +45,7 @@ from maltsev.terms import (
     variables,
 )
 
-from conftest import GENS3, apply, fixpoint, subterms, term_strategy
+from conftest import GENS3, apply, fixpoint, shared_terms, subterms, term_strategy
 
 X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
 
@@ -103,28 +103,6 @@ class TestAgainstReferenceNormalizer:
     @given(mixed_term_strategy())
     def test_same_first_bad_node(self, t):
         assert normalize_outcome(normalize, t) == normalize_outcome(reference_normalize, t)
-
-
-@st.composite
-def shared_terms(draw, max_nodes=8, max_size=300):
-    """A term built bottom-up as a DAG: each new node takes its arguments
-    from the nodes built before it, so subterms are shared objects; some
-    nodes are rebuilt as equal but distinct objects, and some arguments are
-    fresh copies of a variable."""
-    nodes = [Var(g) for g in GENS3]
-    for _ in range(draw(st.integers(1, max_nodes))):
-        small = [t for t in nodes if term_size(t) <= max_size // 3]
-        args = []
-        for _ in range(3):
-            arg = draw(st.sampled_from(small))
-            if isinstance(arg, Var) and draw(st.booleans()):
-                arg = Var(arg.name)
-            args.append(arg)
-        node = App(MU, tuple(args))
-        nodes.append(node)
-        if draw(st.booleans()):
-            nodes.append(App(MU, node.args))
-    return nodes[-1]
 
 
 @given(st.one_of(term_strategy(), shared_terms()))

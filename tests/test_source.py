@@ -346,6 +346,7 @@ def test_permute_callers_are_found():
 PRIVATE_IMPORTS = {
     ("congruences", "terms._trusted"),
     ("homomorphisms", "terms._trusted"),
+    ("homomorphisms", "words._splice"),
     ("sampling", "rewriting._root_step"),
     ("words", "terms._trusted"),
 }

@@ -34,7 +34,7 @@ from maltsev.terms import (
     variables,
 )
 
-from conftest import subterms, term_strategy
+from conftest import alphabet_strategy, build_dag, dag_recipes, subterms, term_strategy, tree_format_term
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -371,6 +371,36 @@ class TestSharedParse:
         # parser less than twice as many steps, not four times as many.
         shorter, longer = (line_events(parse_term, doubling_text(n)) for n in (10, 12))
         assert longer < 2 * shorter
+
+
+class TestSharedFormat:
+    """format_term renders a shared application once and appends its text at
+    each later occurrence; on DAG terms it gives the tree walk's text."""
+
+    @given(dag_recipes(max_size=600), alphabet_strategy(), st.booleans(), st.booleans())
+    def test_same_text_as_the_tree_walk(self, recipe, gens, held, parsed):
+        # A held node counts as shared whether or not it is.  A parsed term
+        # shares every repeated subterm; a built one may hold equal but
+        # distinct nodes.
+        nodes = build_dag(recipe, gens)
+        t = nodes[-1]
+        if parsed:
+            t = parse_term(tree_format_term(t))
+        if not held:
+            del nodes
+        assert format_term(t) == tree_format_term(t)
+
+    @given(st.data())
+    def test_shared_nodes_of_other_arities(self, data):
+        nodes = [X, Y, App("e", ())]
+        for _ in range(data.draw(st.integers(1, 10))):
+            symbol, arity = data.draw(st.sampled_from(GROUP_SIGNATURE.symbols))
+            nodes.append(App(symbol, tuple(data.draw(st.sampled_from(nodes)) for _ in range(arity))))
+        t = nodes[-1]
+        del nodes
+        text = format_term(t)
+        assert text == tree_format_term(t)
+        assert parse_term(text, GROUP_SIGNATURE) == t
 
 
 class TestFormat:
