@@ -43,8 +43,8 @@ def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWo
     inverse.  One signed pass over the raw term lists the codes and cancels
     each against the one before it, so the word comes out reduced;
     invariance under normalization is a consequence, not an input.  The
-    image of any term is a heap word.  Each generator name is checked once,
-    when its variable is first met.
+    image of any term is a heap word.  Each generator name is checked once
+    per process, when words.CODES first gives it a code.
 
     After the first _PLAIN applications, a shared application (see
     terms.App) is mapped once, in a fresh buffer, for the sign it is first
@@ -65,7 +65,7 @@ def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWo
                 except (EvaluationError, ValueError):
                     # Inverted subterms are walked right to left: fail on the leftmost.
                     for v in variables(t):
-                        _generator(v, gen_map)
+                        CODES[_generator(v, gen_map)]
                     raise
             code, inverse = codes[inverted]
             # A spliced code past 255 is not CODES' object: compare by value.
@@ -100,7 +100,7 @@ def _generator(name: str, gen_map) -> str:
     gen = name if gen_map is None else gen_map.get(name)
     if gen is None:
         raise EvaluationError(f"unmapped variable {name!r}")
-    return Letter(gen, 1).gen  # the constructor checks the name
+    return gen
 
 
 def separating_hom(t: Term, witness: str) -> int:

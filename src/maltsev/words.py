@@ -15,9 +15,10 @@ operations.  Codes hold only in their process: a word pickles by its names.
 
 Words are checked once, where they come from outside: parse_letters, which
 checks each name and builds its letters unchecked, and the public Letter,
-ReducedWord and HeapWord constructors.  The engine trusts its own output:
-reduce, fg_mul, fg_inv and heap_mu build their results reduced (and
-heap-shaped) by construction and wrap them unchecked.
+ReducedWord and HeapWord constructors; ``CODES`` checks a name before it
+gives it a code.  The engine trusts its own output: reduce, fg_mul, fg_inv
+and heap_mu build their results reduced (and heap-shaped) by construction
+and wrap them unchecked.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ _NEW_NAME = allocate_lock()  # threading.Lock, without importing threading
 
 class _Codes(dict):
     # name -> ((code, inverse), (inverse, code)), indexed by sign < 0; one str
-    # object per code, compared by identity.  A new name gets the next index
-    # and fills the tables above under a lock, so no two names share one.
+    # object per code, compared by identity.  A valid new name gets the next
+    # index and fills the tables above under a lock, so no two names share one.
     def __missing__(self, gen: str) -> tuple:
+        if not IDENT_RE.fullmatch(gen):
+            raise ValueError(f"invalid generator name {gen!r}")
         with _NEW_NAME:
             if gen in self:
                 return self[gen]

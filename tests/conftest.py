@@ -1,14 +1,14 @@
 import functools
 import itertools
 import json
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
 from maltsev import congruences, words
-from maltsev.algebras import OperationTable, dump_algebra, make_algebra
-from maltsev.catalog import bundled_algebras
+from maltsev.algebras import OperationTable, dump_algebra, load_algebra, make_algebra, table_from_function
 from maltsev.congruences import Partition
 from maltsev.errors import ArityMismatchError, EvaluationError
 from maltsev.sampling import fixpoint, random_order_reduction
@@ -16,6 +16,7 @@ from maltsev.terms import App, MU, Var
 from maltsev.words import HeapWord, Letter, ReducedWord, encode, heap_mu, reduce
 
 GENS3 = ("x", "y", "z")
+ALGEBRAS = Path(__file__).resolve().parents[1] / "algebras"
 
 
 def subterms(t):
@@ -51,6 +52,37 @@ def para_associative(a, b, c, d, e):
     mid = heap_mu(a, heap_mu(d, c, b), e)
     rhs = heap_mu(a, b, heap_mu(c, d, e))
     return lhs == mid == rhs
+
+
+# ---------------------------------------------------------------------------
+# Finite algebras: the bundled documents, read through load_algebra, and the
+# two families that tests need at sizes no document has.
+
+
+@functools.cache
+def bundled_algebras():
+    """Each algebras/*.json by file stem, in file-name order."""
+    return {
+        path.stem: load_algebra(json.loads(path.read_text()))
+        for path in sorted(ALGEBRAS.glob("*.json"))
+    }
+
+
+def cyclic_group(n):
+    return make_algebra(
+        f"Z{n}",
+        n,
+        {
+            "mul": table_from_function(n, 2, lambda a, b: (a + b) % n),
+            "inv": table_from_function(n, 1, lambda a: (-a) % n),
+            "e": table_from_function(n, 0, lambda: 0),
+        },
+    )
+
+
+def chain_semilattice(n):
+    """The chain 0 < 1 < ... < n-1 under the meet (min) operation."""
+    return make_algebra(f"chain{n}", n, {"meet": table_from_function(n, 2, min)})
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +456,14 @@ def algebras():
 
 
 @pytest.fixture()
-def algebra_file(tmp_path, algebras):
+def algebra_file(tmp_path):
     def write(name, alg=None):
-        """The path of a document of alg, by default the bundled algebra name."""
+        """The path of a document of alg, by default the shipped document
+        of the bundled algebra name."""
+        if alg is None:
+            return str(ALGEBRAS / f"{name}.json")
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(dump_algebra(algebras[name] if alg is None else alg)))
+        path.write_text(json.dumps(dump_algebra(alg)))
         return str(path)
 
     return write

@@ -17,7 +17,6 @@ from maltsev.algebras import (
     maltsev_from_quasigroup,
     maltsev_from_retraction,
 )
-from maltsev.catalog import bundled_algebras
 from maltsev.cli import run as cli
 from maltsev.congruences import (
     Congruence,
@@ -62,6 +61,7 @@ from maltsev.words import (
 from conftest import (
     apply,
     apply_table,
+    bundled_algebras,
     fixpoint,
     heap_words_up_to,
     least_relating,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from maltsev.algebras import (
     GROUP_AXIOMS,
+    LEFT_LOOP_AXIOMS,
     Identity,
     OperationTable,
     CHUNK,
@@ -29,18 +31,21 @@ from maltsev.algebras import (
     tuple_columns,
     with_operation,
 )
-from maltsev.catalog import (
-    bundled_algebras,
-    cyclic_group,
-    nonassociative_loop_5,
-    subtraction_quasigroup_3,
-    symmetric_group_3,
-)
 from maltsev.errors import ArityMismatchError, AxiomError, EvaluationError, SchemaError, UnknownSymbolError
 from maltsev.homomorphisms import eval_term
 from maltsev.terms import App, Var, mu, parse_term
 
-from conftest import apply, apply_table, evaluate, random_signature_term, small_algebras
+from conftest import (
+    ALGEBRAS,
+    apply,
+    apply_table,
+    bundled_algebras,
+    chain_semilattice,
+    cyclic_group,
+    evaluate,
+    random_signature_term,
+    small_algebras,
+)
 
 
 class TestLoadAlgebra:
@@ -200,7 +205,7 @@ class TestCheckIdentity:
         assert check_identity(z3, ident) is None
 
     def test_commutativity_fails_on_s3(self):
-        s3 = symmetric_group_3()
+        s3 = bundled_algebras()["s3"]
         ident = parse_identity("mul(x,y)=mul(y,x)", s3.signature)
         failure = check_identity(s3, ident)
         assert failure is not None
@@ -212,7 +217,7 @@ class TestCheckIdentity:
         assert check_identity(cyclic_group(4), ident) is None
 
     def test_counterexample_is_lexicographically_first(self):
-        s3 = symmetric_group_3()
+        s3 = bundled_algebras()["s3"]
         ident = parse_identity("mul(x,y)=mul(y,x)", s3.signature)
         assert check_identity(s3, ident) == naive_check_identity(s3, ident)
 
@@ -337,9 +342,9 @@ class TestMaltsevFromGroup:
         assert tab.entries == (0,)
 
     def test_nonabelian(self):
-        tab = maltsev_from_group(symmetric_group_3())
+        tab = maltsev_from_group(bundled_algebras()["s3"])
         assert is_maltsev_operation(
-            with_operation(symmetric_group_3(), "m", tab), "m"
+            with_operation(bundled_algebras()["s3"], "m", tab), "m"
         )
 
     def test_axiom_failure_is_reported(self):
@@ -383,7 +388,7 @@ class TestMaltsevFromLeftLoop:
         assert maltsev_from_left_loop(one).entries == (0,)
 
     def test_nonassociative_order_five_loop(self):
-        loop = nonassociative_loop_5()
+        loop = bundled_algebras()["loop5"]
         # genuinely non-associative
         assoc = parse_identity("star(star(x,y),z)=star(x,star(y,z))", loop.signature)
         assert check_identity(loop, assoc) is not None
@@ -406,14 +411,14 @@ class TestMaltsevFromLeftLoop:
 
 class TestMaltsevFromQuasigroup:
     def test_subtraction_quasigroup(self):
-        tab = maltsev_from_quasigroup(subtraction_quasigroup_3())
+        tab = maltsev_from_quasigroup(bundled_algebras()["qg3"])
         expected = tuple(
             (a - b + c) % 3 for a in range(3) for b in range(3) for c in range(3)
         )
         assert tab.entries == expected
 
     def test_divisions_solved_from_latin_square(self):
-        qg = subtraction_quasigroup_3()
+        qg = bundled_algebras()["qg3"]
         assert {sym for sym, _ in qg.tables} == {"star"}
         tab = maltsev_from_quasigroup(qg)
         assert is_maltsev_operation(
@@ -437,7 +442,7 @@ class TestMaltsevFromQuasigroup:
             maltsev_from_quasigroup(bad)
 
     def test_explicit_divisions_are_honored(self):
-        qg = subtraction_quasigroup_3()
+        qg = bundled_algebras()["qg3"]
         full = make_algebra(
             "qg3full",
             3,
@@ -574,7 +579,7 @@ class TestWholeTableScans:
 
     @settings(max_examples=100, deadline=None)
     @given(latin_squares())
-    @example(subtraction_quasigroup_3())
+    @example(bundled_algebras()["qg3"])
     def test_latin_squares_and_divisions(self, alg):
         latin = is_latin_square(alg, "star")
         assert latin == naive_is_latin_square(alg, "star")
@@ -644,7 +649,7 @@ class TestProductAlgebra:
 
     def test_signature_mismatch(self):
         with pytest.raises(ValueError):
-            product_algebra(cyclic_group(2), subtraction_quasigroup_3())
+            product_algebra(cyclic_group(2), bundled_algebras()["qg3"])
 
 
 class TestEvaluate:
@@ -744,3 +749,48 @@ def test_group_axiom_list_is_checkable():
     z6 = cyclic_group(6)
     for text in GROUP_AXIOMS:
         assert check_identity(z6, parse_identity(text, z6.signature)) is None
+
+
+# ---------------------------------------------------------------------------
+# The documents under algebras/ are the only copy of the bundled algebras.
+
+
+def holds(alg, *identities):
+    return all(check_identity(alg, parse_identity(text, alg.signature)) is None for text in identities)
+
+
+def assert_is_the_named_algebra(stem, alg):
+    """The facts that make each bundled document the algebra its name says."""
+    if stem.startswith("z"):
+        assert alg == cyclic_group(int(stem[1:]))
+    elif stem == "chain3":
+        assert alg == chain_semilattice(3)
+    elif stem == "s3":
+        # the one non-abelian group of order 6
+        assert alg.size == 6 and holds(alg, *GROUP_AXIOMS) and not holds(alg, "mul(x,y)=mul(y,x)")
+    elif stem == "loop5":
+        # a loop with identity 0 that is not associative
+        assert alg.table("e").entries == (0,) and is_latin_square(alg, "star")
+        assert holds(alg, *LEFT_LOOP_AXIOMS, "star(e,x)=x")
+        assert apply(alg, "star", apply(alg, "star", 1, 1), 2) == 2
+        assert apply(alg, "star", 1, apply(alg, "star", 1, 2)) == 4
+    elif stem == "qg3":
+        assert alg == make_algebra("qg3", 3, {"star": table_from_function(3, 2, lambda a, b: (a - b) % 3)})
+    else:
+        assert stem == "mu2"
+        assert alg == make_algebra("mu2", 2, {"mu": table_from_function(2, 3, lambda a, b, c: a ^ b ^ c)})
+
+
+@pytest.mark.parametrize("path", sorted(ALGEBRAS.glob("*.json")), ids=lambda path: path.stem)
+def test_each_document_is_canonical_and_the_algebra_its_name_says(path):
+    doc = json.loads(path.read_bytes())
+    alg = load_algebra(doc)
+    assert (json.dumps(dump_algebra(alg), indent=2) + "\n").encode() == path.read_bytes()
+    assert_is_the_named_algebra(path.stem, alg)
+    # The facts pin every table entry: no edit of one goes unnoticed.
+    for op in doc["operations"]:
+        for i, entry in enumerate(op["table"]):
+            op["table"][i] = (entry + 1) % doc["size"]
+            with pytest.raises(AssertionError):
+                assert_is_the_named_algebra(path.stem, load_algebra(doc))
+            op["table"][i] = entry

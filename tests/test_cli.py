@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from maltsev.cli import build_parser, main, run
 from maltsev.rewriting import count_M
 
+from conftest import cyclic_group
+
 SRC = Path(__file__).resolve().parents[1] / "src"
-Z3_FILE = SRC.parent / "algebras" / "z3.json"
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -189,7 +190,7 @@ class TestCountM:
 
 BUDGETED = {
     "count-m": ["count-m", "--generators", "2", "--level", "1", "--oracle"],
-    "maltsev-term": ["algebra", "maltsev-term", "--file", str(Z3_FILE)],
+    "maltsev-term": ["algebra", "maltsev-term", "--file", "{z3}"],
 }
 
 
@@ -212,16 +213,20 @@ class TestBudgetKeyword:
         monkeypatch.delenv("MW_BUDGET", raising=False)
         return seen
 
+    @pytest.fixture
+    def argv(self, algebra_file, command):
+        return [algebra_file("z3") if a == "{z3}" else a for a in BUDGETED[command]]
+
     @pytest.mark.parametrize("command", BUDGETED)
-    def test_no_budget_keyword_without_a_budget(self, budgets, command):
-        assert run(BUDGETED[command])[0] == 0
+    def test_no_budget_keyword_without_a_budget(self, budgets, argv):
+        assert run(argv)[0] == 0
         assert budgets == ["default"]
 
     @pytest.mark.parametrize("command", BUDGETED)
-    def test_a_given_budget_is_passed(self, budgets, monkeypatch, command):
+    def test_a_given_budget_is_passed(self, budgets, monkeypatch, argv):
         monkeypatch.setenv("MW_BUDGET", "300")
-        run(BUDGETED[command])
-        run([*BUDGETED[command], "--budget", "400"])
+        run(argv)
+        run([*argv, "--budget", "400"])
         assert budgets == [300, 400]
 
 
@@ -539,15 +544,11 @@ def test_every_documented_command_is_reachable():
 
 class TestLatticeGuard:
     def test_oversize_carrier_is_guarded(self, algebra_file):
-        from maltsev.catalog import cyclic_group
-
         path = algebra_file("z9", cyclic_group(9))
         code, out = run(["algebra", "congruences", "--file", path])
         assert code == 2
 
     def test_override_prints_cost_warning(self, algebra_file):
-        from maltsev.catalog import cyclic_group
-
         path = algebra_file("z9", cyclic_group(9))
         code, out = run(["algebra", "congruences", "--file", path, "--max-size", "9"])
         assert code == 0
@@ -666,12 +667,12 @@ class TestExitCodeContract:
             code, out = run(["--format", "json", "algebra", "congruences", "--file", str(path)])
         self.assert_error_record(code, out, "algebra congruences")
 
-    def test_an_error_without_a_message_is_named_by_its_type(self, monkeypatch):
+    def test_an_error_without_a_message_is_named_by_its_type(self, monkeypatch, algebra_file):
         def out_of_memory(alg, budget=None):
             raise MemoryError()
 
         monkeypatch.setattr("maltsev.termsearch.find_maltsev_term", out_of_memory)
-        argv = ["algebra", "maltsev-term", "--file", str(Z3_FILE)]
+        argv = ["algebra", "maltsev-term", "--file", algebra_file("z3")]
         assert run(argv) == (2, "error: MemoryError")
         code, out = run(["--format", "json", *argv])
         assert (code, json.loads(out)) == (
@@ -736,13 +737,13 @@ class TestDeepTerms:
         assert (code, out) == (0, str((1 + self.DEPTH) % 2))
 
     @pytest.mark.parametrize("holds", [True, False])
-    def test_check_identity(self, holds):
+    def test_check_identity(self, holds, algebra_file):
         # In Z3, mul(t,y) adds y, so the chain is x + DEPTH*y (mod 3).
         chain = "mul(" * self.DEPTH + "x" + ",y)" * self.DEPTH
         rhs = "mul(x,mul(y,y))" if holds else "x"
         assert self.DEPTH % 3 == 2
         code, out = run(
-            ["--format", "json", "algebra", "check-identity", "--file", str(Z3_FILE),
+            ["--format", "json", "algebra", "check-identity", "--file", algebra_file("z3"),
              "--identity", f"{chain} = {rhs}"]
         )
         record = json.loads(out)

@@ -12,7 +12,6 @@ from maltsev.algebras import (
     product_algebra,
     table_from_function,
 )
-from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
 from maltsev.congruences import (
     Congruence,
     Partition,
@@ -43,7 +42,10 @@ from conftest import (
     all_partitions,
     apply,
     apply_table,
+    bundled_algebras,
+    chain_semilattice,
     compose,
+    cyclic_group,
     identity_partition,
     join,
     least_relating,

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maltsev.algebras import OperationTable, check_identity, evaluate_columns, make_algebra, parse_identity
-from maltsev.catalog import bundled_algebras
 from maltsev.homomorphisms import eval_term, hom_to_group
 from maltsev.rewriting import count_M, equal_in_free, is_normal_form, normalize
 from maltsev.terms import (
@@ -35,6 +34,7 @@ from conftest import (
     GENS3,
     Chain,
     apply,
+    bundled_algebras,
     chain_strategy,
     evaluate,
     reference_hom_to_group,

@@ -45,7 +45,7 @@ from maltsev.terms import (
     variables,
 )
 
-from conftest import GENS3, apply, fixpoint, shared_terms, subterms, term_strategy
+from conftest import GENS3, apply, bundled_algebras, fixpoint, shared_terms, subterms, term_strategy
 
 X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
 
@@ -296,10 +296,9 @@ class TestWordProblem:
         # evaluation homomorphism into S3 (mu = p q^-1 r) separates them
         import itertools
 
-        from maltsev.catalog import symmetric_group_3
         from maltsev.homomorphisms import eval_term
 
-        s3 = symmetric_group_3()
+        s3 = bundled_algebras()["s3"]
 
         def s3_mu(p, q, r):
             return apply(s3, "mul", p, apply(s3, "mul", apply(s3, "inv", q), r))

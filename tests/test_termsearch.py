@@ -13,7 +13,6 @@ from maltsev.algebras import (
     product_algebra,
     table_from_function,
 )
-from maltsev.catalog import bundled_algebras, chain_semilattice, cyclic_group
 from maltsev import congruences, termsearch
 from maltsev.errors import EvaluationError, MaltsevError
 from maltsev.terms import App, Var, format_term, parse_term, variables
@@ -25,7 +24,15 @@ from maltsev.termsearch import (
     verify_maltsev_term,
 )
 
-from conftest import apply_table, evaluate, permute_oracle, random_signature_term
+from conftest import (
+    apply_table,
+    bundled_algebras,
+    chain_semilattice,
+    cyclic_group,
+    evaluate,
+    permute_oracle,
+    random_signature_term,
+)
 
 
 def reference_search(alg, budget=10**7):

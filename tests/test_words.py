@@ -468,20 +468,33 @@ class TestTrustBoundary:
 
     def test_hom_to_group_checks_each_generator_once(self, checks):
         # x, then mu(t, b, c) with b never the last letter of t: no letter
-        # cancels, so the image has 2 * 5001 + 1 letters.
+        # cancels, so the image has 2 * 5001 + 1 letters.  The variables map
+        # to names no other test uses: the first call gives them their codes,
+        # checking each name once, and no later call checks them again.
         t = Var("x")
         for i in range(5001):
             b, c = (("y", "z"), ("x", "y"), ("z", "x"))[i % 3]
             t = mu(t, Var(b), Var(c))
+        gen_map = {v: f"checked_once_{v}" for v in "xyz"}
         checks.clear()
-        word = hom_to_group(t)
-        assert len(word) == 10003
-        assert checks == Counter({"fullmatch": 3, "Letter": 3})
+        for _ in range(2):
+            assert len(hom_to_group(t, gen_map)) == 10003
+            assert checks == Counter({"fullmatch": 3})
+
+    def test_a_rejected_name_is_never_interned(self):
+        encode([Letter("a", 1)])
+        before = len(words.CODES)
+        with pytest.raises(ValueError, match="invalid generator name '1a'"):
+            hom_to_group(mu(Var("x"), Var("y"), Var("x")), {"x": "a", "y": "1a"})
+        with pytest.raises(ValueError, match="invalid generator name '1a'"):
+            words.CODES["1a"]
+        assert len(words.CODES) == before and "1a" not in words.CODES
 
     def test_checks_run_at_the_boundary(self, checks):
-        assert len(reduce(parse_letters("x y^-1 z"))) == 3
+        letters = parse_letters("x y^-1 z")
         assert checks["fullmatch"] == 3  # parse_letters, once per letter
         assert checks["Letter"] == 0  # its letters are built unchecked
+        assert len(reduce(letters)) == 3
         HeapWord(ReducedWord(encode([Letter("x", 1)])))
         assert checks["ReducedWord"] == 1 and checks["HeapWord"] == 1
 
