@@ -2,11 +2,8 @@
 
 By the universal property, any assignment of generators into a carrier with
 a ternary operation extends uniquely to the whole free algebra.  Evaluation
-is a ``terms.fold``, which computes each distinct node of a term once, at
-any depth.  The free-group image is a signed walk of its own: it emits an
-unshared node's letters straight into the word, and maps a shared
-application once, under the fold's rule, splicing its image at each
-occurrence.  Evaluation factors through normalization exactly when the
+is a ``terms.fold``; the free-group image, ``hom_to_group``, is a walk of
+its own.  Evaluation factors through normalization exactly when the
 carrier operation satisfies the two defining cancellation equations.
 """
 
@@ -46,10 +43,11 @@ def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWo
     image of any term is a heap word.  Each generator name is checked once
     per process, when words.CODES first gives it a code.
 
-    After the first _PLAIN applications, a shared application (see
-    terms.App) is mapped once, in a fresh buffer, for the sign it is first
-    met with; each occurrence splices that image, inverted where its sign
-    differs, into the enclosing buffer."""
+    An unshared node's letters go straight into the word, so a chain costs
+    no copy per level.  After the first _PLAIN applications, a shared
+    application (by terms.fold's rule) is mapped once, in a fresh buffer,
+    for the sign it is first met with; each occurrence splices that image,
+    inverted where its sign differs, into the enclosing buffer."""
     var_codes: dict[str, tuple] = {}  # variable -> ((code, inverse), (inverse, code))
     images: dict[int, tuple[str, int]] = {}  # id of a shared application -> its image, inverted
     out = [""]  # "" below the first code, so out[-1] always exists
@@ -73,10 +71,6 @@ def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWo
                 out.pop()
             else:
                 out.append(code)
-        elif plain:
-            plain -= 1
-            a, b, c = s.args
-            stack += ((a, 1), (b, 0), (c, 1)) if inverted else ((c, 0), (b, 1), (a, 0))
         elif s.__class__ is tuple:  # a shared image is complete: back to the enclosing buffer
             (out, key), image = s, "".join(out)
             images[key] = image, inverted
@@ -85,7 +79,9 @@ def hom_to_group(t: Term, gen_map: Mapping[str, str] | None = None) -> ReducedWo
             # Unpacking first unbinds the previous application's arguments,
             # which would count as references to s.
             a, b, c = s.args
-            if getrefcount(s) > 3:  # s, the call's argument and one parent slot
+            if plain:
+                plain -= 1
+            elif getrefcount(s) > 3:  # s, the call's argument and one parent slot
                 kept = images.get(id(s))
                 if kept is not None:
                     _splice(out, kept[0], kept[1] ^ inverted)

@@ -84,8 +84,7 @@ def _trusted(cls, *values):
     """A record of class cls from its fields in order, which the engine
     built valid, without the checks of its constructor."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(obj, name, value)
+    Record.__init__(obj, *values)
     return obj
 
 
@@ -141,15 +140,12 @@ class App(Term):
 
     Every walk over terms is a loop, so a term of any depth works, and each
     walk that computes a value from a term computes a node shared by several
-    parents once.  Most are a ``fold``.  ``format_term`` and
+    parents once.  Most are a ``fold``; ``format_term`` and
     ``homomorphisms.hom_to_group``, whose texts and words are as long as the
-    tree, are loops of their own: they keep a node's text or image only
-    under the fold's rule (sys.getrefcount shows the node referenced beyond
-    one parent slot) and write an unshared node's parts straight into the
-    output, so a chain costs no copy per level.  Both term classes keep
-    plain slots and a hash computed once, from the arguments' hashes;
-    equality compares two terms on a stack, each pair of nodes once, and
-    stops at the first unequal hash.
+    tree, are loops of their own.  Both term classes keep plain slots and a
+    hash computed once, from the arguments' hashes; equality compares two
+    terms on a stack, each pair of nodes once, and stops at the first
+    unequal hash.
     """
 
     __slots__ = ("symbol", "args", "_hash")
@@ -453,9 +449,11 @@ def _identifier_error(text, i, name, arities, opens, nested) -> Exception:
 
 def format_term(t: Term) -> str:
     """Canonical rendering; parse_term(format_term(t)) == t.  A run of
-    variables that ends an argument list goes on the stack as one text.  A
-    shared application (see App) is rendered once: its parts are joined
-    into one text at its second occurrence, which every later one appends."""
+    variables that ends an argument list goes on the stack as one text.  An
+    unshared node's parts go straight into the output, so a chain costs no
+    copy per level.  A shared application (by fold's rule) is rendered once:
+    its parts are joined into one text at its second occurrence, which every
+    later one appends."""
     parts: list[str] = []
     stack: list = [t]
     # The id of each shared application met -> the start and end of its

@@ -15,10 +15,10 @@ operations.  Codes hold only in their process: a word pickles by its names.
 
 Words are checked once, where they come from outside: parse_letters, which
 checks each name and builds its letters unchecked, and the public Letter,
-ReducedWord and HeapWord constructors; ``CODES`` checks a name before it
-gives it a code.  The engine trusts its own output: reduce, fg_mul, fg_inv
-and heap_mu build their results reduced (and heap-shaped) by construction
-and wrap them unchecked.
+ReducedWord and HeapWord constructors.  ``CODES`` checks a name before it
+gives it a code, and Letter checks its name by taking its code.  The engine
+trusts its own output: reduce, fg_mul, fg_inv and heap_mu build their
+results reduced (and heap-shaped) by construction and wrap them unchecked.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ class Letter(Record):
     def __init__(self, gen: str, sign: int):
         if sign not in (1, -1):
             raise ValueError("letter sign must be +1 or -1")
-        if not IDENT_RE.fullmatch(gen):
-            raise ValueError(f"invalid generator name {gen!r}")
+        CODES[gen]  # checks the name
         super().__init__(gen, sign)
 
 

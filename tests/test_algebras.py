@@ -638,6 +638,12 @@ class TestMaltsevFromRetraction:
         with pytest.raises(AxiomError):
             maltsev_from_retraction(("x", "y"), {x: "x", y: "y"})
 
+    def test_images_must_be_generators(self):
+        x, y = Var("x"), Var("y")
+        r = {x: "x", y: "y", mu(x, y, x): "x", mu(y, x, y): "w"}
+        with pytest.raises(AxiomError, match="^retraction image 'w' is not a generator$"):
+            maltsev_from_retraction(("x", "y"), r)
+
 
 class TestProductAlgebra:
     def test_klein_four(self):

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import copy
+import io
 import itertools
 import json
 import os
@@ -8,15 +10,17 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maltsev import cli
 from maltsev.cli import build_parser, main, run
 from maltsev.rewriting import count_M
 
-from conftest import cyclic_group
+from conftest import ALGEBRAS, cyclic_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -289,10 +293,9 @@ class TestHom:
         code, out = run(["hom", "group", "--term", "mu(mu(x,y,z),x,y)"])
         assert (code, out) == (0, "x y^-1 z x^-1 y")
 
-    def test_group_with_map(self):
-        code, out = run(
-            ["hom", "group", "--term", "mu(x,y,z)", "--map", "x=a,y=b,z=c"]
-        )
+    @pytest.mark.parametrize("mapping", ["x=a,y=b,z=c", ",x=a,,y=b,z=c,"])  # empty entries skipped
+    def test_group_with_map(self, mapping):
+        code, out = run(["hom", "group", "--term", "mu(x,y,z)", "--map", mapping])
         assert (code, out) == (0, "a b^-1 c")
 
     def test_separate(self):
@@ -450,6 +453,20 @@ class TestAlgebraCommands:
         code, out = run(["algebra", "maltsev-term", "--file", algebra_file("z2")])
         assert code == 0
         assert "verified: true" in out
+
+    def test_maltsev_term_on_one_element(self, tmp_path):
+        path = tmp_path / "one.json"
+        doc = {"name": "one", "size": 1, "operations": [{"symbol": "f", "arity": 2, "table": [0]}]}
+        path.write_text(json.dumps(doc))
+        code, out = run(["--format", "json", "algebra", "maltsev-term", "--file", str(path)])
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "algebra maltsev-term",
+            "status": "found",
+            "term": "x",
+            "verified": True,
+            "visited": 1,
+        }
 
     def test_maltsev_term_none(self, algebra_file):
         code, out = run(["algebra", "maltsev-term", "--file", algebra_file("chain3")])
@@ -756,6 +773,110 @@ class TestDeepTerms:
             if (x + self.DEPTH * y) % 3 != x
         )
         assert (code, record["holds"], record["counterexample"]) == (1, False, {"x": x, "y": y})
+
+
+@st.composite
+def mutated(draw, texts):
+    """One of texts with up to three characters deleted, inserted or
+    followed by a repeat of the next few."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["delete", "insert", "repeat"]))
+        if edit == "delete":
+            text = text[:i] + text[i + 1 :]
+        elif edit == "insert":
+            text = text[:i] + draw(st.sampled_from("(),=|^- xyzmab019")) + text[i:]
+        else:
+            text = text[:i] + text[i : i + 4] + text[i:]
+    return text
+
+
+def small_ints(low, high):
+    """Integer option text: a number in [low, high] or a mangled one."""
+    return st.integers(low, high).map(str) | st.sampled_from(["", "x", "1.5", "-"])
+
+
+TERMS = mutated(["mu(x,y,z)", "mu(mu(x,y,z),x,y)", "mu(x,mu(y,z,z),y)", "x"])
+WORDS = mutated(["x y^-1 z", "x y z z^-1 y^-1 x", "x", "x y^-1 x", ""])
+
+# The values drawn for each option of a leaf command, by flag.  Sizes stay
+# small: at most 4 generators, level 3, 2 selftest iterations.
+OPTION_VALUES = {
+    "--term": TERMS,
+    "--lhs": TERMS,
+    "--rhs": TERMS,
+    "--word": WORDS,
+    "--a": WORDS,
+    "--b": WORDS,
+    "--c": WORDS,
+    "--base": WORDS,
+    "--u": WORDS,
+    "--v": WORDS,
+    "--map": mutated(["x=a,y=b,z=c", ",x=a,,y=b,z=c,", "x=y,y=x", "x=1a"]),
+    "--witness": mutated(["x", "y", "mu", "w"]),
+    "--generators": small_ints(-1, 4),
+    "--level": small_ints(-1, 3),
+    "--budget": small_ints(-1, 400),
+    "--iterations": small_ints(-1, 2),
+    "--max-size": small_ints(-1, 9),
+    "--file": st.sampled_from(sorted(ALGEBRAS.glob("*.json"))).map(str),
+    "--identity": mutated(["mul(x,y)=mul(y,x)", "star(x,ldiv(x,y))=y", "mu(x,y,y)=x"]),
+    "--symbol": st.sampled_from(["mu", "mul", "star", "inv", "e", "nosuch"]),
+    "--from": st.sampled_from(sorted(cli.DERIVATIONS)),
+    "--pair": mutated(["0,2", "1,1", "0,1"]),
+    "--partition": mutated(["0,2|1,3", "0|1", "0,1,2|3,4|5"]),
+}
+
+
+@st.composite
+def invocations(draw):
+    """(argv, MW_BUDGET or None) for a leaf command, each required option
+    given and each other drawn or left out.  --iterations is always given:
+    its default, 500, takes most of a second."""
+    name, _, options, _ = draw(st.sampled_from(cli.COMMANDS))
+    argv = draw(st.sampled_from([[], ["--format", "json"]]))
+    argv += draw(st.sampled_from([[], ["--seed", "1"]])) + name.split()
+    for flags, kwargs in options:
+        optional = not kwargs.get("required") and flags[0] != "--iterations"
+        if optional and draw(st.booleans()):
+            continue
+        argv.append(flags[0])
+        if kwargs.get("action") != "store_true":
+            argv.append(draw(OPTION_VALUES[flags[0]]))
+    return argv, draw(st.sampled_from([None, "abc", "0", "7", "300"]))
+
+
+def outcome(argv):
+    """(exit code, output) of an in-process run; a usage error has no output."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code, None
+
+
+class TestFuzz:
+    """Mutated arguments to every leaf command keep the exit-code contract,
+    the one-line JSON record and byte-identical reruns."""
+
+    def test_every_option_has_values(self):
+        flags = {flags[0] for _, _, options, _ in cli.COMMANDS for flags, _ in options}
+        assert flags - {"--oracle", "--check-permutability"} == set(OPTION_VALUES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(invocations())
+    def test_mutated_arguments(self, invocation):
+        argv, budget = invocation
+        env = {} if budget is None else {"MW_BUDGET": budget}
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(io.StringIO()):
+            if budget is None:
+                os.environ.pop("MW_BUDGET", None)
+            first, second = outcome(argv), outcome(argv)
+        code, out = first
+        assert code in (0, 1, 2), (argv, budget, first)
+        assert first == second, (argv, budget)
+        if out is not None and argv[:2] == ["--format", "json"]:
+            assert "\n" not in out and isinstance(json.loads(out), dict), (argv, budget)
 
 
 class TestParserIsPinned:

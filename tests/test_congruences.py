@@ -241,6 +241,14 @@ class TestIsCongruence:
         z4 = cyclic_group(4)
         assert is_congruence(z4, Partition.from_blocks(4, [[0, 2], [1, 3]]))
 
+    def test_partition_of_another_size_is_rejected(self):
+        z4 = cyclic_group(4)
+        for p in (identity_partition(3), Partition.from_blocks(5, [[0, 2, 4], [1, 3]])):
+            with pytest.raises(ValueError, match="^partition size does not match carrier$"):
+                is_congruence(z4, p)
+            with pytest.raises(ValueError, match="^partition size does not match carrier$"):
+                Congruence(z4, p)
+
     def test_non_coset_partition_fails_on_z4(self):
         z4 = cyclic_group(4)
         assert not is_congruence(z4, Partition.from_blocks(4, [[0, 1], [2, 3]]))
@@ -271,6 +279,11 @@ class TestIsCongruence:
 
 
 class TestPrincipalCongruence:
+    @pytest.mark.parametrize("a, b", [(0, 2), (-1, 0)])
+    def test_rejects_a_pair_outside_the_carrier(self, a, b):
+        with pytest.raises(ValueError, match=rf"^pair \({a},{b}\) outside the carrier 0..1$"):
+            principal_congruence(cyclic_group(2), a, b)
+
     def test_reflexive_pair_gives_identity(self):
         z4 = cyclic_group(4)
         assert principal_congruence(z4, 2, 2).partition == identity_partition(4)
@@ -574,6 +587,18 @@ class TestKernel:
         with pytest.raises(NotAHomomorphismError):
             kernel(z4, z2, [0, 0, 1, 1])
 
+    @pytest.mark.parametrize(
+        "dst, f, message",
+        [
+            ("z2", (0, 2), "map is not a function into the codomain"),
+            ("z2", (0,), "map is not a function into the codomain"),
+            ("mu2", (0, 1), "signatures differ"),
+        ],
+    )
+    def test_rejected_before_any_table_is_read(self, algebras, dst, f, message):
+        with pytest.raises(NotAHomomorphismError, match=f"^{message}$"):
+            check_homomorphism(cyclic_group(2), algebras[dst], f)
+
 
 class TestFirstIso:
     def test_z4_to_z2(self):
@@ -595,6 +620,12 @@ class TestFirstIso:
         z9 = cyclic_group(9)
         with pytest.raises(BudgetExceededError):
             find_isomorphism(z9, z9)
+
+    def test_no_isomorphism(self, algebras):
+        # Sizes differ; then same size and signature, but S3 is not abelian.
+        assert find_isomorphism(cyclic_group(2), cyclic_group(3)) is None
+        assert find_isomorphism(algebras["s3"], algebras["z6"]) is None
+        assert find_isomorphism(algebras["z6"], cyclic_group(6)) is not None
 
 
 class TestWholeTableScans:

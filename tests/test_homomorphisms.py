@@ -15,7 +15,7 @@ from maltsev.homomorphisms import (
 )
 from maltsev.rewriting import enumerate_normal_forms, normalize
 from maltsev.sampling import random_term
-from maltsev.terms import MU, Var, mu, parse_term, variables
+from maltsev.terms import MU, Var, fold, mu, parse_term, variables
 from maltsev.words import HeapWord, Letter, format_word, heap_mu
 
 from conftest import (
@@ -223,6 +223,31 @@ class TestSharedImages:
         del s, args, other
         assert hom_to_group(t) == tree_hom_to_group(t)
         assert hom_to_group(t).letters == reference_hom_to_group(t)
+
+    @pytest.mark.parametrize("plain", [homomorphisms._PLAIN, 0])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("applications", [63, 64, 65])
+    def test_around_the_sharing_threshold(self, monkeypatch, applications, shared, plain):
+        # Trees of 63, 64 and 65 applications: the walk meets its last one
+        # just before, at and just after it starts to test for sharing.  A
+        # shared s stands beside the chain at each position in turn, so its
+        # image is spliced both ways round; with _PLAIN = 0 every application
+        # is tested.
+        monkeypatch.setattr(homomorphisms, "_PLAIN", plain)
+        s = mu(Y, X, Z)
+        t, count, level = X, 0, 0
+        while count < applications:
+            args = [Y, Z, X]
+            args[level % 3] = t
+            if shared and applications - count > 1:
+                args[(level + 1) % 3] = s
+                count += 1
+            t = mu(*args)
+            count, level = count + 1, level + 1
+        assert fold(t, lambda _: 0, lambda _, *apps: 1 + sum(apps)) == applications
+        del s, args
+        assert hom_to_group(t).letters == reference_hom_to_group(t)
+        assert hom_to_group(t) == tree_hom_to_group(t)
 
 
 class TestSeparatingHom:

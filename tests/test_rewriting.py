@@ -349,6 +349,12 @@ class TestLevel:
 
 
 class TestCountM:
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, -1)])
+    def test_rejects_no_generators_or_a_negative_level(self, m, n):
+        for oracle in (False, True):
+            with pytest.raises(ValueError, match=r"^need m >= 1 and n >= 0$"):
+                count_M(m, n, oracle=oracle)
+
     def test_one_generator_everything_collapses(self):
         for n in range(4):
             assert count_M(1, n) == 1

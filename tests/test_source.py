@@ -4,6 +4,7 @@ import ast
 import functools
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -596,3 +597,25 @@ def test_module_level_imports_are_found():
     )
     found = [ast.unparse(node) for node in _module_level_imports(tree)]
     assert found == ["import a", "from .b import c", "import g"]
+
+
+def _readme_modules(text):
+    """The module of each row of the README's module table, in order."""
+    table = text.split("## What is inside")[1].split("\n## ")[0]
+    return re.findall(r"^\| `maltsev\.(\w+)` \|", table, re.M)
+
+
+def test_readme_module_table_names_each_module_once():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = _readme_modules(readme)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(_package()) - {"__init__"}
+
+
+def test_readme_modules_are_found():
+    text = (
+        "## What is inside\n\n| module | contents |\n| --- | --- |\n"
+        "| `maltsev.terms` | terms, see `maltsev.words` |\n| `maltsev.cli` | the tool |\n"
+        "\n`maltsev.words` in prose\n\n## Install\n\n| `maltsev.later` | another table |\n"
+    )
+    assert _readme_modules(text) == ["terms", "cli"]

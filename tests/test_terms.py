@@ -310,6 +310,18 @@ class TestParse:
         with pytest.raises(TermSyntaxError):
             parse_term("x)")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("mu(x+y,z,w)", "expected ')' (at position 4)", 4),
+            ("x+y", "trailing input after term (at position 1)", 1),
+        ],
+    )
+    def test_identifier_followed_by_other_characters(self, text, message, position):
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_term(text)
+        assert (str(exc.value), exc.value.position) == (message, position)
+
     def test_symbol_as_variable_is_collision(self):
         with pytest.raises(NameCollisionError):
             parse_term("mu(mu,y,z)")

@@ -13,7 +13,7 @@ from maltsev.algebras import (
     product_algebra,
     table_from_function,
 )
-from maltsev import congruences, termsearch
+from maltsev import congruences, terms, termsearch
 from maltsev.errors import EvaluationError, MaltsevError
 from maltsev.terms import App, Var, format_term, parse_term, variables
 from maltsev.termsearch import (
@@ -190,6 +190,13 @@ class TestSearch:
         assert outcome.status == "none"
         assert outcome.term is None
 
+    def test_one_element_algebra_is_witnessed_by_x(self):
+        # Every pair vector of a one-element algebra is the target, x's too,
+        # so the search stops before its first level.
+        one = make_algebra("one", 1, {"f": OperationTable(2, (0,))})
+        outcome = find_maltsev_term(one)
+        assert (outcome.status, outcome.term, outcome.visited) == ("found", Var("x"), 1)
+
     def test_pure_ternary_algebra_hits_in_first_layer(self):
         mu2 = bundled_algebras()["mu2"]
         outcome = find_maltsev_term(mu2)
@@ -265,8 +272,24 @@ class TestVerify:
             find_maltsev_term(cyclic_group(2))
 
     def test_foreign_variable(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="^unassigned variable 'w'$"):
             verify_maltsev_term(cyclic_group(2), Var("w"))
+
+    def test_one_walk_per_check(self, monkeypatch):
+        walks = []
+        real = terms.fold
+
+        def counting(t, leaf, apply):
+            walks.append(t)
+            return real(t, leaf, apply)
+
+        monkeypatch.setattr(terms, "fold", counting)
+        z3 = cyclic_group(3)
+        t = parse_term("mul(x,mul(inv(y),z))", z3.signature)
+        assert verify_maltsev_term(z3, t)
+        with pytest.raises(EvaluationError, match="'w'"):
+            verify_maltsev_term(z3, App("mul", (Var("x"), Var("w"))))
+        assert len(walks) == 2 and walks[0] is t
 
     def test_one_column_build_per_check(self, monkeypatch):
         calls = []
@@ -326,7 +349,12 @@ class TestAgainstPointwiseOracles:
             reference_verify_maltsev_term(z2, t)
         with pytest.raises(MaltsevError) as got:
             verify_maltsev_term(z2, t)
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        # The oracle walks the variables first; the vector evaluation meets a
+        # foreign one as an unassigned variable.
+        message = {"foreign variables ['w']": "unassigned variable 'w'"}.get(
+            str(want.value), str(want.value)
+        )
+        assert (type(got.value), str(got.value)) == (type(want.value), message)
 
 
 class TestSoundness:

@@ -490,6 +490,20 @@ class TestTrustBoundary:
             words.CODES["1a"]
         assert len(words.CODES) == before and "1a" not in words.CODES
 
+    def test_letter_checks_its_name_through_codes(self):
+        before = len(words.CODES)
+        with pytest.raises(ValueError, match="^invalid generator name '1x'$"):
+            Letter("1x", 1)
+        assert len(words.CODES) == before and "1x" not in words.CODES
+        with pytest.raises(ValueError, match="^letter sign must be"):
+            Letter("letter_with_bad_sign", 0)
+        assert "letter_with_bad_sign" not in words.CODES
+        letter = Letter("registered_by_letter", -1)
+        assert len(words.CODES) == before + 1
+        code, inverse = words.CODES["registered_by_letter"][0]
+        assert encode([letter]) == inverse
+        assert ReducedWord(code).letters == (Letter("registered_by_letter", 1),)
+
     def test_checks_run_at_the_boundary(self, checks):
         letters = parse_letters("x y^-1 z")
         assert checks["fullmatch"] == 3  # parse_letters, once per letter
