@@ -96,8 +96,13 @@ def _canonical(labels: tuple) -> tuple[int, ...]:
 
 
 def _join(p: Labels, q: Labels) -> Labels:
-    """Join of canonical labels: a union-find over p's block ids, each linked
-    to the first p-block seen with its q-label, always to the smaller id."""
+    """Canonical labels of the join of p and q; p must be canonical, q may be
+    any labels.  A union-find over p's block ids links each to the first
+    p-block seen with its q-label, always the larger root to the smaller.  So
+    each root is the least p-block of its class, and as p numbers its blocks
+    by least element, that block holds the class's least element: the
+    classes in canonical order are the roots in ascending order, and one
+    pass over the parent array ranks them, with no relabelling pass."""
     parent = list(range(max(p, default=-1) + 1))
     first: dict[int, int] = {}
     for x, y in zip(p, q):
@@ -110,9 +115,13 @@ def _join(p: Labels, q: Labels) -> Labels:
             parent[x] = r
         elif x < r:
             parent[r] = x
-    for b in range(len(parent)):  # parent[b] <= b: one pass finds every root
-        parent[b] = parent[parent[b]]
-    return _canonical(tuple(parent[b] for b in p))
+    roots = 0
+    for b, a in enumerate(parent):  # a < b unless b is a root: a holds its rank
+        if a == b:
+            parent[b], roots = roots, roots + 1
+        else:
+            parent[b] = parent[a]
+    return tuple(map(parent.__getitem__, p))
 
 
 def parse_partition(text: str, n: int) -> Partition:

@@ -14,7 +14,8 @@ words are equal strings, and the word operations are C-level string
 operations.  Codes hold only in their process: a word pickles by its names.
 
 Words are checked once, where they come from outside: parse_letters, which
-checks each name and builds its letters unchecked, and the public Letter,
+takes each name's code (so ``CODES`` checks it) and hands out the letter
+stored for that code, and the public Letter,
 ReducedWord and HeapWord constructors.  ``CODES`` checks a name before it
 gives it a code, and Letter checks its name by taking its code.  The engine
 trusts its own output: reduce, fg_mul, fg_inv and heap_mu build their
@@ -213,10 +214,12 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
     letters = []
     for match in re.finditer(r"\S+", text):
         chunk = match.group()
-        name, sign = (chunk[:-3], -1) if chunk.endswith("^-1") else (chunk, 1)
-        if not IDENT_RE.fullmatch(name):
-            raise TermSyntaxError(f"invalid letter {chunk!r}", match.start())
-        letters.append(_trusted(Letter, name, sign))
+        name, inverted = (chunk[:-3], True) if chunk.endswith("^-1") else (chunk, False)
+        try:
+            code = CODES[name][inverted][0]
+        except ValueError:
+            raise TermSyntaxError(f"invalid letter {chunk!r}", match.start()) from None
+        letters.append(_LETTERS[code])
     return tuple(letters)
 
 

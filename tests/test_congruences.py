@@ -127,6 +127,32 @@ def lattice_order(p):
     return (-p.num_blocks, p.block_of)
 
 
+def components(p, q):
+    """Canonical labels of the connected components of the graph with an
+    edge x-y wherever p[x] == p[y] or q[x] == q[y]: the join, by search."""
+    out = [-1] * len(p)
+    for start in range(len(p)):
+        if out[start] == -1:
+            block, stack = max(out) + 1, [start]
+            out[start] = block
+            while stack:
+                x = stack.pop()
+                for y in range(len(p)):
+                    if out[y] == -1 and (p[x] == p[y] or q[x] == q[y]):
+                        out[y] = block
+                        stack.append(y)
+    return tuple(out)
+
+
+@st.composite
+def label_pairs(draw, max_size=16):
+    """Canonical labels p and raw labels q, on one carrier of up to max_size
+    elements (the audit's Z4 x Z4 has 16)."""
+    n = draw(st.integers(0, max_size))
+    labels = st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)
+    return Partition.from_labels(draw(labels)).block_of, tuple(draw(labels))
+
+
 NULLARY_ONLY = make_algebra("nullary", 3, {"c": OperationTable(0, (2,)), "d": OperationTable(0, (0,))})
 ONE_ELEMENT = make_algebra(
     "one", 1, {"f": OperationTable(1, (0,)), "m": OperationTable(3, (0,)), "c": OperationTable(0, (0,))}
@@ -144,6 +170,10 @@ class TestPartition:
     def test_blocks(self):
         p = Partition.from_blocks(4, [[0, 2], [1, 3]])
         assert p.blocks() == ((0, 2), (1, 3))
+
+    def test_empty_partition_has_no_blocks(self):
+        p = Partition.from_blocks(0, [])
+        assert (p.size, p.num_blocks, p.blocks()) == (0, 0, ())
 
     def test_join_meet(self):
         a = Partition.from_blocks(4, [[0, 1], [2], [3]])
@@ -229,6 +259,19 @@ class TestPartition:
                 while (closed := reach | compose(reach, reach)) != reach:
                     reach = closed
                 assert relation_of(join(p, q)) == reach, (p, q)
+
+    @given(label_pairs())
+    @example(((), ()))
+    @example(((0, 1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1, 0)))
+    @settings(max_examples=300, deadline=None)
+    def test_join_is_the_components_of_the_union(self, pair):
+        # the join of canonical labels with raw or canonical ones comes out
+        # canonical, with no relabelling pass: the checking constructor
+        # accepts it
+        p, q = pair
+        expected = components(p, q)
+        for labels in (q, Partition.from_labels(q).block_of):
+            assert Partition(congruences._join(p, labels)).block_of == expected
 
 
 class TestIsCongruence:
@@ -620,6 +663,18 @@ class TestFirstIso:
         z9 = cyclic_group(9)
         with pytest.raises(BudgetExceededError):
             find_isomorphism(z9, z9)
+
+    def test_iso_search_guard_is_six_elements(self):
+        assert find_isomorphism(cyclic_group(6), cyclic_group(6)) is not None
+        z7 = cyclic_group(7)
+        with pytest.raises(BudgetExceededError, match="limited to size 6"):
+            find_isomorphism(z7, z7)
+
+    def test_sizes_differ_under_one_signature(self):
+        # Z1 embeds in Z2, so only the size test rejects the pair
+        assert cyclic_group(1).signature == cyclic_group(2).signature
+        assert find_isomorphism(cyclic_group(1), cyclic_group(2)) is None
+        assert find_isomorphism(cyclic_group(2), cyclic_group(1)) is None
 
     def test_no_isomorphism(self, algebras):
         # Sizes differ; then same size and signature, but S3 is not abelian.

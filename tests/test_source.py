@@ -312,25 +312,24 @@ def test_calls_are_found_in_their_scope():
     assert found == [("m.f", "E"), ("m.C.g", "E"), ("m.C.g", "h")]
 
 
+def _callers(name, tree, module):
+    """The scope of every call of name or <anything>.name under tree."""
+    for scope, call in _calls(tree, module):
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == name:
+            yield scope
+
+
+def _package_callers(name):
+    return [scope for module, tree in _package().items() for scope in _callers(name, tree, module)]
+
+
 # Permutability is searched in one place: the CLI and the audit both ask
 # congruences.non_permuting_pair, the only caller of permute.
 PERMUTE_CALLERS = ["congruences.non_permuting_pair"]
 
 
-def _permute_callers(tree, module):
-    """The scope of every call of permute or <anything>.permute under tree."""
-    for scope, call in _calls(tree, module):
-        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "permute":
-            yield scope
-
-
 def test_permutability_is_searched_once():
-    found = [
-        scope
-        for module, tree in _package().items()
-        for scope in _permute_callers(tree, module)
-    ]
-    assert found == PERMUTE_CALLERS
+    assert _package_callers("permute") == PERMUTE_CALLERS
 
 
 def test_permute_callers_are_found():
@@ -339,7 +338,30 @@ def test_permute_callers_are_found():
         "class C:\n    def g(self):\n        return [cong.permute(*p) for p in ps]\n"
         "def h():\n    permuted(1)\n    x.permute_all()\n    return permute\n"
     )
-    assert list(_permute_callers(tree, "m")) == ["m.f", "m.C.g"]
+    assert list(_callers("permute", tree, "m")) == ["m.f", "m.C.g"]
+
+
+# Labels are relabelled to canonical form only where they enter (the checking
+# Partition constructor and Partition.from_labels) and where the closure has
+# merged blocks under arbitrary ids; _join ranks its roots and needs no pass.
+CANONICAL_CALLERS = [
+    "congruences.Partition.__init__",
+    "congruences.Partition.from_labels",
+    "congruences._closure",
+]
+
+
+def test_canonical_relabelling_only_where_labels_enter_or_close():
+    assert _package_callers("_canonical") == CANONICAL_CALLERS
+
+
+def test_canonical_callers_are_found():
+    tree = ast.parse(
+        "def _join(p, q):\n    parent = list(p)\n    return _canonical(tuple(parent))\n"
+        "class P:\n    def __init__(self, b):\n        congruences._canonical(b)\n"
+        "def g():\n    return _canonical\n"
+    )
+    assert list(_callers("_canonical", tree, "m")) == ["m._join", "m.P.__init__"]
 
 
 # Private names imported across modules.  Each is a deliberate coupling: a

@@ -505,9 +505,14 @@ class TestTrustBoundary:
         assert ReducedWord(code).letters == (Letter("registered_by_letter", 1),)
 
     def test_checks_run_at_the_boundary(self, checks):
-        letters = parse_letters("x y^-1 z")
-        assert checks["fullmatch"] == 3  # parse_letters, once per letter
-        assert checks["Letter"] == 0  # its letters are built unchecked
+        # Names new to the process: CODES checks each once, on its first
+        # letter, and parse_letters hands out the letters CODES stored.
+        text = "parsed_once_a parsed_once_b^-1 parsed_once_a"
+        letters = parse_letters(text)
+        assert checks["fullmatch"] == 2
+        assert checks["Letter"] == 0
+        assert letters[0] is letters[2] and letters[1] == Letter("parsed_once_b", -1)
+        assert parse_letters(text) == letters and checks["fullmatch"] == 2
         assert len(reduce(letters)) == 3
         HeapWord(ReducedWord(encode([Letter("x", 1)])))
         assert checks["ReducedWord"] == 1 and checks["HeapWord"] == 1
