@@ -186,13 +186,32 @@ def _root_form(a: Term, b: Term, c: Term, forms: dict, s: App | None = None) -> 
 
 def normalize(t: Term) -> Term:
     """The unique normal form of t, in time and memory O(distinct nodes):
-    a subterm that occurs many times as one object is normalized once.
+    a subterm that occurs many times as one object is normalized once.  An
+    application remembers its normal form, which this function or
+    equal_in_free computed, so normalizing it again costs nothing.
 
     Agrees with iterating rewrite_once to a fixpoint, and with the outermost
     strategy, by convergence of the system.  Raises ValueError at the first
     application, in pre-order, that is not a ternary mu.
     """
-    return _normalize(t, {})
+    try:
+        nf = t._nf
+    except AttributeError:  # not normalized yet, or a variable
+        return _remember(t, _normalize(t, {}))
+    return t if nf is None else nf
+
+
+def _remember(t: Term, nf: Term) -> Term:
+    """nf, kept as the normal form of t when t is an application.  A term
+    that is its own normal form keeps None, as a reference to itself would
+    make a cycle that only the garbage collector frees.
+
+    Only normalize reads what is kept.  _normalize and _root_form never do:
+    their ``is`` rules hold only among the normal forms of one table, and a
+    normal form kept from another table would break them."""
+    if t.__class__ is not Var:
+        t._nf = None if nf is t else nf
+    return nf
 
 
 def is_normal_form(t: Term) -> bool:
@@ -205,9 +224,10 @@ def equal_in_free(t: Term, s: Term) -> bool:
     Both sides are normalized over one table, in O(distinct nodes), and the
     consed normal forms are compared by identity.  The table conses by the
     ids of normal arguments, so the nodes of s that normalize as nodes of t
-    did find t's normal forms and build nothing."""
+    did find t's normal forms and build nothing.  Each side remembers its
+    normal form, which a later normalize of that side returns."""
     forms: dict = {}
-    return _normalize(t, forms) is _normalize(s, forms)
+    return _remember(t, _normalize(t, forms)) is _remember(s, _normalize(s, forms))
 
 
 def level(t: Term) -> int:

@@ -131,8 +131,18 @@ class Var(Term):
     def __eq__(self, other) -> bool:
         return other.__class__ is Var and self.name == other.name
 
+    def __reduce__(self):
+        # A hash holds only under its process's string-hash seed.
+        return Var, (self.name,)
+
     def __repr__(self) -> str:
         return f"Var(name={self.name!r})"
+
+
+# repr prints the text of an application of at most this many nodes as a
+# tree, and past that only its root symbol and its counts: the text of a
+# term that shares its subterms grows exponentially in its objects.
+REPR_NODES = 10_000
 
 
 class App(Term):
@@ -142,24 +152,44 @@ class App(Term):
     walk that computes a value from a term computes a node shared by several
     parents once.  Most are a ``fold``; ``format_term`` and
     ``homomorphisms.hom_to_group``, whose texts and words are as long as the
-    tree, are loops of their own.  Both term classes keep plain slots and a
-    hash computed once, from the arguments' hashes; equality compares two
+    tree, are loops of their own.
+
+    Both term classes keep plain slots.  A Var hashes as its name, at once.
+    An application is hashed on first use, as hash((symbol, args)), bottom-up
+    over the nodes below it that have no hash yet; most terms are never
+    hashed, since the engine keys its tables by id.  Equality compares two
     terms on a stack, each pair of nodes once, and stops at the first
-    unequal hash.
+    unequal hash.  ``rewriting.normalize`` and ``rewriting.equal_in_free``
+    keep the normal form of an application in ``_nf``.  Pickling rebuilds a
+    term from a post-order table of its nodes, so it keeps the sharing and
+    works at any depth, and drops both remembered values.
     """
 
-    __slots__ = ("symbol", "args", "_hash")
+    __slots__ = ("symbol", "args", "_hash", "_nf")
 
     def __init__(self, symbol: str, args: tuple[Term, ...]):
         self.symbol = symbol
         self.args = args
-        self._hash = hash((symbol, args))
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        stack = [self]
+        while stack:
+            s = stack.pop()
+            if hasattr(s, "_hash"):  # hashed since it was stacked
+                continue
+            below = [a for a in s.args if not hasattr(a, "_hash")]  # a Var has one
+            if below:
+                stack += (s, *below)
+            else:
+                s._hash = hash((s.symbol, s.args))
         return self._hash
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is not App or self._hash != other._hash:
+        if other.__class__ is not App or hash(self) != hash(other):
             return False
         stack = [(self, other)]
         matched = {}  # id of a left application -> the right node it was paired with
@@ -170,7 +200,7 @@ class App(Term):
             for x, y in zip(a.args, b.args):
                 if x is y:
                     continue
-                if x.__class__ is not y.__class__ or x._hash != y._hash:
+                if x.__class__ is not y.__class__ or hash(x) != hash(y):
                     return False
                 if x.__class__ is App:
                     if matched.get(id(x)) is not y:  # a pair already stacked is compared once
@@ -180,8 +210,40 @@ class App(Term):
                     return False
         return True
 
+    def __reduce__(self):
+        table: list = []
+
+        def add(entry) -> int:
+            table.append(entry)
+            return len(table) - 1
+
+        fold(self, lambda v: add(v.name), lambda s, *below: add((s.symbol, *below)))
+        return _rebuild, (table,)
+
     def __repr__(self) -> str:
+        objects = set()
+
+        def count(s: Term, *sizes: int) -> int:
+            objects.add(id(s))
+            return 1 + sum(sizes)
+
+        size = fold(self, count, count)
+        if size > REPR_NODES:
+            return f"<App {self.symbol}(...) of {size} nodes on {len(objects)} objects>"
         return f"<App {format_term(self)}>"
+
+
+def _rebuild(table: list) -> Term:
+    """The term that App.__reduce__ wrote as table, its nodes in post-order:
+    a name is a variable and (symbol, *indexes) the application of symbol
+    to the nodes at those indexes."""
+    nodes: list[Term] = []
+    for entry in table:
+        if entry.__class__ is str:
+            nodes.append(Var(entry))
+        else:
+            nodes.append(App(entry[0], tuple(map(nodes.__getitem__, entry[1:]))))
+    return nodes[-1]
 
 
 def mu(a: Term, b: Term, c: Term) -> App:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import defaultdict
 from unittest import mock
 
@@ -164,23 +165,20 @@ class TestSharedTerms:
         assert term_depth(substitute(t, {"x": Z, "y": X})) == 200
 
 
-class CountingApp(App):
-    """An App that counts its constructions in ``built``."""
-
-    __slots__ = ()
-    built = 0
-
-    def __init__(self, symbol, args):
-        CountingApp.built += 1
-        super().__init__(symbol, args)
-
-
 def apps_built(fn, *args):
-    """The value of fn(*args), and how many applications rewriting built."""
-    CountingApp.built = 0
-    with mock.patch.object(rewriting, "App", CountingApp):
+    """The value of fn(*args), and how many applications it built, counted
+    by patching App.__init__."""
+    built = 0
+    init = App.__init__
+
+    def counted(self, symbol, args):
+        nonlocal built
+        built += 1
+        init(self, symbol, args)
+
+    with mock.patch.object(App, "__init__", counted):
         value = fn(*args)
-    return value, CountingApp.built
+    return value, built
 
 
 class TestConsTable:
@@ -213,12 +211,53 @@ class TestConsTable:
     @example(parse_term("mu(" * 300 + "x" + ",y,z)" * 300))
     def test_an_equal_second_side_builds_nothing(self, t):
         # A separately parsed copy shares no object with the first side.
+        # The first side remembers its normal form, so what normalizing it
+        # alone builds is counted on a third copy.
         text = format_term(t)
         first, second = parse_term(text), parse_term(text)
-        assert apps_built(equal_in_free, first, second) == (True, apps_built(normalize, first)[1])
+        alone = apps_built(normalize, parse_term(text))[1]
+        assert apps_built(equal_in_free, first, second) == (True, alone)
 
     def test_the_counter_sees_what_normalize_builds(self):
         assert apps_built(normalize, mu(mu(X, Y, Y), Z, X)) == (mu(X, Z, X), 1)
+
+
+class TestRememberedNormalForms:
+    """An application remembers the normal form that normalize or
+    equal_in_free computed for it; _normalize never reads it, so a normal
+    form kept from one table does not enter another."""
+
+    @given(term_strategy(max_leaves=40))
+    @example(parse_term("mu(" * 300 + "x" + ",y,y)" * 300))
+    def test_normalize_after_equal_in_free_builds_nothing(self, t):
+        text = format_term(t)
+        first, second = parse_term(text), parse_term(text)
+        nf = normalize(parse_term(text))
+        assert equal_in_free(first, second)
+        assert apps_built(normalize, first) == (nf, 0)
+        assert apps_built(normalize, second) == (nf, 0)
+        assert normalize(first) is normalize(first)
+
+    @given(st.one_of(term_strategy(), shared_terms()), st.one_of(term_strategy(), shared_terms()))
+    @example(mu(mu(X, Y, Z), W, W), mu(X, Y, Z))
+    def test_a_kept_normal_form_from_another_table(self, t, s):
+        expected = reference_normalize(t) == reference_normalize(s)
+        nf = normalize(t)  # kept on t, from a table of its own
+        assert equal_in_free(nf, s) == expected
+        assert equal_in_free(t, s) == expected
+        assert equal_in_free(s, t) == expected
+        assert equal_in_free(t, nf) and equal_in_free(nf, t)
+        assert normalize(t) == reference_normalize(t)
+        assert normalize(s) == reference_normalize(s)
+
+    def test_a_normal_form_keeps_no_reference_to_itself(self):
+        # A cycle through t would hold it until the garbage collector ran.
+        t = parse_term("mu(x,mu(x,y,z),y)")
+        before = sys.getrefcount(t)
+        assert equal_in_free(t, t)
+        assert normalize(t) is t
+        after = sys.getrefcount(t)
+        assert after == before
 
 
 class TestRewriteOnce:

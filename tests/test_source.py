@@ -50,16 +50,21 @@ def test_no_per_assignment_evaluation():
     assert found == []
 
 
-def _calls(node, scope):
-    """(qualified name of the innermost enclosing def or class, call node)
-    for every call under node."""
+def _scoped(node, scope):
+    """(qualified name of the innermost enclosing def or class, node) for
+    every node under node."""
     for child in ast.iter_child_nodes(node):
+        yield scope, child
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        elif isinstance(child, ast.Call):
-            yield scope, child
-        yield from _calls(child, inner)
+        yield from _scoped(child, inner)
+
+
+def _calls(node, scope):
+    """(qualified name of the innermost enclosing def or class, call node)
+    for every call under node."""
+    return ((scope, child) for scope, child in _scoped(node, scope) if isinstance(child, ast.Call))
 
 
 def test_no_per_entry_table_reads():
@@ -362,6 +367,46 @@ def test_canonical_callers_are_found():
         "def g():\n    return _canonical\n"
     )
     assert list(_callers("_canonical", tree, "m")) == ["m._join", "m.P.__init__"]
+
+
+# A term's remembered values have one owner each: only terms.py reads or
+# writes an application's hash, and only normalize reads the normal form
+# that _remember keeps.  _normalize and _root_form must never read it: their
+# `is` rules hold only among the normal forms of one table.
+NF_USERS = ["rewriting._remember", "rewriting.normalize", "terms.App"]
+
+
+def _attribute_users(name, modules):
+    """The scope of each use, under modules (module name -> tree), of the
+    attribute name or of the string name, as in getattr(t, name)."""
+    return sorted(
+        {
+            scope
+            for module, tree in modules.items()
+            for scope, node in _scoped(tree, module)
+            if isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Constant) and node.value == name
+        }
+    )
+
+
+def test_remembered_values_have_one_owner():
+    assert {scope.split(".")[0] for scope in _attribute_users("_hash", _package())} == {"terms"}
+    assert _attribute_users("_nf", _package()) == NF_USERS
+
+
+def test_attribute_users_are_found():
+    modules = {
+        "rewriting": ast.parse(
+            "def normalize(t):\n    return t._nf\n"
+            "def _normalize(t, forms):\n    r = forms.get(id(t))\n"
+            "    if r is None:\n        r = t._nf\n    return r\n"
+            "def _root_form(a, b, c, forms, s=None):\n    return getattr(s, '_nf', None)\n"
+        ),
+        "m": ast.parse("class K:\n    __slots__ = ('_nf',)\n    def f(self):\n        self._nf = 1\n"),
+    }
+    found = _attribute_users("_nf", modules)
+    assert found == ["m.K", "m.K.f", "rewriting._normalize", "rewriting._root_form", "rewriting.normalize"]
 
 
 # Private names imported across modules.  Each is a deliberate coupling: a

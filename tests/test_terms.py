@@ -1,7 +1,12 @@
+import copy
 import itertools
+import os
+import pickle
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,6 +23,7 @@ from maltsev.terms import (
     IDENT_RE,
     MALTSEV_SIGNATURE,
     MU,
+    REPR_NODES,
     App,
     Signature,
     Var,
@@ -33,6 +39,7 @@ from maltsev.terms import (
     validate_term,
     variables,
 )
+from maltsev.rewriting import normalize
 
 from conftest import alphabet_strategy, build_dag, dag_recipes, subterms, term_strategy, tree_format_term
 
@@ -441,12 +448,15 @@ class TestEquality:
         assert hash(mu(X, Y, Z)) == hash(mu(X, Y, Z))
 
     def test_equal_hashes_are_not_trusted(self):
-        # A hash collision must not make different terms equal.
+        # A hash collision must not make different terms equal.  Each node
+        # is hashed before its colliding value is planted.
         t, s = App("f", (mu(X, Y, Z),)), App("g", (mu(X, Y, Z),))
-        s._hash = t._hash
+        hash(s)
+        s._hash = hash(t)
         assert t != s
         u, v = mu(X, Y, Var("u")), mu(X, Y, Var("v"))
-        v._hash, v.args[2]._hash = u._hash, u.args[2]._hash
+        hash(v)
+        v._hash, v.args[2]._hash = hash(u), hash(u.args[2])
         assert u != v
 
 
@@ -461,13 +471,15 @@ def doubling(levels, leaf="x", odd_level=None):
 
 def copy_hashes(src, dst):
     """Give each node of dst the hash of the node at its place in src, so
-    that only the walk of == tells them apart."""
+    that only the walk of == tells them apart.  dst is hashed first, so no
+    planted value goes into the hash of a node above it."""
+    hash(dst)
     stack, seen = [(src, dst)], set()
     while stack:
         a, b = stack.pop()
         if id(b) not in seen:
             seen.add(id(b))
-            b._hash = a._hash
+            b._hash = hash(a)
             if b.__class__ is App:
                 stack.extend(zip(a.args, b.args))
 
@@ -498,6 +510,153 @@ class TestSharedEquality:
         t, u = mu(s, Y, s), mu(doubling(3), Y, doubling(3, odd_level=1))
         copy_hashes(t, u)
         assert t != u and u != t
+
+
+def chain(depth, leaf="x"):
+    """mu(...mu(leaf, y, z)..., y, z), depth levels, built with fresh objects."""
+    t = Var(leaf)
+    for _ in range(depth):
+        t = mu(t, Var("y"), Var("z"))
+    return t
+
+
+class Hashed:
+    """An object that hashes as the given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def reference_hashes(t):
+    """(node, hash) of each distinct node of t: a variable hashes as its
+    name and an application as hash((symbol, args)), computed bottom-up from
+    the hashes of its arguments without calling App.__hash__."""
+    hashes, stack = {}, [t]
+    while stack:
+        s = stack[-1]
+        if id(s) in hashes:
+            stack.pop()
+        elif s.__class__ is Var:
+            hashes[id(s)] = s, hash(s.name)
+        elif todo := [a for a in s.args if id(a) not in hashes]:
+            stack += todo
+        else:
+            below = tuple(Hashed(hashes[id(a)][1]) for a in s.args)
+            hashes[id(s)] = s, hash((s.symbol, below))
+    return list(hashes.values())
+
+
+def unhashed(t):
+    """The applications of t that have no hash yet."""
+    return [s for s, _ in reference_hashes(t) if s.__class__ is App and not hasattr(s, "_hash")]
+
+
+HASHED_TERMS = {
+    "parsed": lambda: parse_term("mu(mu(x,y,z),mu(x,y,z),mu(f,mu(x,y,z),y))"),
+    "normalized": lambda: normalize(parse_term("mu(mu(x,mu(y,z,z),z),mu(y,y,w),mu(x,w,w))")),
+    "depth 20000": lambda: chain(20_000),
+    "doubling(200)": lambda: doubling(200),
+}
+
+
+class TestLazyHash:
+    """An application is hashed on first use, bottom-up and iteratively, to
+    the value hash((symbol, args)) that it was hashed to when built."""
+
+    def test_no_application_is_hashed_until_one_is_used(self):
+        t = parse_term("mu(mu(x,y,z),x,mu(y,mu(x,y,z),z))")
+        assert len(unhashed(t)) == 3
+        hash(t.args[2])
+        assert unhashed(t) == [t]
+        hash(t)
+        assert unhashed(t) == []
+
+    @pytest.mark.parametrize("build", list(HASHED_TERMS.values()), ids=list(HASHED_TERMS))
+    def test_each_node_hashes_as_the_tuple_of_its_symbol_and_arguments(self, build):
+        t = build()
+        expected = reference_hashes(t)
+        assert unhashed(t)
+        assert hash(t) == expected[-1][1]
+        assert [hash(s) for s, _ in expected] == [h for _, h in expected]
+
+    def test_unhashed_deep_chains_compare_equal(self):
+        t, u = chain(20_000), chain(20_000)
+        assert unhashed(t) and unhashed(u)
+        assert t == u and hash(t) == hash(u)
+        assert chain(20_000) != chain(20_000, leaf="w")
+
+
+class TestPickle:
+    """A term pickles as a post-order table of its nodes: it keeps its
+    sharing, works at any depth and carries no hash across processes."""
+
+    def test_round_trip_keeps_the_sharing(self):
+        t = doubling(200)
+        for u in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+            assert u == t and u is not t
+            assert len(reference_hashes(u)) == len(reference_hashes(t)) == 401
+            assert u.args[0] is u.args[2]
+
+    def test_a_deep_chain_round_trips(self):
+        t = chain(3_000)
+        hash(t)
+        u = pickle.loads(pickle.dumps(t))
+        assert unhashed(u)
+        assert u == t
+
+    def test_the_normal_form_is_not_pickled(self):
+        t = parse_term("mu(x,mu(y,z,z),y)")
+        assert normalize(t) == X
+        assert not hasattr(pickle.loads(pickle.dumps(t)), "_nf")
+
+    def test_terms_pickled_under_one_hash_seed_load_under_another(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = tmp_path / "terms.pickle"
+        dump = (
+            "import pickle, sys\n"
+            "from maltsev.terms import Var, parse_term\n"
+            "t = parse_term('mu(x,y,z)')\n"
+            "pickle.dump((Var('x'), t, hash(t)), open(sys.argv[1], 'wb'))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from maltsev.terms import Var, parse_term\n"
+            "v, t, sent = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "u = parse_term('mu(x,y,z)')\n"
+            "print(hash(u) != sent, v in {Var('x')}, t == u, hash(t) == hash(u))\n"
+        )
+        out = []
+        for seed, script in (("1", dump), ("2", load)):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            out.append(done.stdout)
+        assert out == ["", "True True True True\n"]
+
+
+class TestRepr:
+    """repr prints a term's text up to REPR_NODES nodes, and past that only
+    its root symbol and its counts, in time linear in its objects."""
+
+    def test_a_small_term_prints_its_text(self):
+        assert repr(mu(X, Y, mu(X, Z, Z))) == "<App mu(x,y,mu(x,z,z))>"
+
+    def test_the_limit_is_in_nodes(self):
+        t = X
+        for _ in range(REPR_NODES - 1):
+            t = App("f", (t,))
+        assert repr(t) == f"<App {format_term(t)}>"
+        assert repr(App("g", (t,))) == f"<App g(...) of {REPR_NODES + 1} nodes on {REPR_NODES + 1} objects>"
+
+    def test_a_shared_term_prints_its_counts(self):
+        start = time.perf_counter()
+        assert repr(doubling(200)) == f"<App mu(...) of {3 * 2**200 - 2} nodes on 401 objects>"
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSubstitute:
