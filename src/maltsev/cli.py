@@ -478,7 +478,11 @@ def cmd_selftest(args, rep: Report) -> int:
 # Argument parsing and dispatch.
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for argv.  Every top-level command is in it, so --help and
+    usage errors name them all, but a group's leaves, and a leaf's options,
+    are added only when argv holds that name.  Without argv, all are."""
+    named = set(argv).__contains__ if argv is not None else lambda name: True
     parser = argparse.ArgumentParser(
         prog="maltsev",
         description="Universal-algebra workbench: free-algebra word problem, "
@@ -493,8 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
         if group and group not in groups:
             p = top.add_parser(group, help=GROUP_HELP[group])
             groups[group] = p.add_subparsers(dest="subcommand", required=True)
+        if group and not named(group):
+            continue
         p = groups[group].add_parser(leaf) if group else top.add_parser(name, help=help_text)
-        for flags, kwargs in options:
+        for flags, kwargs in options if named(leaf) else ():
             p.add_argument(*flags, **kwargs)
         p.set_defaults(handler=handler, name=name)
     return parser
@@ -517,7 +523,8 @@ def dispatch(args: argparse.Namespace) -> tuple[int, str]:
 
 def run(argv: list[str] | None = None) -> tuple[int, str]:
     """Parse argv and run the command; returns (exit code, output)."""
-    return dispatch(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    return dispatch(build_parser(argv).parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:

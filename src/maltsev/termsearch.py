@@ -12,16 +12,20 @@ closure completes without reaching the target the answer is a definitive
 "none"; exhausting the budget is reported as a distinct third outcome.
 
 A pair vector has 2n^2 coordinates.  When every value and every flat table
-index fits a byte (n <= 256, and n**arity <= 256 for every table), the search
-stores it as one int that packs the coordinates one byte each: the prefix
-sum of flat indices along an argument tuple is int arithmetic, carrying
-across no byte, and each candidate vector is one ``bytes.translate`` of that
-sum through the table's entries.  Larger algebras keep tuples of ints.  Both
-forms run the same loop in the same order, so they give the same outcome.
+index fits a byte (n <= 256, and n**arity <= 256 for every table), a vector
+is keyed by the ``bytes`` of its coordinates, and a stored one is also kept
+as the big-endian int they spell, so that the prefix sum of flat indices
+along an argument tuple is int arithmetic, carrying across no byte.  A row
+of candidates is one lazy C-level pass, ``int.to_bytes`` of each sum then
+``bytes.translate`` through the table's entries.  Larger algebras keep
+tuples of ints.  Both forms run the same loop in the same order, so they
+give the same outcome.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from operator import add
 
 from .algebras import (
@@ -33,7 +37,7 @@ from .algebras import (
 from .errors import MaltsevError
 from .terms import App, Record, Term, Var
 
-PairVector = int | tuple[int, ...]
+PairVector = bytes | tuple[int, ...]
 
 
 class SearchOutcome(Record):
@@ -44,33 +48,36 @@ class SearchOutcome(Record):
 
 
 class _Form(Record):
-    """How the search stores pair vectors.  ``pack`` turns coordinates into
-    a stored vector and ``zero`` is the all-zero one.  Along an argument
-    tuple the search keeps the prefix sum of flat table indices:
-    ``scale(scaled, e)`` adds one argument vector and multiplies by n, and
-    ``reader(tab)(scaled, row)`` yields the table's value vector at
-    ``scaled + e`` for each e in row, lazily."""
+    """How the search stores pair vectors.  ``key`` turns coordinates into
+    the vector's key in the search's index, ``element`` turns a key into the
+    form kept for arithmetic, and ``zero`` is the all-zero element.  Along
+    an argument tuple the search keeps the prefix sum of flat table indices:
+    ``scale(scaled, e)`` adds one argument element and multiplies by n, and
+    ``reader(tab)(scaled, row)`` maps each element e of row to the key of
+    the table's value vector at ``scaled + e``, lazily."""
 
-    __slots__ = ("pack", "zero", "scale", "reader")
+    __slots__ = ("key", "element", "zero", "scale", "reader")
 
 
 def _vector_form(alg: FiniteAlgebra) -> _Form:
-    """Packed big-endian ints when every coordinate fits a byte, with each
-    table's entries padded to 256 bytes as the ``translate`` image; tuples
-    otherwise."""
+    """``bytes`` keys and int elements when every coordinate fits a byte,
+    with each table's entries padded to 256 bytes as the ``translate``
+    image; tuples, as both key and element, otherwise."""
     n = alg.size
     width = 2 * n * n
     if n <= 256 and all(n**tab.arity <= 256 for _, tab in alg.tables):
 
         def packed_reader(tab):
-            image = bytes(tab.entries).ljust(256, b"\0")
-            return lambda scaled, row: (
-                int.from_bytes((scaled + e).to_bytes(width, "big").translate(image), "big")
-                for e in row
+            image = repeat(bytes(tab.entries).ljust(256, b"\0"))
+            return lambda scaled, row: map(
+                bytes.translate,
+                map(int.to_bytes, map(scaled.__add__, row), repeat(width), repeat("big")),
+                image,
             )
 
         return _Form(
-            lambda coordinates: int.from_bytes(bytes(coordinates), "big"),
+            bytes,
+            partial(int.from_bytes, byteorder="big"),
             0,
             lambda scaled, e: (scaled + e) * n,
             packed_reader,
@@ -81,6 +88,7 @@ def _vector_form(alg: FiniteAlgebra) -> _Form:
         return lambda scaled, row: (tuple(map(lookup, map(add, scaled, e))) for e in row)
 
     return _Form(
+        tuple,
         tuple,
         (0,) * width,
         lambda scaled, e: tuple(map(n.__mul__, map(add, scaled, e))),
@@ -95,25 +103,27 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
     The witness is the BFS-first one: levels are expanded in signature
     order, then in lexicographic order of argument index tuples, so reruns
     are deterministic.  A level generates only the tuples that touch the
-    newest level, in that same order.  Each new vector is stored at once;
-    the search stops when more than ``budget`` vectors are stored (checked
-    first) or the target is.  Any returned term is re-verified by one vector
-    evaluation of its pair vector, on tuples.
+    newest level, in that same order.  Each new vector is stored at once,
+    with its argument index tuple, the only one the search builds; the
+    search stops when more than ``budget`` vectors are stored (checked
+    first) or the target is, and reads no row further.  Any returned term
+    is re-verified by one vector evaluation of its pair vector, on tuples.
     """
     n = alg.size
     form = _vector_form(alg)
-    *columns, target = map(form.pack, maltsev_columns(n))
+    *columns, target = map(form.key, maltsev_columns(n))
     index: dict[PairVector, int] = {}
     parents: list[tuple] = []
-    for name, vec in zip("xyz", columns):
-        if vec not in index:
-            index[vec] = len(parents)
+    for name, key in zip("xyz", columns):
+        if key not in index:
+            index[key] = len(parents)
             parents.append(("gen", name))
-    elements = list(index)
+    elements = list(map(form.element, index))
     if target in index:
         return _found(alg, elements, parents, index[target])
 
     readers = [(sym, tab, form.reader(tab)) for sym, tab in alg.tables]
+    element = form.element
     level_start = 0
     while True:
         # Arguments come from range(level_end) only, so storing at once finds
@@ -121,42 +131,49 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
         level_end = len(elements)
         for sym, tab, read in readers:
             if tab.arity:
-                made = _applications(form, tab.arity, read, elements, level_start, level_end)
+                rows = _applications(form, tab.arity, read, elements, level_start, level_end)
             elif level_start == 0:
-                made = [(form.pack(tab.entries * 2 * n * n), ())]
+                rows = [((), 0, [form.key(tab.entries * 2 * n * n)])]
             else:
                 continue
-            for vec, idxs in made:
-                if vec in index:
-                    continue
-                index[vec] = len(elements)
-                elements.append(vec)
-                parents.append(("app", sym, idxs))
-                if len(elements) > budget:
-                    return SearchOutcome("budget-exhausted", None, len(elements))
-                if vec == target:
-                    return _found(alg, elements, parents, index[target])
+            for prefix, start, row in rows:
+                for i, key in enumerate(row, start):
+                    if key in index:
+                        continue
+                    index[key] = stored = len(elements)
+                    elements.append(element(key))
+                    parents.append(("app", sym, prefix + (i,) if tab.arity else ()))
+                    if stored >= budget:
+                        return SearchOutcome("budget-exhausted", None, stored + 1)
+                    if key == target:
+                        return _found(alg, elements, parents, stored)
         if len(elements) == level_end:
             return SearchOutcome("none", None, len(elements))
         level_start = level_end
 
 
 def _applications(form, arity, read, elements, level_start, level_end):
-    """Yield (vector, argument indices) for each k-tuple over range(level_end)
-    with max >= level_start, in lexicographic order.  The flat table index of
-    each coordinate is summed along the tuple's prefix, once per prefix, and
-    ``read`` looks up the last argument's row against it."""
+    """Yield (prefix, start, row) for the k-tuples over range(level_end) with
+    max >= level_start, in lexicographic order: one per prefix of k - 1
+    indices, whose ``row`` lazily reads the keys of prefix + (i,) for i from
+    start to level_end.  Flat table indices are summed along the prefix,
+    once per prefix, and the second-to-last argument is a plain loop."""
+    if arity == 1:
+        yield (), level_start, read(form.zero, elements[level_start:level_end])
+        return
     stack = [((), form.zero, level_start)]  # depth first, so lexicographic
     while stack:
         prefix, scaled, start = stack.pop()
-        if len(prefix) < arity - 1:
+        if len(prefix) < arity - 2:
             stack.extend(
                 (prefix + (i,), form.scale(scaled, elements[i]), 0 if i >= level_start else start)
                 for i in reversed(range(level_end))
             )
             continue
-        for i, vec in enumerate(read(scaled, elements[start:level_end]), start):
-            yield vec, prefix + (i,)
+        tail, whole = elements[start:level_end], elements[:level_end]
+        for i in range(level_end):
+            row_start, row = (0, whole) if i >= level_start else (start, tail)
+            yield prefix + (i,), row_start, read(form.scale(scaled, elements[i]), row)
 
 
 def _found(alg, elements, parents, target_index) -> SearchOutcome:

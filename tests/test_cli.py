@@ -901,6 +901,18 @@ class TestParserIsPinned:
         found = {name: p.format_help() for name, p in self.parsers(build_parser())}
         assert found == self.GOLDEN["help"]
 
+    def test_argv_builds_what_it_names(self, monkeypatch):
+        # Every top-level command, the leaves of the group that argv names
+        # and the options of the leaf it names, each as build_parser() has it.
+        monkeypatch.setenv("COLUMNS", "80")
+        for name, text in self.GOLDEN["help"].items():
+            built = dict(self.parsers(build_parser([*name.split(), "--help"])))
+            assert built[name].format_help() == text, name
+        built = dict(self.parsers(build_parser(["fg", "mul", "--a", "x", "--b", "y"])))
+        assert sorted(built) == [n for n in self.GOLDEN["help"] if " " not in n or n.startswith("fg ")]
+        assert [action.dest for action in built["fg reduce"]._actions] == ["help"]
+        assert [action.dest for action in built["fg mul"]._actions] == ["help", "a", "b"]
+
     @pytest.mark.parametrize("case", GOLDEN["usage_errors"], ids=lambda c: " ".join(c["argv"]))
     def test_usage_errors(self, case, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")

@@ -31,7 +31,7 @@ def _heap(letters):
     return HeapWord(ReducedWord(encode(Letter(g, s) for g, s in letters)))
 
 
-_PACK, _SCALE, _READER = tuple, lambda a, b: a, lambda tab: None
+_KEY, _SCALE, _READER = tuple, lambda a, b: a, lambda tab: None
 
 # class -> (field names, a factory of constructor arguments, the same with one
 # field changed).  Each factory call builds fresh, equal argument objects.
@@ -58,8 +58,8 @@ RECORDS = {
     Signature: (("symbols",), lambda: ((("f", 2), ("c", 0)),), lambda: ((("f", 2),),)),
     SearchOutcome: (("status", "term", "visited"), lambda: ("found", mu(X, Y, Y), 7),
                     lambda: ("found", mu(X, Y, Y), 8)),
-    _Form: (("pack", "zero", "scale", "reader"), lambda: (_PACK, (0, 0), _SCALE, _READER),
-            lambda: (_PACK, (0, 1), _SCALE, _READER)),
+    _Form: (("key", "element", "zero", "scale", "reader"), lambda: (_KEY, _KEY, (0, 0), _SCALE, _READER),
+            lambda: (_KEY, _KEY, (0, 1), _SCALE, _READER)),
     Letter: (("gen", "sign"), lambda: ("x", 1), lambda: ("x", -1)),
     ReducedWord: (("codes",), lambda: (encode([Letter("x", 1), Letter("y", -1)]),),
                   lambda: (encode([Letter("x", 1), Letter("y", 1)]),)),

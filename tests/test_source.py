@@ -113,6 +113,59 @@ def test_module_level_mutables_are_found():
     assert sorted(_module_level_mutables(tree)) == ["a", "b", "c", "e"]
 
 
+# Python 3.11 lets int.to_bytes and int.from_bytes default the byteorder,
+# but the package supports 3.10 (requires-python in pyproject.toml), so
+# every use passes one: in the call, or to the map or partial that calls it.
+BYTE_CONVERSIONS = {"to_bytes", "from_bytes"}
+
+
+def _byteorder_omissions(modules):
+    """module.py:line of each to_bytes or from_bytes, under modules (module
+    name -> tree), that is called, mapped or bound by partial without a
+    byteorder, or used in any other way."""
+    found = []
+    for module, tree in modules.items():
+        uses = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in BYTE_CONVERSIONS]
+        passed = set()
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func, args = call.func, call.args
+            if getattr(func, "id", getattr(func, "attr", None)) in ("map", "partial") and args:
+                func, args = args[0], args[1:]
+            if func not in uses or any(isinstance(a, ast.Starred) for a in args):
+                continue
+            # self, length and byteorder for an unbound int.to_bytes; else
+            # length or bytes, then byteorder
+            unbound = func.attr == "to_bytes" and getattr(func.value, "id", None) == "int"
+            if len(args) >= 2 + unbound or any(k.arg == "byteorder" for k in call.keywords):
+                passed.add(func)
+        found += [(module, n.lineno) for n in uses if n not in passed]
+    return [f"{module}.py:{line}" for module, line in sorted(found)]
+
+
+def test_byte_conversions_pass_a_byteorder():
+    assert _byteorder_omissions(_package()) == []
+
+
+def test_byteorder_omissions_are_found():
+    tree = ast.parse(
+        "a = n.to_bytes(2, 'big')\n"
+        "b = n.to_bytes(2)\n"
+        "c = int.from_bytes(data, byteorder='little')\n"
+        "d = int.from_bytes(data)\n"
+        "e = map(int.to_bytes, xs, repeat(2), repeat('big'))\n"
+        "f = map(int.to_bytes, xs, repeat(2))\n"
+        "g = partial(int.from_bytes, byteorder='big')\n"
+        "h = functools.partial(int.from_bytes)\n"
+        "i = int.to_bytes\n"
+        "j = int.to_bytes(n, 2, 'big')\n"
+        "k = int.to_bytes(n, 2)\n"
+        "m = n.to_bytes(*args)\n"
+    )
+    assert _byteorder_omissions({"m": tree}) == [f"m.py:{line}" for line in (2, 4, 6, 8, 9, 11, 12)]
+
+
 # Recursion is allowed only where a parameter bounds its depth: the
 # operation's arity and max_depth.  Terms can be of any depth, so every walk
 # over a term must be a loop.

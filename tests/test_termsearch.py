@@ -1,6 +1,9 @@
 import itertools
+import json
 import random
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -121,6 +124,12 @@ def reference_verify_maltsev_term(alg, t):
     return is_maltsev_operation(probe, "t")
 
 
+def two_element_table(code):
+    """The two-element ternary table whose entry at flat index i is bit i of
+    code."""
+    return [(code >> i) & 1 for i in range(8)]
+
+
 def two_element_classes():
     """One ternary table from each class of the 192 two-element tables whose
     f(x,x,x) is not the negation of x; a class's members differ only by the
@@ -128,7 +137,7 @@ def two_element_classes():
     seen, representatives = set(), []
     args = list(itertools.product(range(2), repeat=3))
     for code in range(256):
-        table = [(code >> i) & 1 for i in range(8)]
+        table = two_element_table(code)
         if (table[0], table[7]) == (1, 0) or code in seen:
             continue
         representatives.append(tuple(table))
@@ -504,33 +513,84 @@ class TestAgainstReference:
             self.assert_same(alg, budget)
 
 
+def outcome_row(outcome):
+    return [outcome.status, outcome.visited, outcome.term and format_term(outcome.term)]
+
+
+class TestGolden:
+    """Status, visited count and witness text of every two-element ternary
+    table, and of random_binary_3 at three budgets, as
+    ``termsearch_golden.json`` records them.  The reference search would
+    take up to 1.7 s on one negated-diagonal table."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "termsearch_golden.json").read_text())
+
+    def test_every_two_element_ternary_table(self):
+        got = [
+            outcome_row(find_maltsev_term(make_algebra("t", 2, {"f": OperationTable(3, two_element_table(code))})))
+            for code in range(256)
+        ]
+        assert got == self.GOLDEN["two_element_ternary"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_three_element_algebras(self, seed):
+        got = {str(b): outcome_row(find_maltsev_term(random_binary_3(seed), b)) for b in (4, 50, 300)}
+        assert got == self.GOLDEN["random_binary_3"][str(seed)]
+
+
 class TestWorkBound:
     @pytest.fixture()
-    def applications(self, monkeypatch):
-        made = []
+    def work(self, monkeypatch):
+        """What the search applies its operations to.  ``tuples`` holds each
+        argument tuple as the search takes its vector from a row;
+        ``reads`` each last argument as a row's table read takes it, so a
+        read that runs ahead of the search shows there."""
+        work = SimpleNamespace(tuples=[], reads=[])
         real = termsearch._applications
 
-        def counting(*args):
-            for vec, idxs in real(*args):
-                made.append(idxs)
-                yield vec, idxs
+        def reading(row):
+            for vec in row:
+                work.reads.append(vec)
+                yield vec
+
+        def taking(prefix, start, row):
+            for i, key in enumerate(row, start):
+                work.tuples.append(prefix + (i,))
+                yield key
+
+        def counting(form, arity, read, *bounds):
+            rows = real(form, arity, lambda scaled, row: read(scaled, reading(row)), *bounds)
+            for prefix, start, row in rows:
+                yield prefix, start, taking(prefix, start, row)
 
         monkeypatch.setattr(termsearch, "_applications", counting)
-        return made
+        return work
 
-    def test_work_stops_at_the_budget(self, applications):
+    def test_work_stops_at_the_budget(self, work):
         # The reference search applies f to 21 025 argument tuples here: it
         # finishes the level that crosses the budget before checking it.
         outcome = find_maltsev_term(random_binary_3(2), budget=300)
         assert outcome.status == "budget-exhausted"
-        assert len(applications) <= 2 * 300
+        assert (len(work.reads), len(work.tuples)) == (356, 356)
+        assert len(work.tuples) <= 2 * 300
+
+    @pytest.mark.parametrize("n, visited", [(5, 42), (17, 43)], ids=["packed", "tuples"])
+    def test_work_stops_at_the_witness(self, work, n, visited):
+        # The witness is met partway through a row; reading the row to its
+        # end would make 81 applications.
+        alg = cyclic_group(n)
+        assert isinstance(termsearch._vector_form(alg).zero, int) == (n * n <= 256)
+        outcome = find_maltsev_term(alg)
+        assert (outcome.status, outcome.visited) == ("found", visited)
+        assert (len(work.reads), len(work.tuples)) == (79, 79)
 
     @pytest.mark.parametrize("n", [3, 17], ids=["packed", "tuples"])
-    def test_each_argument_tuple_is_applied_once(self, applications, n):
+    def test_each_argument_tuple_is_applied_once(self, work, n):
         # A completed closure has applied its one binary operation to every
         # pair of its vectors, and to none twice.
         alg = chain_semilattice(n)
         assert isinstance(termsearch._vector_form(alg).zero, int) == (n * n <= 256)
         outcome = find_maltsev_term(alg)
-        assert outcome.status == "none"
-        assert sorted(applications) == list(itertools.product(range(outcome.visited), repeat=2))
+        assert (outcome.status, outcome.visited) == ("none", 6)
+        assert sorted(work.tuples) == list(itertools.product(range(6), repeat=2))
+        assert (len(work.reads), len(work.tuples)) == (36, 36)
