@@ -432,12 +432,14 @@ def cmd_quotient(args, rep: Report) -> int:
 @command("algebra maltsev-term", FILE, BUDGET)
 def cmd_maltsev_term(args, rep: Report) -> int:
     from .terms import format_term
-    from .termsearch import find_maltsev_term
+    from .termsearch import find_maltsev_term, verify_maltsev_term
 
     alg = _read_algebra(args.file)
     outcome = find_maltsev_term(alg, **_budget(args))
     rep.emit(status=outcome.status, visited=outcome.visited)
     if outcome.status == "found":
+        if not verify_maltsev_term(alg, outcome.term):
+            raise MaltsevError("search produced an unverified term")
         text = format_term(outcome.term)
         rep.text(text)
         rep.text("verified: true")

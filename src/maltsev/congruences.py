@@ -38,8 +38,6 @@ Labels = tuple[int, ...]
 # Largest carrier whose congruence lattice is computed by default.
 LATTICE_GUARD = 8
 
-ISOMORPHISM_GUARD = 6
-
 
 class Partition(Record):
     """Block index per element, with blocks numbered by least element in
@@ -295,34 +293,27 @@ def check_homomorphism(
         raise NotAHomomorphismError("map is not a function into the codomain")
     if src.signature != dst.signature:
         raise NotAHomomorphismError("signatures differ")
-    violation = _hom_violations(src, dst)(f)
+    violation = _hom_violation(src, dst, f)
     if violation is not None:
         sym, args = violation
         raise NotAHomomorphismError(f"not compatible with {sym!r} at {args}")
 
 
-def _hom_violations(src: FiniteAlgebra, dst: FiniteAlgebra):
-    """The function taking f to the first (symbol, args) at which f does not
-    commute with the operation, or None.  The argument columns and tables,
-    which do not depend on f, are built once; each table is read lazily and
-    the scan stops at the first mismatch."""
-    plans = [
-        (sym, tab, tuple_columns(src.size, tab.arity), dst.table(sym)) for sym, tab in src.tables
-    ]
-
-    def violation(f: Sequence[int]):
-        image = f.__getitem__
-        for sym, tab, columns, dst_tab in plans:
-            images = dst_tab.columns(
-                dst.size, *(map(image, c) for c in columns), width=len(tab.entries)
-            )
-            mismatches = map(ne, map(image, tab.entries), images)
-            i = next(itertools.compress(itertools.count(), mismatches), None)
-            if i is not None:
-                return sym, tab.arguments(src.size, i)
-        return None
-
-    return violation
+def _hom_violation(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]):
+    """The first (symbol, args) at which f does not commute with the
+    operation, or None.  Each table is read lazily by columns and the scan
+    stops at the first mismatch."""
+    image = f.__getitem__
+    for sym, tab in src.tables:
+        columns = tuple_columns(src.size, tab.arity)
+        images = dst.table(sym).columns(
+            dst.size, *(map(image, c) for c in columns), width=len(tab.entries)
+        )
+        mismatches = map(ne, map(image, tab.entries), images)
+        i = next(itertools.compress(itertools.count(), mismatches), None)
+        if i is not None:
+            return sym, tab.arguments(src.size, i)
+    return None
 
 
 def kernel(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> Congruence:
@@ -331,23 +322,13 @@ def kernel(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> Congruen
     return _trusted(Congruence, src, Partition.from_labels(list(f)))
 
 
-def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
-    """Exhaustive isomorphism search; returns a bijection as a tuple or None."""
-    if a.size != b.size or a.signature != b.signature:
-        return None
-    if a.size > ISOMORPHISM_GUARD:
-        raise BudgetExceededError(f"isomorphism search limited to size {ISOMORPHISM_GUARD}")
-    violation = _hom_violations(a, b)
-    for perm in itertools.permutations(range(a.size)):
-        if violation(perm) is None:
-            return perm
-    return None
-
-
 def first_iso_check(src: FiniteAlgebra, dst: FiniteAlgebra, f: Sequence[int]) -> bool:
     """Quotient by the kernel of a surjective homomorphism is isomorphic to
-    the image (exhaustive search)."""
+    the image through the induced map, block -> f(least element): whether
+    that map is injective and a homomorphism from the quotient to dst."""
     ker = kernel(src, dst, f)
     if set(f) != set(range(dst.size)):
         raise NotAHomomorphismError("map is not surjective")
-    return find_isomorphism(quotient(src, ker), dst) is not None
+    induced = [f[block[0]] for block in ker.partition.blocks()]
+    injective = len(set(induced)) == len(induced)
+    return injective and _hom_violation(quotient(src, ker), dst, induced) is None

@@ -10,6 +10,8 @@ closure over pairs of such functions.  The variable generators are
 and a term is a witness exactly when its pair is (first, first).  When the
 closure completes without reaching the target the answer is a definitive
 "none"; exhausting the budget is reported as a distinct third outcome.
+A witness is checked once, by ``verify_maltsev_term``, where it is reported
+(the CLI), never again inside the search.
 
 A pair vector has 2n^2 coordinates.  When every value and every flat table
 index fits a byte (n <= 256, and n**arity <= 256 for every table), a vector
@@ -34,7 +36,6 @@ from .algebras import (
     maltsev_columns,
     product_algebra,
 )
-from .errors import MaltsevError
 from .terms import App, Record, Term, Var
 
 PairVector = bytes | tuple[int, ...]
@@ -106,8 +107,10 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
     newest level, in that same order.  Each new vector is stored at once,
     with its argument index tuple, the only one the search builds; the
     search stops when more than ``budget`` vectors are stored (checked
-    first) or the target is, and reads no row further.  Any returned term
-    is re-verified by one vector evaluation of its pair vector, on tuples.
+    first) or the target is, and reads no row further.  The witness is
+    rebuilt from the parent links and not evaluated again: its pair vector
+    is the target by construction.  ``verify_maltsev_term`` is the
+    independent check, made where a witness is reported.
     """
     n = alg.size
     form = _vector_form(alg)
@@ -120,7 +123,7 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
             parents.append(("gen", name))
     elements = list(map(form.element, index))
     if target in index:
-        return _found(alg, elements, parents, index[target])
+        return SearchOutcome("found", rebuild_term(parents, index[target]), len(elements))
 
     readers = [(sym, tab, form.reader(tab)) for sym, tab in alg.tables]
     element = form.element
@@ -146,7 +149,7 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
                     if stored >= budget:
                         return SearchOutcome("budget-exhausted", None, stored + 1)
                     if key == target:
-                        return _found(alg, elements, parents, stored)
+                        return SearchOutcome("found", rebuild_term(parents, stored), stored + 1)
         if len(elements) == level_end:
             return SearchOutcome("none", None, len(elements))
         level_start = level_end
@@ -174,13 +177,6 @@ def _applications(form, arity, read, elements, level_start, level_end):
         for i in range(level_end):
             row_start, row = (0, whole) if i >= level_start else (start, tail)
             yield prefix + (i,), row_start, read(form.scale(scaled, elements[i]), row)
-
-
-def _found(alg, elements, parents, target_index) -> SearchOutcome:
-    term = rebuild_term(parents, target_index)
-    if not verify_maltsev_term(alg, term):
-        raise MaltsevError("search produced an unverified term")
-    return SearchOutcome("found", term, len(elements))
 
 
 def rebuild_term(parents: list[tuple], i: int) -> Term:

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
 import copy
+import functools
 import io
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maltsev import cli
@@ -454,6 +456,18 @@ class TestAlgebraCommands:
         assert code == 0
         assert "verified: true" in out
 
+    def test_unverified_witness_is_an_error_not_an_assert(self, monkeypatch, algebra_file):
+        # The CLI checks the witness it prints, by a check that must also
+        # hold under python -O.
+        monkeypatch.setattr("maltsev.termsearch.verify_maltsev_term", lambda alg, t: False)
+        argv = ["algebra", "maltsev-term", "--file", algebra_file("z2")]
+        assert run(argv) == (2, "error: search produced an unverified term")
+        code, out = run(["--format", "json", *argv])
+        assert (code, json.loads(out)) == (
+            2,
+            {"command": "algebra maltsev-term", "error": "search produced an unverified term"},
+        )
+
     def test_maltsev_term_on_one_element(self, tmp_path):
         path = tmp_path / "one.json"
         doc = {"name": "one", "size": 1, "operations": [{"symbol": "f", "arity": 2, "table": [0]}]}
@@ -877,6 +891,122 @@ class TestFuzz:
         assert first == second, (argv, budget)
         if out is not None and argv[:2] == ["--format", "json"]:
             assert "\n" not in out and isinstance(json.loads(out), dict), (argv, budget)
+
+
+DOCUMENTS = [json.loads(path.read_text()) for path in sorted(ALGEBRAS.glob("*.json"))]
+
+# The values a document edit draws, by the name of the field it replaces.
+# Sizes reach both sides of the packed search's byte limit (n <= 256).
+FIELD_VALUES = {
+    "size": st.integers(-1, 9) | st.sampled_from([255, 256, 257]) | JSON_VALUES,
+    "arity": st.integers(-1, 4) | st.just(64) | JSON_VALUES,
+    "symbol": st.sampled_from(["mul", "inv", "e", "mu", "star", "f", "", "x", "mul(x)"]) | JSON_VALUES,
+    "table": st.integers(-1, 9) | JSON_VALUES,
+}
+
+
+def _paths(value, path=()):
+    """The path of value and of every value nested in it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+    else:
+        items = ()
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The text of a bundled document with up to four edits, each at a drawn
+    path: a value replaced (sizes, arities, symbols and table entries from
+    FIELD_VALUES), nested one level deeper, a list cut or grown, or an
+    entry deleted or repeated."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 4))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        *parents, key = path
+        holder = functools.reduce(operator.getitem, parents, doc)
+        field = next((k for k in reversed(path) if isinstance(k, str)), None)
+        edit = draw(st.sampled_from(["replace", "nest", "resize", "delete", "repeat"]))
+        if edit == "replace":
+            holder[key] = draw(FIELD_VALUES.get(field, JSON_VALUES))
+        elif edit == "nest":
+            holder[key] = draw(st.sampled_from([[holder[key]], {field or "v": holder[key]}]))
+        elif edit == "resize" and isinstance(holder[key], list):
+            grown = holder[key] + holder[key][-1:] * draw(st.integers(1, 3))
+            holder[key] = draw(st.sampled_from([holder[key][: len(holder[key]) // 2], grown]))
+        elif edit == "delete":
+            del holder[key]
+        elif edit == "repeat" and isinstance(holder, list):
+            holder.insert(key, copy.deepcopy(holder[key]))
+    return json.dumps(doc)
+
+
+ALGEBRA_COMMANDS = [(name, options) for name, _, options, _ in cli.COMMANDS if name.startswith("algebra ")]
+
+
+# The search is always given a budget here.  At its default, 10**7 stored
+# vectors, a five-element document (Z5 with one table entry changed) took
+# 42-50 s (Python 3.11, 2 cores), and 10**6 vectors already peak at 426 MB:
+# unbounded work that the work meter of ROADMAP item 2 is to charge.
+DOCUMENT_OPTION_VALUES = {**OPTION_VALUES, "--budget": st.integers(1, 5000).map(str)}
+
+
+@st.composite
+def document_runs(draw):
+    """(document text, argv of every algebra leaf command without --file),
+    in one output format, each required option and --budget given and each
+    other drawn or left out."""
+    fmt = draw(st.sampled_from([[], ["--format", "json"]]))
+    runs = []
+    for name, options in ALGEBRA_COMMANDS:
+        argv = fmt + name.split()
+        for flags, kwargs in options:
+            required = kwargs.get("required") or flags[0] == "--budget"
+            if flags[0] == "--file" or not required and draw(st.booleans()):
+                continue
+            argv.append(flags[0])
+            if kwargs.get("action") != "store_true":
+                argv.append(draw(DOCUMENT_OPTION_VALUES[flags[0]]))
+        runs.append(argv)
+    return draw(mutated_documents()), runs
+
+
+ONE_CONSTANT_257 = json.dumps({"size": 257, "operations": [{"symbol": "e", "arity": 0, "table": [256]}]})
+
+
+class TestDocumentFuzz:
+    """Mutated documents through every algebra leaf command keep the
+    exit-code contract, the one-line JSON record and byte-identical reruns."""
+
+    def test_every_algebra_command_is_run(self):
+        assert [name for name, _ in ALGEBRA_COMMANDS] == [
+            f"algebra {leaf}"
+            for leaf in (
+                "check-identity", "maltsev-check", "derive-maltsev", "congruences",
+                "principal", "quotient", "maltsev-term",
+            )
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(document_runs())
+    @example((ONE_CONSTANT_257, [["--format", "json", "algebra", "maltsev-term"]]))
+    def test_mutated_documents(self, case):
+        document, runs = case
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+            path = Path(tmp) / "algebra.json"
+            path.write_text(document, encoding="utf-8")
+            with mock.patch.dict(os.environ):
+                os.environ.pop("MW_BUDGET", None)
+                for argv in runs:
+                    argv = [*argv, "--file", str(path)]
+                    first, second = outcome(argv), outcome(argv)
+                    code, out = first
+                    assert code in (0, 1, 2), (document, argv, first)
+                    assert first == second, (document, argv)
+                    if out is not None and argv[:2] == ["--format", "json"]:
+                        assert "\n" not in out and isinstance(json.loads(out), dict), (document, argv)
 
 
 class TestParserIsPinned:

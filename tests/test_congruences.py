@@ -18,7 +18,6 @@ from maltsev.congruences import (
     all_congruences,
     check_homomorphism,
     find_compatibility_violation,
-    find_isomorphism,
     first_iso_check,
     format_partition,
     is_congruence,
@@ -103,6 +102,27 @@ def naive_hom_error(src, dst, f):
             if f[apply_table(tab, src.size, *args)] != apply(dst, sym, *(f[x] for x in args)):
                 return f"not compatible with {sym!r} at {args}"
     return None
+
+
+def find_isomorphism(a, b):
+    """Exhaustive isomorphism search, kept as the oracle for first_iso_check:
+    the first bijection, in permutation order, under which every entry of
+    every table commutes, or None."""
+    if a.size != b.size or a.signature != b.signature:
+        return None
+    perms = itertools.permutations(range(a.size))
+    return next((perm for perm in perms if naive_hom_error(a, b, perm) is None), None)
+
+
+def relabelled(alg, perm):
+    """alg with each element x renamed perm[x]."""
+    inverse = sorted(range(alg.size), key=perm.__getitem__)
+
+    def renamed(tab):
+        return lambda *args: perm[apply_table(tab, alg.size, *(inverse[x] for x in args))]
+
+    ops = {sym: table_from_function(alg.size, tab.arity, renamed(tab)) for sym, tab in alg.tables}
+    return make_algebra(f"{alg.name}'", alg.size, ops)
 
 
 def hom_error(src, dst, f):
@@ -659,16 +679,61 @@ class TestFirstIso:
         with pytest.raises(NotAHomomorphismError):
             first_iso_check(z4, z2, [0, 0, 0, 0])
 
-    def test_iso_search_guard(self):
-        z9 = cyclic_group(9)
-        with pytest.raises(BudgetExceededError):
-            find_isomorphism(z9, z9)
+    @pytest.mark.parametrize("n, m", [(8, 4), (9, 3), (7, 7), (8, 8), (9, 9)])
+    def test_past_six_elements(self, n, m):
+        # Z_n -> Z_m by x mod m.  The exhaustive search this check replaced
+        # refused a quotient of more than 6 elements, so the last three.
+        assert first_iso_check(cyclic_group(n), cyclic_group(m), [x % m for x in range(n)])
 
-    def test_iso_search_guard_is_six_elements(self):
-        assert find_isomorphism(cyclic_group(6), cyclic_group(6)) is not None
-        z7 = cyclic_group(7)
-        with pytest.raises(BudgetExceededError, match="limited to size 6"):
-            find_isomorphism(z7, z7)
+    def test_every_quotient_map_of_z2_x_z4(self):
+        src = product_algebra(cyclic_group(2), cyclic_group(4))
+        lattice = all_congruences(src)
+        assert len(lattice) == 8
+        for theta in lattice:
+            assert first_iso_check(src, quotient(src, theta), theta.partition.block_of)
+
+    def test_quotient_maps_agree_with_the_oracle(self, algebras):
+        # For every congruence of every bundled algebra of at most 6
+        # elements: the quotient map, and the quotient map followed by a
+        # reversal of the quotient's elements, so that the isomorphism the
+        # oracle finds is in general not the identity.
+        for name, alg in algebras.items():
+            if alg.size > 6:
+                continue
+            for theta in all_congruences(alg):
+                q, to_q = quotient(alg, theta), theta.partition.block_of
+                reverse = tuple(reversed(range(q.size)))
+                for dst, f in ((q, to_q), (relabelled(q, reverse), [reverse[b] for b in to_q])):
+                    assert first_iso_check(alg, dst, f), (name, f)
+                    assert find_isomorphism(quotient(alg, kernel(alg, dst, f)), dst), (name, f)
+
+    def test_a_wrong_quotient_is_caught(self, monkeypatch):
+        # The induced map is the identity on Z2; a quotient whose mul table
+        # has two entries swapped is not Z2 under it.
+        real = congruences.quotient
+
+        def swapped(alg, theta):
+            q = real(alg, theta)
+            entries = list(q.table("mul").entries)
+            entries[0], entries[1] = entries[1], entries[0]
+            ops = dict(q.tables)
+            ops["mul"] = OperationTable(2, tuple(entries))
+            return make_algebra(q.name, q.size, ops)
+
+        z4, z2 = cyclic_group(4), cyclic_group(2)
+        assert first_iso_check(z4, z2, [0, 1, 0, 1])
+        monkeypatch.setattr(congruences, "quotient", swapped)
+        assert not first_iso_check(z4, z2, [0, 1, 0, 1])
+
+    def test_a_wrong_kernel_is_caught(self, monkeypatch):
+        # With the identity congruence for a kernel, the quotient is Z4 and
+        # the induced map is the mod-2 map itself: a homomorphism onto Z2,
+        # but not injective.
+        z4 = cyclic_group(4)
+        monkeypatch.setattr(
+            congruences, "kernel", lambda src, dst, f: Congruence(src, identity_partition(src.size))
+        )
+        assert not first_iso_check(z4, cyclic_group(2), [0, 1, 0, 1])
 
     def test_sizes_differ_under_one_signature(self):
         # Z1 embeds in Z2, so only the size test rejects the pair

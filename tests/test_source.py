@@ -399,6 +399,28 @@ def test_permute_callers_are_found():
     assert list(_callers("permute", tree, "m")) == ["m.f", "m.C.g"]
 
 
+# A witness is checked where it is reported: the search returns the term it
+# built, and only the CLI, which prints "verified: true", evaluates it again.
+VERIFY_CALLERS = ["cli.cmd_maltsev_term"]
+
+
+def test_witnesses_are_verified_where_they_are_reported():
+    assert _package_callers("verify_maltsev_term") == VERIFY_CALLERS
+
+
+def test_verify_callers_are_found():
+    tree = ast.parse(
+        "def find_maltsev_term(alg):\n    t = rebuild_term(p, 0)\n"
+        "    if not verify_maltsev_term(alg, t):\n        raise E('unverified')\n"
+        "def _found(alg, t):\n    return termsearch.verify_maltsev_term(alg, t) and t\n"
+        "def verify_maltsev_term(alg, t):\n    return verify_maltsev_terms\n"
+    )
+    assert list(_callers("verify_maltsev_term", tree, "termsearch")) == [
+        "termsearch.find_maltsev_term",
+        "termsearch._found",
+    ]
+
+
 # Labels are relabelled to canonical form only where they enter (the checking
 # Partition constructor and Partition.from_labels) and where the closure has
 # merged blocks under arbitrary ids; _join ranks its roots and needs no pass.
