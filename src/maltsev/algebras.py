@@ -72,8 +72,15 @@ class OperationTable(Record):
 
 
 def tuple_columns(size: int, arity: int) -> list[tuple[int, ...]]:
-    """Column i holds argument i of every arity-tuple, in flat-index order."""
-    return list(zip(*itertools.product(range(size), repeat=arity)))
+    """Column i holds argument i of every arity-tuple, in flat-index order:
+    each value repeated size**(arity-1-i) times, that run tiled size**i
+    times.  No argument tuple is built."""
+    values, columns = tuple(range(size)), []
+    for i in range(arity):
+        stride = size ** (arity - 1 - i)
+        run = tuple(itertools.chain.from_iterable(zip(*[values] * stride))) if stride > 1 else values
+        columns.append(run * size**i)
+    return columns
 
 
 def maltsev_columns(size: int) -> tuple[tuple[int, ...], ...]:

@@ -13,22 +13,22 @@ closure completes without reaching the target the answer is a definitive
 A witness is checked once, by ``verify_maltsev_term``, where it is reported
 (the CLI), never again inside the search.
 
-A pair vector has 2n^2 coordinates.  When every value and every flat table
-index fits a byte (n <= 256, and n**arity <= 256 for every table), a vector
-is keyed by the ``bytes`` of its coordinates, and a stored one is also kept
-as the big-endian int they spell, so that the prefix sum of flat indices
-along an argument tuple is int arithmetic, carrying across no byte.  A row
-of candidates is one lazy C-level pass, ``int.to_bytes`` of each sum then
-``bytes.translate`` through the table's entries.  Larger algebras keep
-tuples of ints.  Both forms run the same loop in the same order, so they
-give the same outcome.
+A pair vector has 2n^2 coordinates, each stored as an unsigned item of
+the narrowest width, 1, 2, 4 or 8 bytes, that holds every value and every
+flat table index (n**arity) of the algebra.  A vector is keyed by the
+``bytes`` of its items in native byte order, and a stored one is also kept
+as the int those bytes spell, so that the prefix sum of flat indices along
+an argument tuple is int arithmetic, carrying across no item.  A row of
+candidates is one lazy pass, ``int.to_bytes`` of each sum then the table
+read: ``bytes.translate`` through the table's entries for one-byte items,
+a ``struct`` pack of the looked-up entries for wider ones.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import sys
 from itertools import repeat
-from operator import add
+from struct import Struct
 
 from .algebras import (
     FiniteAlgebra,
@@ -38,8 +38,6 @@ from .algebras import (
 )
 from .terms import App, Record, Term, Var
 
-PairVector = bytes | tuple[int, ...]
-
 
 class SearchOutcome(Record):
     """``status`` is "found", with the witness ``term``, "none" or
@@ -48,52 +46,29 @@ class SearchOutcome(Record):
     __slots__ = ("status", "term", "visited")
 
 
-class _Form(Record):
-    """How the search stores pair vectors.  ``key`` turns coordinates into
-    the vector's key in the search's index, ``element`` turns a key into the
-    form kept for arithmetic, and ``zero`` is the all-zero element.  Along
-    an argument tuple the search keeps the prefix sum of flat table indices:
-    ``scale(scaled, e)`` adds one argument element and multiplies by n, and
-    ``reader(tab)(scaled, row)`` maps each element e of row to the key of
-    the table's value vector at ``scaled + e``, lazily."""
-
-    __slots__ = ("key", "element", "zero", "scale", "reader")
+def _item_code(alg: FiniteAlgebra) -> str:
+    """The ``struct`` code of the narrowest unsigned item that holds every
+    value (< n) and every flat table index (< n**arity)."""
+    top = max([alg.size, *(alg.size**tab.arity for _, tab in alg.tables)])
+    return next(code for code in "BHIQ" if top <= 1 << 8 * Struct(code).size)
 
 
-def _vector_form(alg: FiniteAlgebra) -> _Form:
-    """``bytes`` keys and int elements when every coordinate fits a byte,
-    with each table's entries padded to 256 bytes as the ``translate``
-    image; tuples, as both key and element, otherwise."""
-    n = alg.size
-    width = 2 * n * n
-    if n <= 256 and all(n**tab.arity <= 256 for _, tab in alg.tables):
-
-        def packed_reader(tab):
-            image = repeat(bytes(tab.entries).ljust(256, b"\0"))
-            return lambda scaled, row: map(
-                bytes.translate,
-                map(int.to_bytes, map(scaled.__add__, row), repeat(width), repeat("big")),
-                image,
-            )
-
-        return _Form(
-            bytes,
-            partial(int.from_bytes, byteorder="big"),
-            0,
-            lambda scaled, e: (scaled + e) * n,
-            packed_reader,
+def _reader(tab, vector: Struct):
+    """``reader(scaled, row)`` maps each element e of row, lazily, to the key
+    of the table's value vector at the flat indices ``scaled + e``;
+    ``vector`` packs the items of one key."""
+    length, code, order = vector.size, vector.format[-1], sys.byteorder
+    if code == "B":
+        image = repeat(bytes(tab.entries).ljust(256, b"\0"))
+        return lambda scaled, row: map(
+            bytes.translate,
+            map(int.to_bytes, map(scaled.__add__, row), repeat(length), repeat(order)),
+            image,
         )
-
-    def tuple_reader(tab):
-        lookup = tab.entries.__getitem__
-        return lambda scaled, row: (tuple(map(lookup, map(add, scaled, e))) for e in row)
-
-    return _Form(
-        tuple,
-        tuple,
-        (0,) * width,
-        lambda scaled, e: tuple(map(n.__mul__, map(add, scaled, e))),
-        tuple_reader,
+    pack, lookup = vector.pack, tab.entries.__getitem__
+    return lambda scaled, row: (
+        pack(*map(lookup, memoryview((scaled + e).to_bytes(length, order)).cast(code)))
+        for e in row
     )
 
 
@@ -112,21 +87,20 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
     is the target by construction.  ``verify_maltsev_term`` is the
     independent check, made where a witness is reported.
     """
-    n = alg.size
-    form = _vector_form(alg)
-    *columns, target = map(form.key, maltsev_columns(n))
-    index: dict[PairVector, int] = {}
+    n, order, width = alg.size, sys.byteorder, 2 * alg.size**2
+    vector = Struct(f"{width}{_item_code(alg)}")
+    *columns, target = (vector.pack(*column) for column in maltsev_columns(n))
+    index: dict[bytes, int] = {}
     parents: list[tuple] = []
     for name, key in zip("xyz", columns):
         if key not in index:
             index[key] = len(parents)
             parents.append(("gen", name))
-    elements = list(map(form.element, index))
+    elements = [int.from_bytes(key, order) for key in index]
     if target in index:
         return SearchOutcome("found", rebuild_term(parents, index[target]), len(elements))
 
-    readers = [(sym, tab, form.reader(tab)) for sym, tab in alg.tables]
-    element = form.element
+    readers = [(sym, tab, _reader(tab, vector)) for sym, tab in alg.tables]
     level_start = 0
     while True:
         # Arguments come from range(level_end) only, so storing at once finds
@@ -134,9 +108,9 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
         level_end = len(elements)
         for sym, tab, read in readers:
             if tab.arity:
-                rows = _applications(form, tab.arity, read, elements, level_start, level_end)
+                rows = _applications(n, tab.arity, read, elements, level_start, level_end)
             elif level_start == 0:
-                rows = [((), 0, [form.key(tab.entries * 2 * n * n)])]
+                rows = [((), 0, [vector.pack(*tab.entries * width)])]
             else:
                 continue
             for prefix, start, row in rows:
@@ -144,7 +118,7 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
                     if key in index:
                         continue
                     index[key] = stored = len(elements)
-                    elements.append(element(key))
+                    elements.append(int.from_bytes(key, order))
                     parents.append(("app", sym, prefix + (i,) if tab.arity else ()))
                     if stored >= budget:
                         return SearchOutcome("budget-exhausted", None, stored + 1)
@@ -155,28 +129,29 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
         level_start = level_end
 
 
-def _applications(form, arity, read, elements, level_start, level_end):
+def _applications(n, arity, read, elements, level_start, level_end):
     """Yield (prefix, start, row) for the k-tuples over range(level_end) with
     max >= level_start, in lexicographic order: one per prefix of k - 1
     indices, whose ``row`` lazily reads the keys of prefix + (i,) for i from
     start to level_end.  Flat table indices are summed along the prefix,
-    once per prefix, and the second-to-last argument is a plain loop."""
+    ``(scaled + e) * n`` once per prefix, and the second-to-last argument is
+    a plain loop."""
     if arity == 1:
-        yield (), level_start, read(form.zero, elements[level_start:level_end])
+        yield (), level_start, read(0, elements[level_start:level_end])
         return
-    stack = [((), form.zero, level_start)]  # depth first, so lexicographic
+    stack = [((), 0, level_start)]  # depth first, so lexicographic
     while stack:
         prefix, scaled, start = stack.pop()
         if len(prefix) < arity - 2:
             stack.extend(
-                (prefix + (i,), form.scale(scaled, elements[i]), 0 if i >= level_start else start)
+                (prefix + (i,), (scaled + elements[i]) * n, 0 if i >= level_start else start)
                 for i in reversed(range(level_end))
             )
             continue
         tail, whole = elements[start:level_end], elements[:level_end]
         for i in range(level_end):
             row_start, row = (0, whole) if i >= level_start else (start, tail)
-            yield prefix + (i,), row_start, read(form.scale(scaled, elements[i]), row)
+            yield prefix + (i,), row_start, read((scaled + elements[i]) * n, row)
 
 
 def rebuild_term(parents: list[tuple], i: int) -> Term:

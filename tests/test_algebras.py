@@ -572,6 +572,13 @@ class TestWholeTableScans:
             got = tuple(tab.columns(n, *columns, width=len(chosen)))
             assert got == tuple(apply_table(tab, n, *args) for args in chosen)
 
+    def test_tuple_columns_match_the_argument_tuples(self):
+        # The columns are built by repetition; the tuples they transpose are
+        # itertools.product's, in the same order.
+        for n in range(1, 7):
+            for k in range(4):
+                assert tuple_columns(n, k) == list(zip(*itertools.product(range(n), repeat=k)))
+
     @settings(max_examples=100, deadline=None)
     @given(ternary_operations())
     def test_maltsev_check(self, alg):

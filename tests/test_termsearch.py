@@ -2,7 +2,9 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
+from struct import Struct
 from types import SimpleNamespace
 
 import pytest
@@ -156,6 +158,16 @@ def random_binary_3(seed):
 def random_ternary(n):
     rng = random.Random(n)
     return make_algebra(f"t{n}", n, {"f": OperationTable(3, tuple(rng.randrange(n) for _ in range(n**3)))})
+
+
+def random_quaternary(n):
+    rng = random.Random(n)
+    return make_algebra(f"q{n}", n, {"f": OperationTable(4, tuple(rng.randrange(n) for _ in range(n**4)))})
+
+
+def item_size(alg):
+    """Bytes per coordinate of the search's pair vectors for alg."""
+    return Struct(termsearch._item_code(alg)).size
 
 
 class TestGenerators:
@@ -491,22 +503,34 @@ class TestAgainstReference:
         self.assert_same(random_binary_3(2), budget)
 
     @pytest.mark.parametrize(
-        "alg, packed, budgets",
+        "alg, item, budgets",
         [
             # 16**2 = 256 table entries; a witness after 43 vectors
-            (cyclic_group(16), True, (4, 25, 60)),
-            (cyclic_group(17), False, (4, 25, 60)),  # 17**2 = 289
-            (random_ternary(6), True, (4, 12, 25)),  # 6**3 = 216
-            (random_ternary(7), False, (4, 12, 25)),  # 7**3 = 343
+            (cyclic_group(16), 1, (4, 25, 60)),
+            (cyclic_group(17), 2, (4, 25, 60)),  # 17**2 = 289
+            (random_ternary(6), 1, (4, 12, 25)),  # 6**3 = 216
+            (random_ternary(7), 2, (4, 12, 25)),  # 7**3 = 343
             # only a nullary table, so n**arity = 1, but 299 fits no byte
-            (make_algebra("c300", 300, {"c": OperationTable(0, (299,))}), False, (10,)),
+            (make_algebra("c300", 300, {"c": OperationTable(0, (299,))}), 2, (10,)),
+            (random_quaternary(16), 2, (4, 12)),  # 16**4 = 65 536
+            (random_quaternary(17), 4, (4, 12)),  # 17**4 = 83 521
         ],
-        ids=["z16", "z17", "ternary6", "ternary7", "constant300"],
+        ids=["z16", "z17", "ternary6", "ternary7", "constant300", "quaternary16", "quaternary17"],
     )
-    def test_both_sides_of_the_byte_limit(self, alg, packed, budgets):
-        assert isinstance(termsearch._vector_form(alg).zero, int) == packed
+    def test_both_sides_of_the_byte_limit(self, alg, item, budgets):
+        # Each side of the one- and two-byte item limits.
+        assert item_size(alg) == item
         for budget in budgets:
             self.assert_same(alg, budget)
+
+    @pytest.mark.parametrize(
+        "size, arity, item",
+        [(256, 1, 1), (257, 1, 2), (2, 8, 1), (2, 9, 2), (2, 16, 2), (2, 17, 4), (2, 32, 4), (2, 33, 8), (2, 64, 8)],
+    )
+    def test_item_width_holds_every_flat_index(self, size, arity, item):
+        # Only the size and the arities decide, so no table is built.
+        alg = SimpleNamespace(size=size, tables=[("f", SimpleNamespace(arity=arity))])
+        assert item_size(alg) == item
 
 
 def outcome_row(alg, budget=10**7):
@@ -559,8 +583,8 @@ class TestWorkBound:
                 work.tuples.append(prefix + (i,))
                 yield key
 
-        def counting(form, arity, read, *bounds):
-            rows = real(form, arity, lambda scaled, row: read(scaled, reading(row)), *bounds)
+        def counting(n, arity, read, *bounds):
+            rows = real(n, arity, lambda scaled, row: read(scaled, reading(row)), *bounds)
             for prefix, start, row in rows:
                 yield prefix, start, taking(prefix, start, row)
 
@@ -575,23 +599,37 @@ class TestWorkBound:
         assert (len(work.reads), len(work.tuples)) == (356, 356)
         assert len(work.tuples) <= 2 * 300
 
-    @pytest.mark.parametrize("n, visited", [(5, 42), (17, 43)], ids=["packed", "tuples"])
+    @pytest.mark.parametrize("n, visited", [(5, 42), (17, 43)], ids=["one-byte", "two-byte"])
     def test_work_stops_at_the_witness(self, work, n, visited):
         # The witness is met partway through a row; reading the row to its
         # end would make 81 applications.
         alg = cyclic_group(n)
-        assert isinstance(termsearch._vector_form(alg).zero, int) == (n * n <= 256)
+        assert item_size(alg) == (1 if n * n <= 256 else 2)
         outcome = find_maltsev_term(alg)
         assert (outcome.status, outcome.visited) == ("found", visited)
         assert (len(work.reads), len(work.tuples)) == (79, 79)
 
-    @pytest.mark.parametrize("n", [3, 17], ids=["packed", "tuples"])
+    @pytest.mark.parametrize("n", [3, 17], ids=["one-byte", "two-byte"])
     def test_each_argument_tuple_is_applied_once(self, work, n):
         # A completed closure has applied its one binary operation to every
         # pair of its vectors, and to none twice.
         alg = chain_semilattice(n)
-        assert isinstance(termsearch._vector_form(alg).zero, int) == (n * n <= 256)
+        assert item_size(alg) == (1 if n * n <= 256 else 2)
         outcome = find_maltsev_term(alg)
         assert (outcome.status, outcome.visited) == ("none", 6)
         assert sorted(work.tuples) == list(itertools.product(range(6), repeat=2))
         assert (len(work.reads), len(work.tuples)) == (36, 36)
+
+
+def test_search_memory_on_a_wide_carrier():
+    # 300 elements and one constant: four pair vectors of 180 000 two-byte
+    # coordinates.  Keeping coordinates as tuples of ints peaked at 13.0 MB.
+    alg = make_algebra("c300", 300, {"c": OperationTable(0, (299,))})
+    tracemalloc.start()
+    try:
+        outcome = find_maltsev_term(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.visited) == ("none", 4)
+    assert peak < 10 * 10**6
