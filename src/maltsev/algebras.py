@@ -228,23 +228,29 @@ CHUNK = 4096
 def check_identity(alg: FiniteAlgebra, ident: Identity) -> dict[str, int] | None:
     """Exhaustively check the identity; None means it holds, otherwise the
     lexicographically first failing assignment is returned.  Both sides are
-    evaluated as vectors over chunks of at most CHUNK assignments, each of
-    which fixes the leading variables."""
+    evaluated as vectors over chunks of at most CHUNK assignments: a chunk
+    fixes the leading variables, gives the next one a run of consecutive
+    values, and the trailing ones every value."""
     validate_term(ident.lhs, alg.signature)
     validate_term(ident.rhs, alg.signature)
     n, names = alg.size, ident.variables
-    tail = len(names)  # the variables that vary within a chunk
+    tail = max(len(names) - 1, 0)  # the variables that take every value in a chunk
     while n**tail > CHUNK:
         tail -= 1
-    width = n**tail
-    trailing = tuple_columns(n, tail)
-    for leading in itertools.product(range(n), repeat=len(names) - tail):
-        columns = dict(zip(names, [(v,) * width for v in leading] + trailing))
-        lhs = evaluate_columns(alg, ident.lhs, columns, width)
-        rhs = evaluate_columns(alg, ident.rhs, columns, width)
-        if lhs != rhs:
-            i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            return {name: column[i] for name, column in columns.items()}
+    block, trailing = n**tail, tuple_columns(n, tail)
+    step, domain = CHUNK // block, range(n if names else 1)  # of the variable before them
+    for leading in itertools.product(range(n), repeat=max(len(names) - tail - 1, 0)):
+        for low in range(0, len(domain), step):
+            run = domain[low : low + step]
+            width = len(run) * block
+            values = tuple(itertools.chain.from_iterable((v,) * block for v in run))
+            fixed = [(v,) * width for v in leading]
+            columns = dict(zip(names, fixed + [values] + [c * len(run) for c in trailing]))
+            lhs = evaluate_columns(alg, ident.lhs, columns, width)
+            rhs = evaluate_columns(alg, ident.rhs, columns, width)
+            if lhs != rhs:
+                i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                return {name: column[i] for name, column in columns.items()}
     return None
 
 

@@ -13,30 +13,25 @@ closure completes without reaching the target the answer is a definitive
 A witness is checked once, by ``verify_maltsev_term``, where it is reported
 (the CLI), never again inside the search.
 
-A pair vector has 2n^2 coordinates, each stored as an unsigned item of
-the narrowest width, 1, 2, 4 or 8 bytes, that holds every value and every
-flat table index (n**arity) of the algebra.  A vector is keyed by the
-``bytes`` of its items in native byte order, and a stored one is also kept
-as the int those bytes spell, so that the prefix sum of flat indices along
-an argument tuple is int arithmetic, carrying across no item.  A row of
-candidates is one lazy pass, ``int.to_bytes`` of each sum then the table
-read: ``bytes.translate`` through the table's entries for one-byte items,
-a ``struct`` pack of the looked-up entries for wider ones.
+A pair vector has 2n^2 coordinates, unsigned items of the narrowest width
+(1, 2, 4 or 8 bytes) that holds every value and flat table index.  It is
+stored only as its key, the ``bytes`` of its items in native byte order.
+As ints, a key or a run of keys joined sums flat indices with no carry, so
+a row is read in chunks of at most ``READ_LIMIT`` coordinates, each in one
+C-level pass: the chunk's int plus the prefix sum repeated, the table read
+(``bytes.translate``, or one ``struct`` pack), one unpack into keys.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import repeat
 from struct import Struct
 
-from .algebras import (
-    FiniteAlgebra,
-    evaluate_columns,
-    maltsev_columns,
-    product_algebra,
-)
+from .algebras import FiniteAlgebra, evaluate_columns, maltsev_columns, product_algebra
 from .terms import App, Record, Term, Var
+
+# The most coordinates one row read computes; a chunk holds one vector at least.
+READ_LIMIT = 1 << 16
 
 
 class SearchOutcome(Record):
@@ -53,23 +48,31 @@ def _item_code(alg: FiniteAlgebra) -> str:
     return next(code for code in "BHIQ" if top <= 1 << 8 * Struct(code).size)
 
 
+def _chunks(keys, start, end, cap, vector: Struct):
+    """keys[start:end] as chunks of at most cap keys: (first, count, joined int, unpack, pack)."""
+    return [
+        (i, c, int.from_bytes(b"".join(keys[i : i + c]), sys.byteorder))
+        + (Struct(f"{vector.size}s" * c).unpack, Struct(vector.format * c).pack)
+        for i in range(start, end, cap)
+        for c in [min(cap, end - i)]
+    ]
+
+
 def _reader(tab, vector: Struct):
-    """``reader(scaled, row)`` maps each element e of row, lazily, to the key
-    of the table's value vector at the flat indices ``scaled + e``;
-    ``vector`` packs the items of one key."""
+    """``read(scaled, chunk)`` is the tuple of the keys of the table's value
+    vectors at the flat indices ``scaled + e``, e the int of each chunk key."""
     length, code, order = vector.size, vector.format[-1], sys.byteorder
-    if code == "B":
-        image = repeat(bytes(tab.entries).ljust(256, b"\0"))
-        return lambda scaled, row: map(
-            bytes.translate,
-            map(int.to_bytes, map(scaled.__add__, row), repeat(length), repeat(order)),
-            image,
-        )
-    pack, lookup = vector.pack, tab.entries.__getitem__
-    return lambda scaled, row: (
-        pack(*map(lookup, memoryview((scaled + e).to_bytes(length, order)).cast(code)))
-        for e in row
-    )
+    image, lookup = code == "B" and bytes(tab.entries).ljust(256, b"\0"), tab.entries.__getitem__
+
+    def read(scaled, chunk):
+        _, count, joined, split, pack = chunk
+        total = joined + int.from_bytes(scaled.to_bytes(length, order) * count, order)
+        data = total.to_bytes(count * length, order)
+        if image:
+            return split(data.translate(image))
+        return split(pack(*map(lookup, memoryview(data).cast(code))))
+
+    return read
 
 
 def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
@@ -82,33 +85,30 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
     newest level, in that same order.  Each new vector is stored at once,
     with its argument index tuple, the only one the search builds; the
     search stops when more than ``budget`` vectors are stored (checked
-    first) or the target is, and reads no row further.  The witness is
-    rebuilt from the parent links and not evaluated again: its pair vector
-    is the target by construction.  ``verify_maltsev_term`` is the
-    independent check, made where a witness is reported.
-    """
-    n, order, width = alg.size, sys.byteorder, 2 * alg.size**2
+    first) or the target is, and reads at most the rest of one chunk.  The
+    witness is rebuilt from the parent links, not evaluated again."""
+    n, width = alg.size, 2 * alg.size**2
     vector = Struct(f"{width}{_item_code(alg)}")
     *columns, target = (vector.pack(*column) for column in maltsev_columns(n))
-    index: dict[bytes, int] = {}
-    parents: list[tuple] = []
-    for name, key in zip("xyz", columns):
-        if key not in index:
-            index[key] = len(parents)
-            parents.append(("gen", name))
-    elements = [int.from_bytes(key, order) for key in index]
+    keys = list(dict.fromkeys(columns))  # each distinct generator once, first name first
+    index = {key: i for i, key in enumerate(keys)}
+    parents: list[tuple] = [("gen", "xyz"[columns.index(key)]) for key in keys]
     if target in index:
-        return SearchOutcome("found", rebuild_term(parents, index[target]), len(elements))
+        return SearchOutcome("found", rebuild_term(parents, index[target]), len(keys))
 
     readers = [(sym, tab, _reader(tab, vector)) for sym, tab in alg.tables]
-    level_start = 0
+    level_start, cap = 0, max(1, READ_LIMIT // width)
     while True:
         # Arguments come from range(level_end) only, so storing at once finds
         # what storing after the whole level would find, in the same order.
-        level_end = len(elements)
+        level_end, cut = len(keys), {}
+
+        def span(s):  # keys[s:level_end] in chunks, cut on first use
+            return cut.get(s) or cut.setdefault(s, _chunks(keys, s, level_end, cap, vector))
+
         for sym, tab, read in readers:
             if tab.arity:
-                rows = _applications(n, tab.arity, read, elements, level_start, level_end)
+                rows = _applications(n, tab.arity, read, keys, span, level_start, level_end)
             elif level_start == 0:
                 rows = [((), 0, [vector.pack(*tab.entries * width)])]
             else:
@@ -117,41 +117,41 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
                 for i, key in enumerate(row, start):
                     if key in index:
                         continue
-                    index[key] = stored = len(elements)
-                    elements.append(int.from_bytes(key, order))
+                    index[key] = stored = len(keys)
+                    keys.append(key)
                     parents.append(("app", sym, prefix + (i,) if tab.arity else ()))
                     if stored >= budget:
                         return SearchOutcome("budget-exhausted", None, stored + 1)
                     if key == target:
                         return SearchOutcome("found", rebuild_term(parents, stored), stored + 1)
-        if len(elements) == level_end:
-            return SearchOutcome("none", None, len(elements))
+        if len(keys) == level_end:
+            return SearchOutcome("none", None, len(keys))
         level_start = level_end
 
 
-def _applications(n, arity, read, elements, level_start, level_end):
-    """Yield (prefix, start, row) for the k-tuples over range(level_end) with
-    max >= level_start, in lexicographic order: one per prefix of k - 1
-    indices, whose ``row`` lazily reads the keys of prefix + (i,) for i from
-    start to level_end.  Flat table indices are summed along the prefix,
-    ``(scaled + e) * n`` once per prefix, and the second-to-last argument is
-    a plain loop."""
+def _applications(n, arity, read, keys, span, start, end):
+    """Yield (prefix, first, row) for the k-tuples over range(end) with max
+    >= start, in lexicographic order: per prefix of k - 1 indices and chunk
+    of span(low) (keys[low:end], cut at its first row), the keys of prefix +
+    (i,) for the chunk's i from first.  Flat indices sum by (scaled + e) * n."""
     if arity == 1:
-        yield (), level_start, read(0, elements[level_start:level_end])
+        yield from (((), chunk[0], read(0, chunk)) for chunk in span(start))
         return
-    stack = [((), 0, level_start)]  # depth first, so lexicographic
+    order = sys.byteorder
+    stack = [((), 0, start)]  # depth first, so lexicographic
     while stack:
-        prefix, scaled, start = stack.pop()
+        prefix, scaled, low = stack.pop()
         if len(prefix) < arity - 2:
-            stack.extend(
-                (prefix + (i,), (scaled + elements[i]) * n, 0 if i >= level_start else start)
-                for i in reversed(range(level_end))
-            )
+            for i in reversed(range(end)):
+                e = int.from_bytes(keys[i], order)
+                stack.append((prefix + (i,), (scaled + e) * n, 0 if i >= start else low))
             continue
-        tail, whole = elements[start:level_end], elements[:level_end]
-        for i in range(level_end):
-            row_start, row = (0, whole) if i >= level_start else (start, tail)
-            yield prefix + (i,), row_start, read((scaled + elements[i]) * n, row)
+        for first, last, operand in ((0, start, low), (start, end, 0)):
+            chunks = span(operand)
+            for i in range(first, last):
+                row_scaled = (scaled + int.from_bytes(keys[i], order)) * n
+                for chunk in chunks:
+                    yield prefix + (i,), chunk[0], read(row_scaled, chunk)
 
 
 def rebuild_term(parents: list[tuple], i: int) -> Term:

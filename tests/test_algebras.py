@@ -31,6 +31,7 @@ from maltsev.algebras import (
     tuple_columns,
     with_operation,
 )
+from maltsev import algebras
 from maltsev.errors import ArityMismatchError, AxiomError, EvaluationError, SchemaError, UnknownSymbolError
 from maltsev.homomorphisms import eval_term
 from maltsev.terms import App, Var, mu, parse_term
@@ -236,21 +237,29 @@ class TestCheckIdentity:
                 assert check_identity(alg, ident) == naive_check_identity(alg, ident)
 
     def test_agrees_with_naive_oracle_across_chunks(self):
-        # 9^4 assignments do not fit in one chunk: each chunk fixes w, the
-        # first of the sorted variables.
-        assert 9**3 <= CHUNK < 9**4
+        # 9^4 assignments do not fit in one chunk: a chunk gives w, the first
+        # of the sorted variables, a run of CHUNK // 9^3 = 5 values, so w is
+        # 0-4 in the first chunk and 5-8 in the second.
+        assert 9**3 * 5 <= CHUNK < 9**3 * 6
         z9 = cyclic_group(9)
-        patched = make_algebra(
-            "patched",
-            9,
-            {"f": table_from_function(9, 2, lambda a, b: 0 if (a, b) == (4, 7) else (a + b) % 9)},
-        )
+
+        def patched(a, b):
+            # f is addition mod 9 but at (a, b)
+            return make_algebra(
+                "patched",
+                9,
+                {"f": table_from_function(9, 2, lambda c, d: 0 if (c, d) == (a, b) else (c + d) % 9)},
+            )
+
         cases = (
             (z9, "mul(w,mul(x,mul(y,z)))=mul(z,mul(y,mul(x,w)))", None),
-            # fails first at the first assignment of the second chunk
+            # fails first at the 730th assignment, w's second value in the
+            # first chunk
             (z9, "mul(mul(w,w),mul(x,mul(y,z)))=mul(w,mul(x,mul(y,z)))", {"w": 1, "x": 0, "y": 0, "z": 0}),
-            # fails first inside the fifth chunk
-            (patched, "f(f(w,x),f(y,z))=f(f(x,w),f(y,z))", {"w": 4, "x": 7, "y": 0, "z": 0}),
+            # fails first at w's last value in the first chunk
+            (patched(4, 7), "f(f(w,x),f(y,z))=f(f(x,w),f(y,z))", {"w": 4, "x": 7, "y": 0, "z": 0}),
+            # fails first inside the second chunk
+            (patched(6, 7), "f(f(w,x),f(y,z))=f(f(x,w),f(y,z))", {"w": 6, "x": 7, "y": 0, "z": 0}),
         )
         for alg, text, failure in cases:
             ident = parse_identity(text, alg.signature)
@@ -263,6 +272,25 @@ class TestCheckIdentity:
             lhs, rhs = (random_signature_term(rng, alg.signature, "wxyz", 3) for _ in "lr")
             ident = Identity(lhs, rhs, ("w", "x", "y", "z"))
             assert check_identity(alg, ident) == naive_check_identity(alg, ident)
+
+    def test_chunks_are_filled(self, monkeypatch):
+        # 70^2 assignments: a chunk gives x a run of CHUNK // 70 = 58 values,
+        # so 2 chunks, each evaluating both sides once.  A chunk per value of
+        # x made 140 calls.
+        widths, real = [], algebras.evaluate_columns
+
+        def counting(alg, t, columns, width):
+            widths.append(width)
+            return real(alg, t, columns, width)
+
+        monkeypatch.setattr(algebras, "evaluate_columns", counting)
+        z70 = cyclic_group(70)
+        assert check_identity(z70, parse_identity("mul(x,y)=mul(y,x)", z70.signature)) is None
+        assert widths == [58 * 70] * 2 + [12 * 70] * 2
+        # With no variables there is one assignment.
+        widths.clear()
+        assert check_identity(z70, parse_identity("mul(e,e)=e", z70.signature)) is None
+        assert widths == [1, 1]
 
     def test_only_the_last_assignment_fails(self):
         # f(a,b) = 8 exactly when a = b = 8, so the identity fails only at

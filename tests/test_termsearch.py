@@ -13,6 +13,7 @@ from maltsev.algebras import (
     OperationTable,
     evaluate_columns,
     is_maltsev_operation,
+    load_algebra,
     make_algebra,
     maltsev_columns,
     product_algebra,
@@ -563,51 +564,158 @@ class TestGolden:
         assert got == self.GOLDEN["random_binary_3"][str(seed)]
 
 
+def chunk_vectors(alg):
+    """Vectors per chunk of a row read: READ_LIMIT coordinates, at least one
+    vector of 2n^2."""
+    return max(1, termsearch.READ_LIMIT // (2 * alg.size**2))
+
+
+def z5_variant():
+    """Z5 with mul entry 6 set to 0: a closure that outgrows any budget
+    tried, whose fourth level holds 3 595 vectors."""
+    doc = json.loads((Path(__file__).parent.parent / "algebras" / "z5.json").read_text())
+    doc["operations"][0]["table"][6] = 0
+    return load_algebra(doc)
+
+
+def affine(n):
+    """The quasigroup 2x - y mod n."""
+    return make_algebra(f"aff{n}", n, {"f": table_from_function(n, 2, lambda a, b: (2 * a - b) % n)})
+
+
+@pytest.fixture()
+def reads(monkeypatch):
+    """The number of keys each row read computes, in order."""
+    counts, real = [], termsearch._reader
+
+    def spying(tab, vector):
+        read = real(tab, vector)
+
+        def counting(scaled, chunk):
+            row = read(scaled, chunk)
+            counts.append(len(row))
+            return row
+
+        return counting
+
+    monkeypatch.setattr(termsearch, "_reader", spying)
+    return counts
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1-vector", "2-vector", "3-vector"])
+def small_chunks(request, monkeypatch, reads):
+    """Every search reads its rows in chunks of 1, 2 or 3 vectors, whatever
+    the algebra's width: the tests' find_maltsev_term sets READ_LIMIT to
+    that many vectors' coordinates first, and checks every read."""
+    real = find_maltsev_term
+
+    def search(alg, budget=10**7):
+        monkeypatch.setattr(termsearch, "READ_LIMIT", request.param * 2 * alg.size**2)
+        outcome = real(alg, budget)
+        assert chunk_vectors(alg) == request.param
+        assert max(reads, default=0) <= request.param
+        return outcome
+
+    monkeypatch.setitem(globals(), "find_maltsev_term", search)
+    return request.param
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestGoldenInSmallChunks(TestGolden):
+    """The golden outcomes, with rows cut at every 1, 2 or 3 vectors."""
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestAgainstReferenceInSmallChunks(TestAgainstReference):
+    """The reference outcomes, with rows cut at every 1, 2 or 3 vectors."""
+
+    test_item_width_holds_every_flat_index = None  # it runs no search
+
+
+class TestChunks:
+    @pytest.mark.parametrize("vectors", [None, 64], ids=["default", "64-vector"])
+    def test_rows_across_many_chunks(self, monkeypatch, vectors):
+        # The budget runs out in the fourth level's rows, each over 3 682
+        # vectors: 3 chunks at the default 1 310 vectors, and 58 at 64.
+        alg = z5_variant()
+        if vectors:
+            monkeypatch.setattr(termsearch, "READ_LIMIT", vectors * 2 * 5**2)
+        assert chunk_vectors(alg) == (vectors or 1310)
+        outcome = find_maltsev_term(alg, budget=5000)
+        assert (outcome.status, outcome.visited) == ("budget-exhausted", 5001)
+
+    @pytest.mark.parametrize(
+        "alg, budget, status",
+        [(z5_variant(), 5000, "budget-exhausted"), (affine(17), 10**7, "found")],
+        ids=["z5-variant", "affine17"],
+    )
+    def test_no_read_exceeds_the_limit(self, reads, alg, budget, status):
+        # 2x - y mod 17 has two-byte items and 113-vector chunks, and finds
+        # its witness after 288 vectors.
+        assert find_maltsev_term(alg, budget).status == status
+        assert max(reads) == chunk_vectors(alg) > 1
+        assert max(reads) * 2 * alg.size**2 <= termsearch.READ_LIMIT
+
+    def test_constants_alone_build_no_chunks(self, monkeypatch):
+        # Only a nullary table: no row is read, so no level cuts its keys
+        # into chunks (four 180 000-coordinate ints here).
+        built = []
+        real = termsearch._chunks
+        monkeypatch.setattr(termsearch, "_chunks", lambda *args: built.append(args) or real(*args))
+        alg = make_algebra("c300", 300, {"c": OperationTable(0, (299,))})
+        assert find_maltsev_term(alg).status == "none"
+        assert built == []
+        find_maltsev_term(cyclic_group(3))
+        assert built
+
+
 class TestWorkBound:
     @pytest.fixture()
-    def work(self, monkeypatch):
+    def work(self, monkeypatch, reads):
         """What the search applies its operations to.  ``tuples`` holds each
-        argument tuple as the search takes its vector from a row;
-        ``reads`` each last argument as a row's table read takes it, so a
-        read that runs ahead of the search shows there."""
-        work = SimpleNamespace(tuples=[], reads=[])
+        argument tuple as the search takes its vector from a row; ``reads``
+        the number of keys each row read computes, so a read that runs ahead
+        of the search shows there, by less than one chunk."""
+        work = SimpleNamespace(tuples=[], reads=reads)
         real = termsearch._applications
-
-        def reading(row):
-            for vec in row:
-                work.reads.append(vec)
-                yield vec
 
         def taking(prefix, start, row):
             for i, key in enumerate(row, start):
                 work.tuples.append(prefix + (i,))
                 yield key
 
-        def counting(n, arity, read, *bounds):
-            rows = real(n, arity, lambda scaled, row: read(scaled, reading(row)), *bounds)
-            for prefix, start, row in rows:
+        def counting(*args):
+            for prefix, start, row in real(*args):
                 yield prefix, start, taking(prefix, start, row)
 
         monkeypatch.setattr(termsearch, "_applications", counting)
         return work
 
+    @staticmethod
+    def assert_work(work, alg, read, taken):
+        assert (sum(work.reads), len(work.tuples)) == (read, taken)
+        assert 0 <= sum(work.reads) - len(work.tuples) < chunk_vectors(alg)
+
     def test_work_stops_at_the_budget(self, work):
         # The reference search applies f to 21 025 argument tuples here: it
         # finishes the level that crosses the budget before checking it.
-        outcome = find_maltsev_term(random_binary_3(2), budget=300)
+        # The search reads the row that crosses it to its end.
+        alg = random_binary_3(2)
+        outcome = find_maltsev_term(alg, budget=300)
         assert outcome.status == "budget-exhausted"
-        assert (len(work.reads), len(work.tuples)) == (356, 356)
+        self.assert_work(work, alg, 410, 356)
         assert len(work.tuples) <= 2 * 300
+        assert sum(work.reads) <= 2 * 300
 
     @pytest.mark.parametrize("n, visited", [(5, 42), (17, 43)], ids=["one-byte", "two-byte"])
     def test_work_stops_at_the_witness(self, work, n, visited):
-        # The witness is met partway through a row; reading the row to its
-        # end would make 81 applications.
+        # The witness is met partway through a row, whose read computes 2
+        # keys past it.
         alg = cyclic_group(n)
         assert item_size(alg) == (1 if n * n <= 256 else 2)
         outcome = find_maltsev_term(alg)
         assert (outcome.status, outcome.visited) == ("found", visited)
-        assert (len(work.reads), len(work.tuples)) == (79, 79)
+        self.assert_work(work, alg, 81, 79)
 
     @pytest.mark.parametrize("n", [3, 17], ids=["one-byte", "two-byte"])
     def test_each_argument_tuple_is_applied_once(self, work, n):
@@ -618,7 +726,7 @@ class TestWorkBound:
         outcome = find_maltsev_term(alg)
         assert (outcome.status, outcome.visited) == ("none", 6)
         assert sorted(work.tuples) == list(itertools.product(range(6), repeat=2))
-        assert (len(work.reads), len(work.tuples)) == (36, 36)
+        self.assert_work(work, alg, 36, 36)
 
 
 def test_search_memory_on_a_wide_carrier():
@@ -633,3 +741,17 @@ def test_search_memory_on_a_wide_carrier():
         tracemalloc.stop()
     assert (outcome.status, outcome.visited) == ("none", 4)
     assert peak < 10 * 10**6
+
+
+def test_search_memory_across_many_chunks():
+    # 20 001 pair vectors of 50 one-byte coordinates.  Keeping each vector
+    # as an int beside its key peaked at 7.40 MB; keys alone peak at 6.23.
+    alg = z5_variant()
+    tracemalloc.start()
+    try:
+        outcome = find_maltsev_term(alg, budget=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.visited) == ("budget-exhausted", 20001)
+    assert peak < 7.0 * 10**6
