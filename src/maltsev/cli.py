@@ -160,11 +160,10 @@ def cmd_equal(args, rep: Report) -> int:
 
     lhs = parse_term(args.lhs, MALTSEV_SIGNATURE)
     rhs = parse_term(args.rhs, MALTSEV_SIGNATURE)
-    # Normal forms are canonical and format_term is injective, so equal
-    # texts are equal elements of the free algebra.
+    same = rewriting.equal_in_free(lhs, rhs)
+    # normalize returns the normal form that equal_in_free kept on each side.
     lhs_nf = format_term(rewriting.normalize(lhs))
     rhs_nf = format_term(rewriting.normalize(rhs))
-    same = lhs_nf == rhs_nf
     rep.text("true" if same else "false")
     if not same:
         rep.text(f"lhs normal form: {lhs_nf}")

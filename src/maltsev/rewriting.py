@@ -24,6 +24,7 @@ from .terms import (
     default_generators,
     enumerate_up_to,
     fold,
+    format_term,
     positions,
     replace_at,
     substitute,
@@ -360,24 +361,20 @@ def unify(s: Term, t: Term) -> dict[str, Term] | None:
     return subst
 
 
-def _canonical_key(ts: tuple[Term, ...]) -> tuple:
-    """Serialize terms in pre-order with variables renumbered by first
-    occurrence, making renaming-equivalent tuples identical."""
-    names: dict[str, int] = {}
-    return tuple(
-        ("v", names.setdefault(s.name, len(names)))
-        if isinstance(s, Var)
-        else ("a", s.symbol, len(s.args))
-        for t in ts
-        for _, s in positions(t)
-    )
+def _canonical_key(ts: tuple[Term, ...]) -> tuple[str, ...]:
+    """The texts of ts with their variables renamed 0, 1, ... by first
+    occurrence, making renaming-equivalent tuples identical.  A digit string
+    is no symbol, so a text names its term (format_term is injective)."""
+    names = dict.fromkeys(name for t in ts for name in variables(t))
+    renamed = {name: Var(str(k)) for k, name in enumerate(names)}
+    return tuple(format_term(substitute(t, renamed)) for t in ts)
 
 
 def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
     """All nontrivial critical pairs of rs, deduplicated modulo variable
     renaming and swapping of the two results."""
     out: list[CriticalPair] = []
-    seen: set[tuple] = set()
+    seen: set[tuple[str, ...]] = set()
     for i, (l1, r1) in enumerate(rs.rules):
         for j, (l2_raw, r2_raw) in enumerate(rs.rules):
             # A renamed copy; rhs variables are among the lhs variables.

@@ -114,8 +114,12 @@ def selftest(rng: random.Random, iterations: int) -> list[tuple[str, bool]]:
 
 def random_order_reduction(rng: random.Random, raw: Sequence[Letter]) -> ReducedWord:
     """Oracle for reduce: delete cancelling pairs in random order until none remain."""
-    codes = encode(raw)
-    while sites := [i for i in range(len(codes) - 1) if ord(codes[i]) ^ ord(codes[i + 1]) == 1]:
+    letters = list(raw)
+    while sites := [
+        i
+        for i, (a, b) in enumerate(zip(letters, letters[1:]))
+        if a.gen == b.gen and a.sign == -b.sign
+    ]:
         i = rng.choice(sites)
-        codes = codes[:i] + codes[i + 2 :]
-    return ReducedWord(codes)
+        del letters[i : i + 2]
+    return ReducedWord(encode(letters))

@@ -160,9 +160,10 @@ class App(Term):
     hashed, since the engine keys its tables by id.  Equality compares two
     terms on a stack, each pair of nodes once, and stops at the first
     unequal hash.  ``rewriting.normalize`` and ``rewriting.equal_in_free``
-    keep the normal form of an application in ``_nf``.  Pickling rebuilds a
-    term from a post-order table of its nodes, so it keeps the sharing and
-    works at any depth, and drops both remembered values.
+    keep the normal form of an application in ``_nf``.  A term pickles as a
+    post-order table of its nodes, which ``rebuild_term`` reads back, so it
+    keeps the sharing and works at any depth, and drops both remembered
+    values.
     """
 
     __slots__ = ("symbol", "args", "_hash", "_nf")
@@ -218,7 +219,7 @@ class App(Term):
             return len(table) - 1
 
         fold(self, lambda v: add(v.name), lambda s, *below: add((s.symbol, *below)))
-        return _rebuild, (table,)
+        return rebuild_term, (table, len(table) - 1)
 
     def __repr__(self) -> str:
         objects = set()
@@ -233,17 +234,25 @@ class App(Term):
         return f"<App {format_term(self)}>"
 
 
-def _rebuild(table: list) -> Term:
-    """The term that App.__reduce__ wrote as table, its nodes in post-order:
-    a name is a variable and (symbol, *indexes) the application of symbol
-    to the nodes at those indexes."""
-    nodes: list[Term] = []
-    for entry in table:
+def rebuild_term(table: list, i: int) -> Term:
+    """The term of entry i of table, in which a name is a variable and
+    (symbol, *indexes) the application of symbol to the terms of those
+    entries.  Depth first from i, so only the entries i reaches are built,
+    each once, after its arguments, and shared where it recurs."""
+    built: dict[int, Term] = {}
+    stack = [i]
+    while stack:
+        j = stack.pop()
+        if j in built:  # stacked again by a later parent before it was built
+            continue
+        entry = table[j]
         if entry.__class__ is str:
-            nodes.append(Var(entry))
+            built[j] = Var(entry)
+        elif todo := [k for k in entry[1:] if k not in built]:
+            stack += (j, *todo)
         else:
-            nodes.append(App(entry[0], tuple(map(nodes.__getitem__, entry[1:]))))
-    return nodes[-1]
+            built[j] = App(entry[0], tuple(map(built.__getitem__, entry[1:])))
+    return built[i]
 
 
 def mu(a: Term, b: Term, c: Term) -> App:

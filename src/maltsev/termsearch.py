@@ -10,8 +10,11 @@ closure over pairs of such functions.  The variable generators are
 and a term is a witness exactly when its pair is (first, first).  When the
 closure completes without reaching the target the answer is a definitive
 "none"; exhausting the budget is reported as a distinct third outcome.
-A witness is checked once, by ``verify_maltsev_term``, where it is reported
-(the CLI), never again inside the search.
+Each stored vector keeps its parent link, a generator's name or its
+symbol and argument indexes: the links form the table from which
+``terms.rebuild_term`` builds the witness.  A witness is checked once, by
+``verify_maltsev_term``, where it is reported (the CLI), never again
+inside the search.
 
 A pair vector has 2n^2 coordinates, unsigned items of the narrowest width
 (1, 2, 4 or 8 bytes) that holds every value and flat table index.  It is
@@ -28,7 +31,7 @@ import sys
 from struct import Struct
 
 from .algebras import FiniteAlgebra, evaluate_columns, maltsev_columns, product_algebra
-from .terms import App, Record, Term, Var
+from .terms import Record, Term, rebuild_term
 
 # The most coordinates one row read computes; a chunk holds one vector at least.
 READ_LIMIT = 1 << 16
@@ -49,10 +52,10 @@ def _item_code(alg: FiniteAlgebra) -> str:
 
 
 def _chunks(keys, start, end, cap, vector: Struct):
-    """keys[start:end] as chunks of at most cap keys: (first, count, joined int, unpack, pack)."""
+    """keys[start:end] as chunks of at most cap keys: (first, count, joined int, unpack)."""
     return [
         (i, c, int.from_bytes(b"".join(keys[i : i + c]), sys.byteorder))
-        + (Struct(f"{vector.size}s" * c).unpack, Struct(vector.format * c).pack)
+        + (Struct(f"{vector.size}s" * c).unpack,)
         for i in range(start, end, cap)
         for c in [min(cap, end - i)]
     ]
@@ -65,12 +68,13 @@ def _reader(tab, vector: Struct):
     image, lookup = code == "B" and bytes(tab.entries).ljust(256, b"\0"), tab.entries.__getitem__
 
     def read(scaled, chunk):
-        _, count, joined, split, pack = chunk
+        _, count, joined, split = chunk
         total = joined + int.from_bytes(scaled.to_bytes(length, order) * count, order)
         data = total.to_bytes(count * length, order)
         if image:
             return split(data.translate(image))
-        return split(pack(*map(lookup, memoryview(data).cast(code))))
+        items = memoryview(data).cast(code)
+        return split(Struct(f"{len(items)}{code}").pack(*map(lookup, items)))
 
     return read
 
@@ -92,7 +96,7 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
     *columns, target = (vector.pack(*column) for column in maltsev_columns(n))
     keys = list(dict.fromkeys(columns))  # each distinct generator once, first name first
     index = {key: i for i, key in enumerate(keys)}
-    parents: list[tuple] = [("gen", "xyz"[columns.index(key)]) for key in keys]
+    parents: list = ["xyz"[columns.index(key)] for key in keys]  # a terms.rebuild_term table
     if target in index:
         return SearchOutcome("found", rebuild_term(parents, index[target]), len(keys))
 
@@ -119,7 +123,7 @@ def find_maltsev_term(alg: FiniteAlgebra, budget: int = 10**7) -> SearchOutcome:
                         continue
                     index[key] = stored = len(keys)
                     keys.append(key)
-                    parents.append(("app", sym, prefix + (i,) if tab.arity else ()))
+                    parents.append((sym, *prefix, i) if tab.arity else (sym,))
                     if stored >= budget:
                         return SearchOutcome("budget-exhausted", None, stored + 1)
                     if key == target:
@@ -152,24 +156,6 @@ def _applications(n, arity, read, keys, span, start, end):
                 row_scaled = (scaled + int.from_bytes(keys[i], order)) * n
                 for chunk in chunks:
                     yield prefix + (i,), chunk[0], read(row_scaled, chunk)
-
-
-def rebuild_term(parents: list[tuple], i: int) -> Term:
-    """The term of vector i, expanded from the parent links; each index is
-    built once, after its arguments, and shared where it recurs."""
-    built: dict[int, Term] = {}
-    stack = [i]
-    while stack:
-        kind, *link = parents[stack[-1]]
-        if kind == "app" and (todo := [k for k in link[1] if k not in built]):
-            stack += todo
-            continue
-        j = stack.pop()
-        if kind == "gen":
-            built[j] = Var(link[0])
-        else:
-            built[j] = App(link[0], tuple(map(built.__getitem__, link[1])))
-    return built[i]
 
 
 def verify_maltsev_term(alg: FiniteAlgebra, t: Term) -> bool:

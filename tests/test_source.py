@@ -421,6 +421,49 @@ def test_verify_callers_are_found():
     ]
 
 
+# The word problem is decided in one place: the CLI's equal asks
+# rewriting.equal_in_free, as the selftest's axiom walk does.
+EQUAL_CALLERS = ["cli.cmd_equal", "sampling.selftest.axiom_walk_equivalence"]
+
+
+def test_the_word_problem_is_decided_once():
+    assert _package_callers("equal_in_free") == EQUAL_CALLERS
+
+
+def test_equal_callers_are_found():
+    tree = ast.parse(
+        "def cmd_equal(args, rep):\n    same = rewriting.equal_in_free(l, r)\n"
+        "    return format_term(normalize(l)) == format_term(normalize(r))\n"
+        "def selftest(rng):\n    def walk():\n        return equal_in_free(t, s)\n"
+        "def equal_in_free(t, s):\n    return t is s\n"
+    )
+    assert list(_callers("equal_in_free", tree, "cli")) == [
+        "cli.cmd_equal",
+        "cli.selftest.walk",
+    ]
+
+
+def _imported_names(tree):
+    """The name of everything a `from ... import` under tree binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+# The term search keeps its witness as a table of parent links and leaves
+# building terms to terms.rebuild_term, so it imports no term class.
+def test_the_search_builds_no_term_itself():
+    assert {"App", "Var"}.isdisjoint(_imported_names(_package()["termsearch"]))
+
+
+def test_imported_names_are_found():
+    tree = ast.parse(
+        "import terms\nfrom .terms import App, Record as R\n"
+        "def f():\n    from . import terms\n    from .terms import Var\n    return terms.App\n"
+    )
+    assert list(_imported_names(tree)) == ["App", "R", "terms", "Var"]
+
+
 # Labels are relabelled to canonical form only where they enter (the checking
 # Partition constructor and Partition.from_labels) and where the closure has
 # merged blocks under arbitrary ids; _join ranks its roots and needs no pass.

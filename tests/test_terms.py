@@ -33,6 +33,7 @@ from maltsev.terms import (
     format_term,
     mu,
     parse_term,
+    rebuild_term,
     substitute,
     term_depth,
     term_size,
@@ -607,6 +608,14 @@ class TestPickle:
         assert unhashed(u)
         assert u == t
 
+    def test_a_node_with_parents_at_two_depths_is_rebuilt_once(self):
+        # g(x,y) is an argument of f and of h(g(x,y)): its table entry is
+        # reached twice before it is built.
+        g = App("g", (Var("x"), Var("y")))
+        u = pickle.loads(pickle.dumps(App("f", (g, App("h", (g,))))))
+        assert format_term(u) == "f(g(x,y),h(g(x,y)))"
+        assert u.args[0] is u.args[1].args[0]
+
     def test_the_normal_form_is_not_pickled(self):
         t = parse_term("mu(x,mu(y,z,z),y)")
         assert normalize(t) == X
@@ -637,6 +646,26 @@ class TestPickle:
             )
             out.append(done.stdout)
         assert out == ["", "True True True True\n"]
+
+
+class TestRebuildTerm:
+    """rebuild_term reads the table that App.__reduce__ writes and the term
+    search stores: a name is a variable, (symbol, *indexes) an application."""
+
+    TABLE = ["x", "y", ("g", 0, 1), ("h", 2), ("f", 2, 3)]
+
+    def test_each_entry_is_built_once_and_shared(self):
+        t = rebuild_term(self.TABLE, 4)
+        assert format_term(t) == "f(g(x,y),h(g(x,y)))"
+        assert t.args[0] is t.args[1].args[0]
+
+    def test_only_the_entries_reached_are_built(self):
+        # Entry 1 names an entry that does not exist: building it would raise.
+        table = ["x", ("f", 99), ("c",), ("g", 0, 2, 0)]
+        t = rebuild_term(table, 3)
+        assert format_term(t) == "g(x,c,x)"
+        assert t.args[0] is t.args[2]
+        assert rebuild_term(table, 0) == Var("x")
 
 
 class TestRepr:

@@ -58,7 +58,7 @@ def reference_search(alg, budget=10**7):
             parents.append(parent)
 
     for name in ("x", "y", "z"):
-        add(gens[name], ("gen", name))
+        add(gens[name], name)
     if target in index:
         return SearchOutcome("found", rebuild_term(parents, index[target]), len(elements))
     width = 2 * n * n
@@ -78,7 +78,7 @@ def reference_search(alg, budget=10**7):
                 )
             for vec, idxs in candidates:
                 if vec not in index and vec not in buffered:
-                    buffer.append((vec, ("app", sym, idxs)))
+                    buffer.append((vec, (sym, *idxs)))
                     buffered.add(vec)
         if not buffer:
             return SearchOutcome("none", None, len(elements))
